@@ -44,7 +44,6 @@ class RunConfig:
     partition: str = "diagonal"
     format: str = "csv"
     out: str | None = None
-    fault: str | None = None
 
     def __post_init__(self) -> None:
         if any(n < 2 for n in self.n_values):
@@ -158,29 +157,21 @@ def cmd_ratio(config: RunConfig) -> str:
 def cmd_sample(config: RunConfig) -> str:
     """One stratified sample: rows of (x, y, cell)."""
     n = config.n_values[0]
-    if config.partition == "diagonal":
-        sample = partition.sample_stratified(partition.generating_set(n), config.seed)
-    elif config.partition == "vertical":
-        sample = partition.sample_vertical(n, config.seed)
-    else:
-        m = math.isqrt(n)
-        if m * m != n:
-            raise ValueError(f"jittered partition needs a square point count, got n={n}")
-        sample = partition.sample_jittered(m, config.seed)
+    points = partition.sample_partition(config.partition, n, 1, config.seed)[0].tolist()
     if config.format == "json":
         payload = {
             "n": n,
             "seed": config.seed,
             "partition": config.partition,
             "points": [
-                {"x": _jnum(p.x), "y": _jnum(p.y), "cell": c}
-                for p, c in zip(sample.points, sample.cells)
+                {"x": _jnum(x), "y": _jnum(y), "cell": c}
+                for c, (x, y) in enumerate(points, start=1)
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
     return _csv(
         "x,y,cell",
-        ([fmt(p.x), fmt(p.y), str(c)] for p, c in zip(sample.points, sample.cells)),
+        ([fmt(x), fmt(y), str(c)] for c, (x, y) in enumerate(points, start=1)),
     )
 
 
@@ -238,7 +229,7 @@ def _verify_sqrt_sum_orders(checks: _Checks) -> None:
         )
 
 
-def _verify_harmonic(checks: _Checks, fault: str | None) -> None:
+def _verify_harmonic(checks: _Checks) -> None:
     ns = asymptotics.DEFAULT_FIT_NS
     for k in (0.5, 1.5, 2.5):
         worst = max(
@@ -250,10 +241,9 @@ def _verify_harmonic(checks: _Checks, fault: str | None) -> None:
             worst <= 1.0,
             f"max |error|/n^(k-2) = {fmt(worst)} (bound 1)",
         )
-    drift = 1e-3 if fault == "constant-drift" else 0.0
     for k in (1.0, 2.0):
         worst = max(
-            abs((asymptotics.power_sum_approx(n, k) + drift) - asymptotics.power_sum(n, k))
+            abs(asymptotics.power_sum_approx(n, k) - asymptotics.power_sum(n, k))
             / asymptotics.power_sum(n, k)
             for n in ns
         )
@@ -316,10 +306,10 @@ def _verify_collapse(checks: _Checks, ns: Sequence[int]) -> None:
 
 def _verify_strip_quadrature(checks: _Checks) -> None:
     for n in (4, 8):
-        profile = qgeometry.OverlapProfile(n=n, gs=partition.generating_set(n))
+        gs = partition.generating_set(n)
         table = exactform.strip_integral_table(n)
         worst = max(
-            abs(table.values[i - 1] - qgeometry.mean_square_overlap(profile, i, grid=1000))
+            abs(table.values[i - 1] - qgeometry.mean_square_overlap(gs, i, grid=1000))
             for i in range(1, n + 1)
         )
         checks.add(f"strip-quadrature n={n}", worst <= 1e-4, f"max |closed - quadrature| = {fmt(worst)}")
@@ -336,8 +326,8 @@ def _verify_cross_method(checks: _Checks) -> None:
 
 
 def _verify_point_checks(checks: _Checks) -> None:
-    profile = qgeometry.OverlapProfile(n=4, gs=partition.generating_set(4))
-    got = [qgeometry.overlap_fraction(profile, i, 0.4, 0.8) for i in range(1, 5)]
+    gs = partition.generating_set(4)
+    got = [qgeometry.overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
     want = (0.8114, 0.3886, 0.08, 0.0)
     worst = max(abs(g - w) for g, w in zip(got, want))
     checks.add("worked-example", worst <= 5e-4, f"q = ({', '.join(fmt(v) for v in got)})")
@@ -360,9 +350,9 @@ def _verify_point_checks(checks: _Checks) -> None:
     worst = 0.0
     pts = rng.random((2000, 2))
     for n in (4, 16):
-        prof = qgeometry.OverlapProfile(n=n, gs=partition.generating_set(n))
+        gs = partition.generating_set(n)
         for x, y in pts:
-            total = math.fsum(qgeometry.overlap_vector(prof, x, y).tolist())
+            total = math.fsum(qgeometry.overlap_vector(gs, x, y).tolist())
             worst = max(worst, abs(total - n * x * y))
     checks.add("telescoping", worst <= 1e-10, f"max |sum q_i - n*x*y| = {fmt(worst)}")
 
@@ -372,7 +362,7 @@ def run_verify(config: RunConfig) -> tuple[str, bool]:
     collapse_ns = config.n_values or tuple(2**j for j in range(6, 13))
     checks = _Checks()
     _verify_sqrt_sum_orders(checks)
-    _verify_harmonic(checks, config.fault)
+    _verify_harmonic(checks)
     _verify_components(checks, component_ns)
     _verify_collapse(checks, collapse_ns)
     _verify_strip_quadrature(checks)
@@ -444,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the summation and cross-method checks")
     p_verify.add_argument("--n", type=_parse_n_list, metavar="LIST", default=None,
                           help="override n values for the component-sum and collapse checks (even, >= 4)")
-    p_verify.add_argument("--inject-fault", dest="fault", choices=("constant-drift",),
-                          default=None, help=argparse.SUPPRESS)
     add_common(p_verify)
 
     return parser
@@ -459,6 +447,8 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("verify --n values must be even and >= 4")
     if args.command == "mc" and getattr(args, "replicates") < 2:
         parser.error("--replicates must be >= 2")
+    if args.command in ("sample", "mc") and args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         return RunConfig(
             command=args.command,
@@ -469,7 +459,6 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
             partition=getattr(args, "partition", "diagonal"),
             format=args.format,
             out=args.out,
-            fault=getattr(args, "fault", None),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -501,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(text, config.out)
             if not all_passed:
                 return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -22,12 +22,7 @@ from typing import Any
 import numpy as np
 
 from .lowdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
-from .partition import (
-    generating_set,
-    sample_jittered_batch,
-    sample_stratified_batch,
-    sample_vertical_batch,
-)
+from .partition import generating_set, sample_partition
 from .qgeometry import intersection_area_grid
 
 _MC_CHUNK = 4096
@@ -104,18 +99,7 @@ def expected_l2_sq_mc(
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
-    if partition == "diagonal":
-        points = sample_stratified_batch(generating_set(n), replicates, seed)
-    elif partition == "vertical":
-        points = sample_vertical_batch(n, replicates, seed)
-    elif partition == "jittered":
-        m = math.isqrt(n)
-        if m * m != n:
-            raise ValueError(f"jittered partition needs a square point count, got n={n}")
-        points = sample_jittered_batch(m, replicates, seed)
-    else:
-        raise ValueError(f"unknown partition kind: {partition!r}")
-
+    points = sample_partition(partition, n, replicates, seed)
     values = np.concatenate(
         [l2_discrepancy_sq_batch(points[a:a + _MC_CHUNK]) for a in range(0, replicates, _MC_CHUNK)]
     )

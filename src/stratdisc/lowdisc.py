@@ -58,26 +58,11 @@ class PointSet:
         return self.points.shape[0]
 
 
-def radical_inverse(base: int, k: int) -> float:
-    """Digit-reversed fraction of k in the given base (van der Corput)."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    inv = 0.0
-    f = 1.0
-    while k > 0:
-        k, digit = divmod(k, base)
-        f /= base
-        inv += f * digit
-    return inv
-
-
 def _radical_inverse_block(base: int, start: int, count: int) -> np.ndarray:
-    """radical_inverse for indices start..start+count-1, digit loop vectorized.
+    """Van der Corput radical inverses of indices start..start+count-1.
 
-    Accumulates digits least-significant first exactly like the scalar
-    version, so the two agree bitwise.
+    The digit-reversed fraction of each index, with the digit loop
+    vectorized; digits are accumulated least-significant first.
     """
     k = np.arange(start, start + count, dtype=np.int64)
     inv = np.zeros(count, dtype=np.float64)

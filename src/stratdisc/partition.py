@@ -32,18 +32,6 @@ _STREAM_JITTERED = 2
 
 
 @dataclass(frozen=True)
-class Point2:
-    """A point of the closed unit square."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"point ({self.x}, {self.y}) outside the unit square")
-
-
-@dataclass(frozen=True)
 class GeneratingSet:
     """Breakpoints r_1 < ... < r_{N-1} of the diagonal partition.
 
@@ -74,18 +62,6 @@ class GeneratingSet:
         return self.breakpoints[i - 1]
 
 
-@dataclass(frozen=True)
-class StratifiedSample:
-    """One point per cell, in cell order, with the seed that produced it."""
-
-    points: tuple[Point2, ...]
-    cells: tuple[int, ...]
-    seed: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64)
-
-
 def generating_set(n: int) -> GeneratingSet:
     """Breakpoints of the N-cell equi-volume diagonal partition.
 
@@ -105,13 +81,16 @@ def generating_set(n: int) -> GeneratingSet:
     return GeneratingSet(n=n, breakpoints=tuple(breakpoints))
 
 
-def cell_of(gs: GeneratingSet, p: Point2) -> int:
-    """Index of the strip containing p; strips are closed below, open above.
+def cell_of(gs: GeneratingSet, x: float, y: float) -> int:
+    """Index of the strip containing (x, y); strips are closed below, open above.
 
     The single exception is the corner (1,1) with x+y = 2 = r_N, which
-    belongs to the last cell.
+    belongs to the last cell.  Points outside the closed unit square are
+    rejected.
     """
-    return bisect_right(gs.breakpoints, p.x + p.y) + 1
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"point ({x}, {y}) outside the unit square")
+    return bisect_right(gs.breakpoints, x + y) + 1
 
 
 def cell_area(gs: GeneratingSet, i: int) -> float:
@@ -178,16 +157,6 @@ def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int) -> np.ndar
     return pts
 
 
-def sample_stratified(gs: GeneratingSet, seed: int) -> StratifiedSample:
-    """One uniform point from each diagonal cell, deterministic in seed."""
-    pts = sample_stratified_batch(gs, 1, seed)[0]
-    return StratifiedSample(
-        points=tuple(Point2(float(x), float(y)) for x, y in pts),
-        cells=tuple(range(1, gs.n + 1)),
-        seed=seed,
-    )
-
-
 def sample_vertical_batch(n: int, count: int, seed: int) -> np.ndarray:
     """count samples of the vertical-strip partition, shape (count, n, 2)."""
     if n < 1:
@@ -198,16 +167,6 @@ def sample_vertical_batch(n: int, count: int, seed: int) -> np.ndarray:
         pts[:, i - 1, 0] = (i - 1 + u[:, 0]) / n
         pts[:, i - 1, 1] = u[:, 1]
     return pts
-
-
-def sample_vertical(n: int, seed: int) -> StratifiedSample:
-    """One uniform point per vertical strip [(i-1)/n, i/n] x [0,1]."""
-    pts = sample_vertical_batch(n, 1, seed)[0]
-    return StratifiedSample(
-        points=tuple(Point2(float(x), float(y)) for x, y in pts),
-        cells=tuple(range(1, n + 1)),
-        seed=seed,
-    )
 
 
 def sample_jittered_batch(m: int, count: int, seed: int) -> np.ndarray:
@@ -228,11 +187,19 @@ def sample_jittered_batch(m: int, count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def sample_jittered(m: int, seed: int) -> StratifiedSample:
-    """One uniform point per subsquare of the m x m grid (N = m^2 points)."""
-    pts = sample_jittered_batch(m, 1, seed)[0]
-    return StratifiedSample(
-        points=tuple(Point2(float(x), float(y)) for x, y in pts),
-        cells=tuple(range(1, m * m + 1)),
-        seed=seed,
-    )
+def sample_partition(kind: str, n: int, count: int, seed: int) -> np.ndarray:
+    """count samples of the n-cell partition of the given kind, shape (count, n, 2).
+
+    kind is "diagonal", "vertical" or "jittered"; the jittered grid needs a
+    square n.  Cells appear in index order along axis 1.
+    """
+    if kind == "diagonal":
+        return sample_stratified_batch(generating_set(n), count, seed)
+    if kind == "vertical":
+        return sample_vertical_batch(n, count, seed)
+    if kind == "jittered":
+        m = math.isqrt(n)
+        if m * m != n:
+            raise ValueError(f"jittered partition needs a square point count, got n={n}")
+        return sample_jittered_batch(m, count, seed)
+    raise ValueError(f"unknown partition kind: {kind!r}")

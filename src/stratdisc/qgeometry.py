@@ -16,9 +16,8 @@ All four cases collapse into the single expression
 
     (relu(x+y-r)^2 - relu(x-r)^2 - relu(y-r)^2) / 2
 
-which the vectorized kernel uses; it is bitwise-identical to the case-by-case
-evaluation because the subtracted squares vanish exactly in the cases where
-the corresponding vertex is outside.
+because the subtracted squares vanish exactly in the cases where the
+corresponding vertex is outside.
 
 On top of the clipped areas sit the per-cell overlap fractions of the
 diagonal partition: q_i(x,y) is N times the area of cell i inside [0,x]x[0,y],
@@ -27,169 +26,68 @@ obtained as N * (V(r_{i-1}) - V(r_i)) with V(r_0) = x*y and V(r_N) = 0.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import GeneratingSet
 
-
-class VertexCase(enum.Enum):
-    """Which box vertices lie strictly above the cutting line."""
-
-    EMPTY = "empty"
-    ONLY_C = "only-c"
-    BC = "bc"
-    CD = "cd"
-    BCD = "bcd"
+# Grid rows per quadrature block in mean_square_overlap: bounds memory at
+# _CHUNK * grid doubles.
+_CHUNK = 200
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The half-plane {(u, v): u + v >= r} for a cut offset r in (0, 2)."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < 2.0:
-            raise ValueError(f"cut offset must lie in (0, 2), got {self.r}")
-
-
-@dataclass(frozen=True)
-class OverlapProfile:
-    """Partition context for evaluating the overlap fractions q_i."""
-
-    n: int
-    gs: GeneratingSet
-
-    def __post_init__(self) -> None:
-        if self.gs.n != self.n:
-            raise ValueError(f"profile n={self.n} does not match generating set n={self.gs.n}")
-
-
-def signed_offset(r: float, x: float, y: float) -> float:
-    """Signed position of (x, y) relative to the line u + v = r."""
-    return x + y - r
-
-
-def classify_vertices(r: float, x: float, y: float) -> VertexCase:
-    """Containment pattern of B=(x,0), C=(x,y), D=(0,y) in {u+v > r}.
-
-    C is above the line whenever B or D is, so only five patterns occur.
-    Boundary points (u+v = r exactly) count as outside; the area formulas
-    agree across that choice by continuity.
-    """
-    b = x > r
-    d = y > r
-    c = x + y > r
-    if not c:
-        return VertexCase.EMPTY
-    if b and d:
-        return VertexCase.BCD
-    if b:
-        return VertexCase.BC
-    if d:
-        return VertexCase.CD
-    return VertexCase.ONLY_C
-
-
-def intersection_area(r: float, x: float, y: float) -> float:
+def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
     """Area of [0,x] x [0,y] on or above the line u + v = r.
 
-    Dispatches on the vertex pattern; always within [0, x*y].  Degenerate
-    boxes (x = 0 or y = 0) produce 0.
+    r, x and y are scalars or broadcastable arrays.  Always within [0, x*y];
+    exact zero when the box never reaches the line and for degenerate boxes.
     """
-    case = classify_vertices(r, x, y)
-    if case is VertexCase.EMPTY:
-        return 0.0
-    gxy = signed_offset(r, x, y)
-    a = gxy * gxy
-    if case is VertexCase.ONLY_C:
-        return ((a - 0.0) - 0.0) * 0.5
-    gx0 = signed_offset(r, x, 0.0)
-    g0y = signed_offset(r, 0.0, y)
-    if case is VertexCase.BC:
-        return ((a - gx0 * gx0) - 0.0) * 0.5
-    if case is VertexCase.CD:
-        return ((a - 0.0) - g0y * g0y) * 0.5
-    return ((a - gx0 * gx0) - g0y * g0y) * 0.5
-
-
-def intersection_area_grid(r: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized intersection_area over broadcastable coordinate arrays."""
     g = np.maximum(x + y - r, 0.0)
     bx = np.maximum(x - r, 0.0)
     by = np.maximum(y - r, 0.0)
     return ((g * g - bx * bx) - by * by) * 0.5
 
 
-def overlap_fraction(profile: OverlapProfile, i: int, x: float, y: float) -> float:
+def overlap_fraction(gs: GeneratingSet, i: int, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
     """q_i(x, y): N times the area of cell i inside the box [0,x] x [0,y].
 
-    Evaluated as the difference of clipped areas at the cell's two cuts;
-    zero whenever x + y <= r_{i-1} (the box never reaches the cell).
-    Values lie in [0, 1] since each cell has area 1/N.
+    x and y are scalars or broadcastable arrays.  Evaluated as the
+    difference of clipped areas at the cell's two cuts, which is exactly
+    zero whenever x + y <= r_{i-1}.  Values lie in [0, 1] since each cell
+    has area 1/N.
     """
-    n = profile.n
-    gs = profile.gs
-    if not 1 <= i <= n:
-        raise ValueError(f"cell index {i} out of range 1..{n}")
-    if x + y <= gs.boundary(i - 1):
-        return 0.0
-    v_lo = x * y if i == 1 else intersection_area(gs.boundary(i - 1), x, y)
-    v_hi = 0.0 if i == n else intersection_area(gs.boundary(i), x, y)
-    return n * (v_lo - v_hi)
-
-
-def overlap_vector(profile: OverlapProfile, x: float, y: float, *, skip_empty: bool = True) -> np.ndarray:
-    """All overlap fractions (q_1, ..., q_N) at one point.
-
-    With skip_empty the strip loop stops at the first cell the box cannot
-    reach (all later cells are zero too); the skipped entries are exact
-    zeros either way, so both settings return bitwise-identical arrays.
-    """
-    n = profile.n
-    gs = profile.gs
-    s = x + y
-    out = np.zeros(n, dtype=np.float64)
-    v_prev = x * y
-    for i in range(1, n + 1):
-        if skip_empty and gs.boundary(i - 1) >= s:
-            break
-        v_i = 0.0 if i == n else intersection_area(gs.boundary(i), x, y)
-        out[i - 1] = n * (v_prev - v_i)
-        v_prev = v_i
-    return out
-
-
-def overlap_fraction_grid(profile: OverlapProfile, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized q_i over broadcastable coordinate arrays."""
-    n = profile.n
-    gs = profile.gs
+    n = gs.n
     if not 1 <= i <= n:
         raise ValueError(f"cell index {i} out of range 1..{n}")
     v_lo = x * y if i == 1 else intersection_area_grid(gs.boundary(i - 1), x, y)
-    v_hi = np.zeros_like(v_lo) if i == n else intersection_area_grid(gs.boundary(i), x, y)
+    v_hi = 0.0 if i == n else intersection_area_grid(gs.boundary(i), x, y)
     return n * (v_lo - v_hi)
 
 
-def mean_square_overlap(profile: OverlapProfile, i: int, grid: int = 2000, chunk: int = 200) -> float:
+def overlap_vector(gs: GeneratingSet, x: float, y: float) -> np.ndarray:
+    """All overlap fractions (q_1, ..., q_N) at one point, in one kernel call."""
+    v = np.empty(gs.n + 1, dtype=np.float64)
+    v[0] = x * y
+    v[1:-1] = intersection_area_grid(np.asarray(gs.breakpoints), x, y)
+    v[-1] = 0.0
+    return gs.n * (v[:-1] - v[1:])
+
+
+def mean_square_overlap(gs: GeneratingSet, i: int, grid: int = 2000) -> float:
     """Midpoint-rule quadrature of q_i^2 over the unit square.
 
     The numeric cross-check for the closed-form strip integrals.  Rows are
-    processed in chunks (bounding memory at chunk*grid doubles), each grid
-    row is summed on its own, and the per-row sums are combined with fsum;
-    the result is therefore independent of the chunk size.
+    processed in blocks, each grid row is summed on its own, and the per-row
+    sums are combined with fsum.
     """
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
     mids = (np.arange(grid) + 0.5) / grid
     y_row = mids[np.newaxis, :]
     row_sums: list[float] = []
-    for a in range(0, grid, chunk):
-        x_col = mids[a:a + chunk, np.newaxis]
-        q = overlap_fraction_grid(profile, i, x_col, y_row)
+    for a in range(0, grid, _CHUNK):
+        x_col = mids[a:a + _CHUNK, np.newaxis]
+        q = overlap_fraction(gs, i, x_col, y_row)
         row_sums.extend(np.sum(q * q, axis=1).tolist())
     return math.fsum(row_sums) / (grid * grid)

@@ -67,6 +67,25 @@ def l2_by_anchor_grid(points: np.ndarray, grid: int) -> float:
     return math.fsum(total) / (grid * grid)
 
 
+def radical_inverse(base: int, k: int) -> float:
+    """Digit-reversed fraction of k in the given base (van der Corput).
+
+    Scalar float loop that accumulates digits least-significant first, the
+    same order as the package's vectorized block.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if k < 1:
+        raise ValueError(f"index must be >= 1, got {k}")
+    inv = 0.0
+    f = 1.0
+    while k > 0:
+        k, digit = divmod(k, base)
+        f /= base
+        inv += f * digit
+    return inv
+
+
 def radical_inverse_by_digits(base: int, k: int) -> float:
     """Digit-reversal radical inverse via exact rationals."""
     digits = []

@@ -68,8 +68,8 @@ def test_criterion_2_exact_vs_qmc(report, qmc_sweep, exact_sweep):
 
 def test_criterion_3_worked_example(report):
     """The four overlap fractions at (0.4, 0.8) with n=4 match the rounded values."""
-    profile = stratdisc.OverlapProfile(n=4, gs=stratdisc.generating_set(4))
-    got = [stratdisc.overlap_fraction(profile, i, 0.4, 0.8) for i in range(1, 5)]
+    gs = stratdisc.generating_set(4)
+    got = [stratdisc.overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
     want = [0.8114, 0.3886, 0.08, 0.0]
     worst = max(abs(g - w) for g, w in zip(got, want))
     ok = worst <= 5e-4
@@ -139,10 +139,10 @@ def test_criterion_7_oracle_suite(report):
     """Closed forms vs quadrature, pairwise identity vs brute force, telescoping."""
     worst_strip = 0.0
     for n in (4, 8, 16):
-        profile = stratdisc.OverlapProfile(n=n, gs=stratdisc.generating_set(n))
+        gs = stratdisc.generating_set(n)
         table = stratdisc.strip_integral_table(n)
         for i in range(1, n + 1):
-            quad = stratdisc.mean_square_overlap(profile, i, grid=2000)
+            quad = stratdisc.mean_square_overlap(gs, i, grid=2000)
             worst_strip = max(worst_strip, abs(table.values[i - 1] - quad))
 
     rng = np.random.default_rng(BRUTE_SEED)
@@ -153,10 +153,10 @@ def test_criterion_7_oracle_suite(report):
         brute = stratdisc.brute_force_l2_sq(pts, grid=2000)
         worst_brute = max(worst_brute, abs(pairwise - brute))
 
-    profile6 = stratdisc.OverlapProfile(n=6, gs=stratdisc.generating_set(6))
+    gs6 = stratdisc.generating_set(6)
     xy = np.random.default_rng(MC_SEED).random((10000, 2))
     worst_tel = max(
-        abs(math.fsum(stratdisc.overlap_vector(profile6, x, y).tolist()) - 6.0 * x * y)
+        abs(math.fsum(stratdisc.overlap_vector(gs6, x, y).tolist()) - 6.0 * x * y)
         for x, y in xy
     )
 

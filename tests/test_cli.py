@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from stratdisc import cli, expected_l2_sq_exact, generating_set
+from stratdisc import asymptotics, cli, expected_l2_sq_exact, generating_set
 
 
 def run_main(args, capsys):
@@ -172,8 +172,11 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert all(set(c) == {"name", "passed", "detail"} for c in payload["checks"])
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run_main(["verify", "--n", "4,16", "--inject-fault", "constant-drift"], capsys)
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        # a harmonic approximant that drifts by a constant must fail the checks
+        exact = asymptotics.power_sum_approx
+        monkeypatch.setattr(asymptotics, "power_sum_approx", lambda n, k: exact(n, k) + 1e-3)
+        code, out, _ = run_main(["verify", "--n", "4,16"], capsys)
         assert code == 3
         assert "FAIL" in out
 
@@ -194,6 +197,8 @@ class TestArgumentHandling:
             ["sample"],
             ["table", "--n", "1"],
             ["nosuchcommand"],
+            ["sample", "--n", "4", "--seed", "-1"],
+            ["mc", "--n", "4", "--replicates", "10", "--seed", "-1"],
         ],
     )
     def test_bad_arguments_exit_2(self, args, capsys):
@@ -208,6 +213,19 @@ class TestArgumentHandling:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,exact")
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sample", "--n", "4", "--seed", "-1"])
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["ratio", "--n", "4"], ["verify", "--n", "4,16"]])
+    def test_out_to_missing_directory_exits_2(self, command, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_main([*command, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_fmt_renders_12_significant_digits(self):
         assert cli.fmt(0.020353234628542593) == "0.0203532346285"

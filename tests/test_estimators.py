@@ -17,12 +17,11 @@ from stratdisc import (
     generating_set,
     halton,
     jittered_baseline,
-    overlap_fraction_grid,
+    overlap_fraction,
     random_baseline,
     ratio_to_random,
     vertical_baseline,
 )
-from stratdisc.qgeometry import OverlapProfile
 
 
 class TestDiscrepancyEstimate:
@@ -63,10 +62,10 @@ class TestQmcEstimator:
         x = nodes.points[:, 0]
         y = nodes.points[:, 1]
         for n in (4, 7):
-            profile = OverlapProfile(n=n, gs=generating_set(n))
+            gs = generating_set(n)
             acc = np.zeros_like(x)
             for i in range(1, n + 1):
-                q = overlap_fraction_grid(profile, i, x, y)
+                q = overlap_fraction(gs, i, x, y)
                 acc += q * (1.0 - q)
             value = math.fsum(acc.tolist()) / (nodes.n * n * n)
             assert expected_l2_sq_qmc(n, nodes).value == value

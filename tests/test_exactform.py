@@ -19,7 +19,6 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
-from stratdisc.qgeometry import OverlapProfile
 
 from oracles import EXACT_HIGH_PRECISION
 
@@ -36,10 +35,10 @@ class TestStripIntegrals:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_closed_forms_match_quadrature(self, n):
-        profile = OverlapProfile(n=n, gs=generating_set(n))
+        gs = generating_set(n)
         table = strip_integral_table(n)
         for i in range(1, n + 1):
-            quad = mean_square_overlap(profile, i, grid=1000)
+            quad = mean_square_overlap(gs, i, grid=1000)
             assert table.values[i - 1] == pytest.approx(quad, abs=1e-6)
 
     def test_table_layout(self):

@@ -14,11 +14,10 @@ from stratdisc import (
     halton,
     l2_discrepancy_sq,
     l2_discrepancy_sq_batch,
-    radical_inverse,
 )
 from stratdisc.lowdisc import _radical_inverse_block
 
-from oracles import l2_by_anchor_grid, radical_inverse_by_digits, warnock_by_loops
+from oracles import l2_by_anchor_grid, radical_inverse, radical_inverse_by_digits, warnock_by_loops
 
 
 class TestRadicalInverse:

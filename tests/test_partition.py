@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from stratdisc import (
     GeneratingSet,
-    Point2,
     cell_area,
     cell_of,
     generating_set,
-    sample_jittered,
     sample_jittered_batch,
-    sample_stratified,
+    sample_partition,
     sample_stratified_batch,
-    sample_vertical,
     sample_vertical_batch,
 )
 
@@ -93,22 +90,22 @@ class TestGeneratingSet:
 
 class TestCellOf:
     def test_center_point_n6(self):
-        assert cell_of(generating_set(6), Point2(0.5, 0.5)) == 4
+        assert cell_of(generating_set(6), 0.5, 0.5) == 4
 
     def test_origin_in_first_cell(self):
-        assert cell_of(generating_set(8), Point2(0.0, 0.0)) == 1
+        assert cell_of(generating_set(8), 0.0, 0.0) == 1
 
     def test_far_corner_in_last_cell(self):
-        assert cell_of(generating_set(8), Point2(1.0, 1.0)) == 8
+        assert cell_of(generating_set(8), 1.0, 1.0) == 8
 
     def test_boundary_points_round_up(self):
         # strips are closed below: a point exactly on r_i starts cell i+1
         gs = generating_set(4)
         r1 = gs.breakpoints[0]
-        p = Point2(r1 / 2.0, r1 / 2.0)
-        if p.x + p.y == r1:
-            assert cell_of(gs, p) == 2
-        assert cell_of(gs, Point2(0.5, 0.5)) == 3  # x+y = 1 = r_2 exactly
+        x = y = r1 / 2.0
+        if x + y == r1:
+            assert cell_of(gs, x, y) == 2
+        assert cell_of(gs, 0.5, 0.5) == 3  # x+y = 1 = r_2 exactly
 
     @given(
         n=st.integers(min_value=2, max_value=40),
@@ -118,44 +115,43 @@ class TestCellOf:
     @settings(max_examples=200, deadline=None)
     def test_cell_brackets_its_point(self, n, x, y):
         gs = generating_set(n)
-        i = cell_of(gs, Point2(x, y))
+        i = cell_of(gs, x, y)
         assert 1 <= i <= n
         assert gs.boundary(i - 1) <= x + y
         if i < n:
             assert x + y < gs.boundary(i)
 
-
-class TestPoint2:
     @pytest.mark.parametrize("x,y", [(-0.1, 0.5), (0.5, 1.5), (2.0, 2.0)])
     def test_rejects_outside_unit_square(self, x, y):
-        with pytest.raises(ValueError):
-            Point2(x, y)
+        with pytest.raises(ValueError, match="outside the unit square"):
+            cell_of(generating_set(4), x, y)
 
     def test_corners_allowed(self):
-        Point2(0.0, 0.0)
-        Point2(1.0, 1.0)
+        gs = generating_set(4)
+        assert cell_of(gs, 0.0, 0.0) == 1
+        assert cell_of(gs, 1.0, 1.0) == 4
 
 
 class TestStratifiedSampler:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 50])
     def test_each_point_lands_in_its_cell(self, n):
         gs = generating_set(n)
-        sample = sample_stratified(gs, seed=5)
-        assert sample.cells == tuple(range(1, n + 1))
-        for p, c in zip(sample.points, sample.cells):
-            assert cell_of(gs, p) == c
+        points = sample_partition("diagonal", n, 1, seed=5)[0]
+        assert points.shape == (n, 2)
+        for c, (x, y) in enumerate(points.tolist(), start=1):
+            assert cell_of(gs, x, y) == c
 
     def test_same_seed_same_points(self):
         gs = generating_set(6)
-        a = sample_stratified(gs, seed=11)
-        b = sample_stratified(gs, seed=11)
-        assert a.points == b.points
+        a = sample_stratified_batch(gs, 1, seed=11)
+        b = sample_stratified_batch(gs, 1, seed=11)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seed_different_points(self):
         gs = generating_set(6)
-        a = sample_stratified(gs, seed=11)
-        b = sample_stratified(gs, seed=12)
-        assert a.points != b.points
+        a = sample_stratified_batch(gs, 1, seed=11)
+        b = sample_stratified_batch(gs, 1, seed=12)
+        assert not np.array_equal(a, b)
 
     def test_batch_shape(self):
         gs = generating_set(5)
@@ -179,14 +175,6 @@ class TestStratifiedSampler:
             col = s[:, i - 1]
             assert np.all((col >= lo) & (col < hi))
 
-    def test_as_array_matches_points(self):
-        gs = generating_set(4)
-        sample = sample_stratified(gs, seed=2)
-        arr = sample.as_array()
-        assert arr.shape == (4, 2)
-        assert arr[0, 0] == sample.points[0].x
-
-
 class TestReferenceSamplers:
     def test_vertical_points_in_strips(self):
         pts = sample_vertical_batch(8, 100, seed=4)
@@ -194,13 +182,6 @@ class TestReferenceSamplers:
             col = pts[:, i - 1, 0]
             assert np.all((col >= (i - 1) / 8.0) & (col < i / 8.0))
         assert np.all((pts[..., 1] >= 0.0) & (pts[..., 1] < 1.0))
-
-    def test_vertical_scalar_wrapper(self):
-        sample = sample_vertical(4, seed=1)
-        assert len(sample.points) == 4
-        assert sample.cells == (1, 2, 3, 4)
-        batch = sample_vertical_batch(4, 1, seed=1)[0]
-        assert sample.points[2].y == batch[2, 1]
 
     def test_jittered_points_in_subsquares(self):
         m = 3
@@ -210,11 +191,6 @@ class TestReferenceSamplers:
             a, b = divmod(k - 1, m)
             assert np.all((pts[:, k - 1, 0] >= a / m) & (pts[:, k - 1, 0] < (a + 1) / m))
             assert np.all((pts[:, k - 1, 1] >= b / m) & (pts[:, k - 1, 1] < (b + 1) / m))
-
-    def test_jittered_scalar_wrapper(self):
-        sample = sample_jittered(2, seed=8)
-        assert len(sample.points) == 4
-        assert sample.cells == (1, 2, 3, 4)
 
     def test_jittered_prefix_property(self):
         one = sample_jittered_batch(3, 1, seed=14)
@@ -228,9 +204,9 @@ class TestReferenceSamplers:
 
     def test_stream_separation(self):
         # same seed, different partition kinds: distinct streams
-        diag = sample_stratified(generating_set(4), seed=0).as_array()
-        vert = sample_vertical(4, seed=0).as_array()
-        jitt = sample_jittered(2, seed=0).as_array()
+        diag = sample_partition("diagonal", 4, 1, seed=0)
+        vert = sample_partition("vertical", 4, 1, seed=0)
+        jitt = sample_partition("jittered", 4, 1, seed=0)
         assert not np.array_equal(diag, vert)
         assert not np.array_equal(vert, jitt)
 
@@ -243,3 +219,16 @@ class TestReferenceSamplers:
     def test_jittered_rejects_bad_m(self, bad):
         with pytest.raises(ValueError):
             sample_jittered_batch(bad, 1, seed=0)
+
+
+class TestSamplePartition:
+    def test_dispatches_to_the_batch_samplers(self):
+        np.testing.assert_array_equal(
+            sample_partition("diagonal", 6, 5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
+        )
+        np.testing.assert_array_equal(sample_partition("vertical", 6, 5, seed=3), sample_vertical_batch(6, 5, seed=3))
+        np.testing.assert_array_equal(sample_partition("jittered", 9, 5, seed=3), sample_jittered_batch(3, 5, seed=3))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown partition kind"):
+            sample_partition("hexagonal", 4, 1, seed=0)

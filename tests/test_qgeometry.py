@@ -10,20 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratdisc import (
-    HalfPlane,
     HaltonConfig,
-    OverlapProfile,
-    VertexCase,
-    classify_vertices,
     generating_set,
     halton,
-    intersection_area,
     intersection_area_grid,
     mean_square_overlap,
     overlap_fraction,
-    overlap_fraction_grid,
     overlap_vector,
-    signed_offset,
 )
 
 from oracles import clipped_area_by_slices, overlap_by_slices
@@ -32,109 +25,49 @@ UNIT = st.floats(min_value=0.0, max_value=1.0)
 CUT = st.floats(min_value=1e-9, max_value=2.0, exclude_max=True)
 
 
-def profile(n):
-    return OverlapProfile(n=n, gs=generating_set(n))
-
-
-class TestClassifyVertices:
-    @pytest.mark.parametrize(
-        "r,x,y,want",
-        [
-            (1.5, 0.4, 0.8, VertexCase.EMPTY),
-            (1.0, 0.4, 0.8, VertexCase.ONLY_C),
-            (0.3, 0.4, 0.8, VertexCase.BCD),
-            (0.5, 0.8, 0.2, VertexCase.BC),
-            (0.5, 0.2, 0.8, VertexCase.CD),
-        ],
-    )
-    def test_known_patterns(self, r, x, y, want):
-        assert classify_vertices(r, x, y) is want
-
-    def test_boundary_counts_as_outside(self):
-        # x + y = r exactly (dyadic values): C sits on the line, area is zero
-        assert classify_vertices(0.75, 0.25, 0.5) is VertexCase.EMPTY
-
-    @given(r=CUT, x=UNIT, y=UNIT)
-    @settings(max_examples=300, deadline=None)
-    def test_c_above_whenever_b_or_d_is(self, r, x, y):
-        case = classify_vertices(r, x, y)
-        if x > r or y > r:
-            assert case in (VertexCase.BC, VertexCase.CD, VertexCase.BCD)
-
-
 class TestIntersectionArea:
     @given(r=CUT, x=UNIT, y=UNIT)
     @settings(max_examples=500, deadline=None)
     def test_matches_slice_oracle(self, r, x, y):
-        area = intersection_area(r, x, y)
+        area = intersection_area_grid(r, x, y)
         oracle = clipped_area_by_slices(r, x, y)
         assert area == pytest.approx(oracle, abs=1e-12)
 
     @given(r=CUT, x=UNIT, y=UNIT)
     @settings(max_examples=300, deadline=None)
     def test_bounded_by_box(self, r, x, y):
-        area = intersection_area(r, x, y)
+        area = intersection_area_grid(r, x, y)
         assert 0.0 <= area <= x * y + 1e-15
 
     def test_degenerate_box(self):
-        assert intersection_area(0.5, 0.0, 0.7) == 0.0
-        assert intersection_area(0.5, 0.7, 0.0) == 0.0
+        assert intersection_area_grid(0.5, 0.0, 0.7) == 0.0
+        assert intersection_area_grid(0.5, 0.7, 0.0) == 0.0
 
     def test_whole_box_when_cut_below(self):
         # r tiny: nearly the whole box survives
-        assert intersection_area(1e-12, 1.0, 1.0) == pytest.approx(1.0, abs=1e-11)
-
-    def test_scalar_and_grid_agree_bitwise(self):
-        rng = np.random.default_rng(1234)
-        x = rng.random(500)
-        y = rng.random(500)
-        for r in (0.2, 0.7071067811865476, 1.0, 1.3, 1.95):
-            grid = intersection_area_grid(r, x, y)
-            scalar = np.array([intersection_area(r, xi, yi) for xi, yi in zip(x, y)])
-            np.testing.assert_array_equal(grid, scalar)
-
-    def test_grid_agrees_on_halton_nodes(self):
-        nodes = halton(HaltonConfig(count=100)).points
-        gs = generating_set(6)
-        for i in range(1, 6):
-            r = gs.boundary(i)
-            grid = intersection_area_grid(r, nodes[:, 0], nodes[:, 1])
-            scalar = np.array([intersection_area(r, x, y) for x, y in nodes])
-            np.testing.assert_array_equal(grid, scalar)
+        assert intersection_area_grid(1e-12, 1.0, 1.0) == pytest.approx(1.0, abs=1e-11)
 
     def test_points_exactly_on_the_line(self):
-        # x + y = r exactly (dyadic values) must give exact zero in both paths
-        assert intersection_area(0.75, 0.25, 0.5) == 0.0
+        # x + y = r exactly (dyadic values) must give exact zero for scalars and arrays
+        assert intersection_area_grid(0.75, 0.25, 0.5) == 0.0
         assert intersection_area_grid(0.75, np.array([0.25]), np.array([0.5]))[0] == 0.0
-
-
-class TestHalfPlane:
-    @pytest.mark.parametrize("r", [0.0, 2.0, -0.5, 2.5])
-    def test_rejects_out_of_range_offsets(self, r):
-        with pytest.raises(ValueError):
-            HalfPlane(r=r)
-
-    def test_signed_offset(self):
-        assert signed_offset(1.0, 0.4, 0.8) == pytest.approx(0.2)
-        assert signed_offset(0.75, 0.25, 0.5) == 0.0
 
 
 class TestOverlapFraction:
     def test_worked_example_n4(self):
         # documented check at (0.4, 0.8) with four cells
-        p = profile(4)
-        got = [overlap_fraction(p, i, 0.4, 0.8) for i in range(1, 5)]
+        gs = generating_set(4)
+        got = [overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
         want = [0.8114, 0.3886, 0.08, 0.0]
         np.testing.assert_allclose(got, want, atol=5e-4)
 
     def test_support_is_exact_zero(self):
-        p = profile(8)
-        gs = p.gs
+        gs = generating_set(8)
         # box corner below the cell's lower cut: exact 0.0, not merely tiny
         x, y = 0.3, 0.2
         for i in range(1, 9):
             if x + y <= gs.boundary(i - 1):
-                assert overlap_fraction(p, i, x, y) == 0.0
+                assert overlap_fraction(gs, i, x, y) == 0.0
 
     @given(
         n=st.integers(min_value=2, max_value=24),
@@ -143,9 +76,9 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_fractions_lie_in_unit_interval(self, n, x, y):
-        p = profile(n)
+        gs = generating_set(n)
         for i in range(1, n + 1):
-            q = overlap_fraction(p, i, x, y)
+            q = overlap_fraction(gs, i, x, y)
             assert -1e-12 <= q <= 1.0 + 1e-12
 
     @given(
@@ -155,81 +88,70 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_telescoping_sum(self, n, x, y):
-        p = profile(n)
-        total = math.fsum(overlap_fraction(p, i, x, y) for i in range(1, n + 1))
+        gs = generating_set(n)
+        total = math.fsum(overlap_fraction(gs, i, x, y) for i in range(1, n + 1))
         assert total == pytest.approx(n * x * y, abs=1e-10)
 
     @given(x=UNIT, y=UNIT)
     @settings(max_examples=200, deadline=None)
     def test_matches_slice_oracle(self, x, y):
-        p = profile(6)
-        gs = p.gs
+        gs = generating_set(6)
         for i in range(1, 7):
-            got = overlap_fraction(p, i, x, y)
+            got = overlap_fraction(gs, i, x, y)
             want = overlap_by_slices(gs.boundary(i - 1), gs.boundary(i), 6, x, y)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_index_out_of_range(self):
-        p = profile(4)
+        gs = generating_set(4)
         with pytest.raises(ValueError):
-            overlap_fraction(p, 0, 0.5, 0.5)
+            overlap_fraction(gs, 0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            overlap_fraction(p, 5, 0.5, 0.5)
-
-    def test_profile_n_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            OverlapProfile(n=4, gs=generating_set(5))
+            overlap_fraction(gs, 5, 0.5, 0.5)
 
 
 class TestOverlapVector:
-    @pytest.mark.parametrize("n", [4, 7, 16])
-    def test_skip_empty_is_bitwise_identical(self, n):
-        p = profile(n)
-        nodes = halton(HaltonConfig(count=100)).points
-        for x, y in nodes:
-            fast = overlap_vector(p, x, y, skip_empty=True)
-            slow = overlap_vector(p, x, y, skip_empty=False)
-            np.testing.assert_array_equal(fast, slow)
-
     def test_matches_scalar_entries(self):
-        p = profile(9)
-        vec = overlap_vector(p, 0.37, 0.61)
-        scalar = [overlap_fraction(p, i, 0.37, 0.61) for i in range(1, 10)]
+        gs = generating_set(9)
+        vec = overlap_vector(gs, 0.37, 0.61)
+        scalar = [overlap_fraction(gs, i, 0.37, 0.61) for i in range(1, 10)]
         np.testing.assert_array_equal(vec, np.array(scalar))
 
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    def test_matches_per_cell_calls_on_halton_nodes(self, n):
+        # one kernel call over all cuts, including the exact zeros past the
+        # box's reach, equals evaluating each cell on its own
+        gs = generating_set(n)
+        for x, y in halton(HaltonConfig(count=100)).points:
+            per_cell = [overlap_fraction(gs, i, x, y) for i in range(1, n + 1)]
+            np.testing.assert_array_equal(overlap_vector(gs, x, y), np.array(per_cell))
+
     def test_grid_matches_scalar(self):
-        p = profile(5)
+        # an array call of overlap_fraction equals per-point calls
+        gs = generating_set(5)
         rng = np.random.default_rng(77)
         x = rng.random(64)
         y = rng.random(64)
         for i in range(1, 6):
-            grid = overlap_fraction_grid(p, i, x, y)
-            scalar = np.array([overlap_fraction(p, i, xi, yi) for xi, yi in zip(x, y)])
+            grid = overlap_fraction(gs, i, x, y)
+            scalar = np.array([overlap_fraction(gs, i, xi, yi) for xi, yi in zip(x, y)])
             np.testing.assert_array_equal(grid, scalar)
 
     def test_grid_index_out_of_range(self):
-        p = profile(4)
+        gs = generating_set(4)
         with pytest.raises(ValueError):
-            overlap_fraction_grid(p, 5, np.array([0.5]), np.array([0.5]))
+            overlap_fraction(gs, 5, np.array([0.5]), np.array([0.5]))
 
 
 class TestMeanSquareOverlap:
-    def test_chunk_size_does_not_change_result(self):
-        p = profile(4)
-        a = mean_square_overlap(p, 2, grid=400, chunk=200)
-        b = mean_square_overlap(p, 2, grid=400, chunk=37)
-        c = mean_square_overlap(p, 2, grid=400, chunk=400)
-        assert a == b == c
-
     def test_converges_to_closed_form(self):
         from stratdisc import strip_integral_table
 
-        p = profile(4)
+        gs = generating_set(4)
         table = strip_integral_table(4)
         for i in range(1, 5):
-            quad = mean_square_overlap(p, i, grid=1000)
+            quad = mean_square_overlap(gs, i, grid=1000)
             assert quad == pytest.approx(table.values[i - 1], abs=1e-6)
 
     def test_grid_validated(self):
         with pytest.raises(ValueError):
-            mean_square_overlap(profile(4), 1, grid=5)
+            mean_square_overlap(generating_set(4), 1, grid=5)
