@@ -25,7 +25,9 @@ from .lowdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
 from .partition import generating_set, sample_partition
 from .qgeometry import intersection_area_grid
 
-_MC_CHUNK = 4096
+# Byte size of each (chunk, n, n) float64 temporary of the Warnock kernel;
+# the replicate chunk is sized from it so MC memory stays bounded at any n.
+_WARNOCK_TEMP_BYTES = 4 * 2**20
 
 
 class Method(str, enum.Enum):
@@ -100,8 +102,9 @@ def expected_l2_sq_mc(
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
     points = sample_partition(partition, n, replicates, seed)
+    chunk = max(1, _WARNOCK_TEMP_BYTES // (8 * n * n))
     values = np.concatenate(
-        [l2_discrepancy_sq_batch(points[a:a + _MC_CHUNK]) for a in range(0, replicates, _MC_CHUNK)]
+        [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, replicates, chunk)]
     )
     as_list = values.tolist()
     mean = math.fsum(as_list) / replicates

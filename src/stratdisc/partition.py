@@ -8,9 +8,13 @@ i <= N/2; above it the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).
 The module also provides the two reference partitions used for comparison:
 vertical strips and the m x m jittered grid.
 
-Sampling is one uniform point per cell.  Each cell draws from its own RNG
-stream derived from (seed, cell index), so results do not depend on the order
-in which cells are visited or on how many samples are requested.
+Sampling is one uniform point per cell.  The diagonal cells are sampled
+exactly by inverting the same area function: an offset s whose area below
+is uniform on the strip's share fixes the chord x+y = s, and given s the
+point is uniform on that chord, so no draw is rejected.  Each cell draws
+from its own RNG stream derived from (seed, cell index), so results do not
+depend on the order in which cells are visited or on how many samples are
+requested.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-# Rejection sampling cap: a diagonal cell occupies at least 1/(2N) of its
-# bounding box, so hitting this many misses for one point means the inputs
-# are corrupt rather than unlucky.
-MAX_ATTEMPTS_PER_POINT = 10**6
 
 _STREAM_DIAGONAL = 0
 _STREAM_VERTICAL = 1
@@ -65,20 +64,13 @@ class GeneratingSet:
 def generating_set(n: int) -> GeneratingSet:
     """Breakpoints of the N-cell equi-volume diagonal partition.
 
-    For 2i <= N the cut sits below the anti-diagonal at sqrt(2i/N); otherwise
-    it mirrors the complementary cut at 2 - sqrt(2(N-i)/N).  Both branches
-    compute the same square root for mirrored indices, so the symmetry
-    r_i + r_{N-i} = 2 holds exactly in floating point.
+    r_i is the offset below which the square has area i/N (_offset_below).
+    Both branches of that formula compute the same square root for mirrored
+    indices, so the symmetry r_i + r_{N-i} = 2 holds exactly in floating point.
     """
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
-    breakpoints = []
-    for i in range(1, n):
-        if 2 * i <= n:
-            breakpoints.append(math.sqrt(2.0 * i / n))
-        else:
-            breakpoints.append(2.0 - math.sqrt(2.0 * (n - i) / n))
-    return GeneratingSet(n=n, breakpoints=tuple(breakpoints))
+    return GeneratingSet(n=n, breakpoints=tuple(_offset_below(np.arange(1, n), n).tolist()))
 
 
 def cell_of(gs: GeneratingSet, x: float, y: float) -> int:
@@ -107,66 +99,54 @@ def _area_below(r: float) -> float:
     return 1.0 - (2.0 - r) * (2.0 - r) / 2.0
 
 
-def _cell_stream(seed: int, stream: int, cell: int) -> np.random.Generator:
-    """Independent per-cell generator; stream tags keep partition kinds apart."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, cell)))
+def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
+    """Offset s at which {x+y <= s} has area m/n in the unit square, for 0 <= m <= n.
 
-
-def _diagonal_cell_batch(gs: GeneratingSet, i: int, count: int, seed: int) -> np.ndarray:
-    """count uniform points from diagonal cell i, shape (count, 2).
-
-    Rejection from the cell's bounding box [max(0, r_{i-1}-1), min(1, r_i)]^2.
-    Acceptance is area / box_area >= 1/(2N); draws are batched but consumed in
-    stream order, so the first accepted point never depends on count.
+    The inverse of the triangle areas: sqrt(2m/n) when 2m <= n, else
+    2 - sqrt(2(n-m)/n).  Integer m gives the cuts; fractional m samples.
     """
-    r_lo = gs.boundary(i - 1)
-    r_hi = gs.boundary(i)
-    lo = max(0.0, r_lo - 1.0)
-    hi = min(1.0, r_hi)
-    width = hi - lo
-    accept_p = (1.0 / gs.n) / (width * width)
-    rng = _cell_stream(seed, _STREAM_DIAGONAL, i)
+    m = np.asarray(m, dtype=np.float64)
+    return np.where(2.0 * m <= n, np.sqrt(2.0 * m / n), 2.0 - np.sqrt(2.0 * (n - m) / n))
 
-    out = np.empty((count, 2), dtype=np.float64)
-    filled = 0
-    attempts = 0
-    budget = MAX_ATTEMPTS_PER_POINT * count
-    while filled < count:
-        need = count - filled
-        draw = min(int(need / accept_p * 1.2) + 32, budget - attempts)
-        if draw <= 0:
-            raise RuntimeError(
-                f"rejection sampling for cell {i} of n={gs.n} exceeded "
-                f"{MAX_ATTEMPTS_PER_POINT} attempts per point"
-            )
-        u = lo + width * rng.random((draw, 2))
-        s = u[:, 0] + u[:, 1]
-        ok = (s >= r_lo) & (s < r_hi)
-        taken = u[ok][:need]
-        out[filled:filled + taken.shape[0]] = taken
-        filled += taken.shape[0]
-        attempts += draw
-    return out
+
+def _cell_uniforms(seed: int, stream: int, n: int, count: int) -> np.ndarray:
+    """Uniforms on [0,1) for count samples of n cells, shape (count, n, 2).
+
+    Cell i (1-based) reads its own generator SeedSequence(seed, spawn_key=(stream, i));
+    stream tags keep partition kinds apart, and row r of a cell does not
+    depend on count.
+    """
+    return np.stack(
+        [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, i))).random((count, 2))
+            for i in range(1, n + 1)
+        ],
+        axis=1,
+    )
 
 
 def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int) -> np.ndarray:
-    """count independent stratified samples, shape (count, n, 2)."""
-    pts = np.empty((count, gs.n, 2), dtype=np.float64)
-    for i in range(1, gs.n + 1):
-        pts[:, i - 1, :] = _diagonal_cell_batch(gs, i, count, seed)
-    return pts
+    """count independent stratified samples of generating_set(n), shape (count, n, 2).
+
+    Cell i draws the offset s = x+y so that the area below it is uniform on
+    [(i-1)/N, i/N), then a uniform point on the chord x+y = s.  s is clamped
+    below r_i because (i-1) + u rounds to i when u is within an ulp of 1.
+    """
+    n = gs.n
+    u = _cell_uniforms(seed, _STREAM_DIAGONAL, n, count)
+    cuts_hi = np.append(gs.breakpoints, 2.0)
+    s = np.minimum(_offset_below(np.arange(n) + u[..., 0], n), np.nextafter(cuts_hi, 0.0))
+    lo = np.maximum(s - 1.0, 0.0)
+    x = lo + (np.minimum(s, 1.0) - lo) * u[..., 1]
+    return np.stack([x, s - x], axis=-1)
 
 
 def sample_vertical_batch(n: int, count: int, seed: int) -> np.ndarray:
     """count samples of the vertical-strip partition, shape (count, n, 2)."""
     if n < 1:
         raise ValueError(f"need at least 1 strip, got n={n}")
-    pts = np.empty((count, n, 2), dtype=np.float64)
-    for i in range(1, n + 1):
-        u = _cell_stream(seed, _STREAM_VERTICAL, i).random((count, 2))
-        pts[:, i - 1, 0] = (i - 1 + u[:, 0]) / n
-        pts[:, i - 1, 1] = u[:, 1]
-    return pts
+    u = _cell_uniforms(seed, _STREAM_VERTICAL, n, count)
+    return np.stack([(np.arange(n) + u[..., 0]) / n, u[..., 1]], axis=-1)
 
 
 def sample_jittered_batch(m: int, count: int, seed: int) -> np.ndarray:
@@ -177,14 +157,9 @@ def sample_jittered_batch(m: int, count: int, seed: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"need at least a 1x1 grid, got m={m}")
-    n = m * m
-    pts = np.empty((count, n, 2), dtype=np.float64)
-    for k in range(1, n + 1):
-        a, b = divmod(k - 1, m)
-        u = _cell_stream(seed, _STREAM_JITTERED, k).random((count, 2))
-        pts[:, k - 1, 0] = (a + u[:, 0]) / m
-        pts[:, k - 1, 1] = (b + u[:, 1]) / m
-    return pts
+    a, b = np.divmod(np.arange(m * m), m)
+    u = _cell_uniforms(seed, _STREAM_JITTERED, m * m, count)
+    return np.stack([(a + u[..., 0]) / m, (b + u[..., 1]) / m], axis=-1)
 
 
 def sample_partition(kind: str, n: int, count: int, seed: int) -> np.ndarray:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stratdisc import estimators
 from stratdisc import (
     DiscrepancyEstimate,
     HaltonConfig,
@@ -115,10 +117,26 @@ class TestMcEstimator:
         assert gap <= 4.0 * (small.std_error + large.std_error)
 
     def test_chunking_invisible_in_result(self):
-        # 4100 replicates straddles the internal chunk size
         est = expected_l2_sq_mc(4, 4100, seed=11)
         assert est.meta["replicates"] == 4100
         assert est.std_error > 0.0
+
+    def test_memory_bounded_at_large_n(self):
+        # one (replicates, n, n) Warnock temporary here would be 100 MiB
+        tracemalloc.start()
+        try:
+            expected_l2_sq_mc(256, 200, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_warnock_chunk_size_invisible_in_result(self, monkeypatch):
+        full = expected_l2_sq_mc(16, 300, seed=4)
+        monkeypatch.setattr(estimators, "_WARNOCK_TEMP_BYTES", 7 * 8 * 16 * 16)
+        chunked = expected_l2_sq_mc(16, 300, seed=4)
+        assert chunked.value == full.value
+        assert chunked.std_error == full.std_error
 
     def test_meta_fields(self):
         est = expected_l2_sq_mc(4, 100, seed=5, partition="vertical")

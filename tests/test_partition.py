@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratdisc import partition
 from stratdisc import (
     GeneratingSet,
     cell_area,
     cell_of,
     generating_set,
+    overlap_fraction,
     sample_jittered_batch,
     sample_partition,
     sample_stratified_batch,
@@ -166,14 +168,47 @@ class TestStratifiedSampler:
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_batch_points_in_cells(self):
-        gs = generating_set(10)
-        pts = sample_stratified_batch(gs, 200, seed=9)
-        s = pts[..., 0] + pts[..., 1]
-        for i in range(1, 11):
-            lo = gs.boundary(i - 1)
-            hi = gs.boundary(i)
-            col = s[:, i - 1]
-            assert np.all((col >= lo) & (col < hi))
+        for n in (3, 10, 101, 4096):
+            gs = generating_set(n)
+            pts = sample_stratified_batch(gs, 200, seed=9)
+            assert np.all((pts >= 0.0) & (pts <= 1.0)), n
+            s = pts[..., 0] + pts[..., 1]
+            lo = np.array([gs.boundary(i) for i in range(n)])
+            hi = np.array([gs.boundary(i) for i in range(1, n + 1)])
+            assert np.all((s >= lo) & (s < hi)), n
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_box_shares_follow_the_uniform_law(self, n):
+        # the share of cell-i points in [0,x] x [0,y] estimates q_i(x, y);
+        # n = 5 has a middle strip straddling the anti-diagonal
+        gs = generating_set(n)
+        reps = 200_000
+        pts = sample_stratified_batch(gs, reps, seed=21)
+        for x, y in [(0.3, 0.8), (0.5, 0.5), (0.7, 0.4), (0.9, 0.9), (1.0, 0.6), (0.6, 1.0)]:
+            inside = np.mean((pts[..., 0] <= x) & (pts[..., 1] <= y), axis=0)
+            for i in range(1, n + 1):
+                q = float(overlap_fraction(gs, i, x, y))
+                if min(q, 1.0 - q) < 1e-12:  # the box misses or holds the whole cell
+                    assert inside[i - 1] == round(q)
+                else:
+                    z = (inside[i - 1] - q) / math.sqrt(q * (1.0 - q) / reps)
+                    assert abs(z) <= 5.0, (x, y, i, z)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 4096])
+    def test_rounding_edge_uniforms_stay_in_their_cell(self, n, monkeypatch):
+        # u0 = 1 - 2**-53 makes (i-1) + u0 round to i for large i; the
+        # offset must still land below r_i
+        top = 1.0 - 2.0**-53
+        edges = np.array([[u0, u1] for u0 in (0.0, top) for u1 in (0.0, 0.5, top)])
+
+        def edge_uniforms(seed, stream, n, count):
+            return np.broadcast_to(edges[:, None, :], (count, n, 2))
+
+        monkeypatch.setattr(partition, "_cell_uniforms", edge_uniforms)
+        gs = generating_set(n)
+        pts = sample_stratified_batch(gs, len(edges), seed=0)
+        for row in pts.tolist():
+            assert [cell_of(gs, x, y) for x, y in row] == list(range(1, n + 1))
 
 class TestReferenceSamplers:
     def test_vertical_points_in_strips(self):
