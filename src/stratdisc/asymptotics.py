@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .exactform import strip_integral_lower, strip_integral_upper
+from .exactform import strip_integral_table
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -224,12 +224,8 @@ def cubic_component_closed_form(n: int) -> float:
 
 
 def interior_strip_sum(n: int) -> float:
-    """sum_{i=2}^{N-1} Q_i by direct evaluation of the strip closed forms."""
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
-    lower = (strip_integral_lower(n, i) for i in range(2, n // 2 + 1))
-    upper = (strip_integral_upper(n, i) for i in range(n // 2 + 1, n))
-    return math.fsum(list(lower) + list(upper))
+    """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry."""
+    return math.fsum(strip_integral_table(n).values[1:-1])
 
 
 def interior_sum_check(n: int) -> SumCheckReport:

@@ -93,13 +93,9 @@ def cmd_table(config: RunConfig) -> str:
     nodes = lowdisc.halton(lowdisc.HaltonConfig(count=config.m_nodes))
 
     def row(n: int) -> dict[str, Any]:
-        try:
-            exact = exactform.expected_l2_sq_exact(n).value
-        except ValueError:
-            exact = None
         return {
             "n": n,
-            "exact": exact,
+            "exact": None if n % 2 else exactform.expected_l2_sq_exact(n).value,
             "qmc": estimators.expected_l2_sq_qmc(n, nodes).value,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
             "random": estimators.random_baseline(n),
@@ -136,11 +132,9 @@ def cmd_ratio(config: RunConfig) -> str:
     ns = config.n_values or RATIO_DEFAULT_NS
 
     def row(n: int) -> tuple[int, float | None]:
-        try:
-            est = exactform.expected_l2_sq_exact(n)
-        except ValueError:
+        if n % 2:
             return n, None
-        return n, estimators.ratio_to_random(n, est)
+        return n, estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))
 
     rows = _map_rows(row, ns)
     if any(r[1] is None for r in rows):

@@ -7,9 +7,10 @@ For even N the expectation decomposes as
 and each strip integral Q_i has an explicit elementary form.  Four regimes
 occur: the first strip (the triangle at the origin), strips below the
 anti-diagonal (2 <= i <= N/2), strips above it (N/2 < i < N), and the last
-strip, which contributes exactly 1/(15N).  The formulas are transcribed
-verbatim; their only validation is numerical, against midpoint quadrature of
-q_i^2 (see the test suite) and against the quasi-Monte Carlo estimator.
+strip, which contributes exactly 1/(15N).  The two middle regimes are
+printed as cubics whose terms of size N^3 cancel to an O(1) result; here they
+are evaluated, vectorised over i, in equal rationalised forms free of that
+cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
 
 Odd N is rejected throughout: the strip boundaries exist (the partition
 module handles them), but no closed form is available here for the middle
@@ -21,26 +22,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .estimators import DiscrepancyEstimate, Method
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StripIntegralTable:
-    """The strip integrals Q_1..Q_N for one even N."""
+    """The strip integrals Q_1..Q_N for one even N, as a read-only float64 array."""
 
     n: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.n:
+        values = np.array(self.values, dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.n,):
             raise ValueError("table length must equal n")
-        if any(v < 0.0 for v in self.values):
+        if (values < 0.0).any():
             raise ValueError("strip integrals cannot be negative")
         last = 1.0 / (15.0 * self.n)
-        if not math.isclose(self.values[-1], last, rel_tol=1e-12):
-            raise ValueError(f"last strip integral must be 1/(15n), got {self.values[-1]}")
+        if not math.isclose(values[-1], last, rel_tol=1e-12):
+            raise ValueError(f"last strip integral must be 1/(15n), got {values[-1]}")
 
 
 def _require_even(n: int, smallest: int) -> None:
@@ -48,13 +54,14 @@ def _require_even(n: int, smallest: int) -> None:
         raise ValueError(f"closed forms require even n >= {smallest}, got n={n}")
 
 
-def _safe_sqrt(v: float) -> float:
-    # rounding may push a radicand a few ulp below zero near i = n
-    if v < 0.0:
-        if v < -1e-12:
-            raise ValueError(f"negative radicand {v}")
-        return 0.0
-    return math.sqrt(v)
+def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
+    """i as float64 (scalar or array), checked once against lo <= i <= hi."""
+    _require_even(n, 4)
+    idx = np.asarray(i, dtype=np.float64)
+    if idx.min() < lo or idx.max() > hi:
+        bad = idx.min() if idx.min() < lo else idx.max()
+        raise ValueError(f"{regime} strips are {lo} <= i <= {hi} for n={n}, got i={bad:g}")
+    return idx
 
 
 def strip_integral_first(n: int) -> float:
@@ -69,44 +76,42 @@ def strip_integral_last(n: int) -> float:
     return 1.0 / (15.0 * n)
 
 
-def strip_integral_lower(n: int, i: int) -> float:
-    """Q_i for a strip below the anti-diagonal, 2 <= i <= N/2."""
-    _require_even(n, 4)
-    if not 2 <= i <= n // 2:
-        raise ValueError(f"lower strips are 2 <= i <= n/2, got i={i}, n={n}")
-    a = _safe_sqrt(2.0 * n) * _safe_sqrt(i - 1.0)
-    b = _safe_sqrt((i - 1.0) * i)
-    c = _safe_sqrt(2.0 * n) * _safe_sqrt(float(i))
+def strip_integral_lower(n: int, i: int | np.ndarray) -> float | np.ndarray:
+    """Q_i for strips below the anti-diagonal, 2 <= i <= N/2; i scalar or array.
+
+    With p = sqrt(i-1), q = sqrt(i) and sigma = p + q, the printed cubic
+    equals 15N*Q_i = 15N + 13i - 7 - (i-1)^2/(pq + i - 1/2)
+    + sqrt(2N) * (8iq/sigma^2 - (38i + 6pq - 16)/sigma), using q - p = 1/sigma
+    and pq - (i - 1/2) = -1/(4(pq + i - 1/2)).
+    """
+    i = _strip_indices(n, i, 2, n // 2, "lower")
+    m = i - 1.0
+    p, q = np.sqrt(m), np.sqrt(i)
+    pq, sigma = p * q, p + q
     return (
-        -4.0 * i**3
-        + i**2 * (-16.0 * a + 4.0 * b + 16.0 * c + 10.0)
-        + i * (32.0 * a - 8.0 * b - 40.0 * c + 5.0)
-        + (-16.0 * a + 4.0 * b + 10.0 * c + 15.0 * n - 5.0)
+        15.0 * n + 13.0 * i - 7.0 - m * m / (pq + i - 0.5)
+        + math.sqrt(2.0 * n) * (8.0 * i * q / (sigma * sigma) - (38.0 * i + 6.0 * pq - 16.0) / sigma)
     ) / (15.0 * n)
 
 
-def strip_integral_upper(n: int, i: int) -> float:
-    """Q_i for a strip above the anti-diagonal, N/2 < i < N."""
-    _require_even(n, 4)
-    if not n // 2 < i < n:
-        raise ValueError(f"upper strips are n/2 < i < n, got i={i}, n={n}")
-    t = _safe_sqrt(1.0 - i / n) * _safe_sqrt((n + 1.0 - i) / n)
-    return (
-        4.0 * i**3
-        + i**2 * (4.0 * n * t - 12.0 * n - 2.0)
-        + i * (-8.0 * n**2 * t + 12.0 * n**2 + 4.0 * n - 3.0)
-        + (4.0 * n**3 * t - 4.0 * n**3 - 2.0 * n**2 + 3.0 * n + 1.0)
-    ) / (15.0 * n)
+def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
+    """Q_i for strips above the anti-diagonal, N/2 < i < N; i scalar or array.
+
+    With u = N - i and s = sqrt(u(u+1)), the printed cubic equals
+    15N*Q_i = 3u + 1 - 2u(s - u)^2, and s - u = u/(s + u).
+    """
+    u = n - _strip_indices(n, i, n // 2 + 1, n - 1, "upper")
+    w = np.sqrt(u * (u + 1.0)) + u
+    return (3.0 * u + 1.0 - 2.0 * u * u * u / (w * w)) / (15.0 * n)
 
 
 def strip_integral_table(n: int) -> StripIntegralTable:
     """All strip integrals for even n >= 4, in strip order."""
     _require_even(n, 4)
-    values = [strip_integral_first(n)]
-    values.extend(strip_integral_lower(n, i) for i in range(2, n // 2 + 1))
-    values.extend(strip_integral_upper(n, i) for i in range(n // 2 + 1, n))
-    values.append(strip_integral_last(n))
-    return StripIntegralTable(n=n, values=tuple(values))
+    lower = strip_integral_lower(n, np.arange(2, n // 2 + 1))
+    upper = strip_integral_upper(n, np.arange(n // 2 + 1, n))
+    values = np.concatenate(([strip_integral_first(n)], lower, upper, [strip_integral_last(n)]))
+    return StripIntegralTable(n=n, values=values)
 
 
 def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:

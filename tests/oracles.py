@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by a different route than the library:
 clipped areas by slicing instead of vertex cases, the pairwise discrepancy
 identity by plain Python loops, radical inverses by exact rational digit
-reversal.  None of this code is imported by the package.
+reversal, the strip integrals from their printed polynomial forms in 50-digit
+arithmetic.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp, mpf, sqrt
 
 
 def clipped_area_by_slices(r: float, x: float, y: float) -> float:
@@ -112,6 +114,47 @@ def power_by_loop(n: int, k: float) -> float:
     for i in range(1, n + 1):
         total += i**k
     return total
+
+
+def strip_integral_printed(n: int, i: int) -> mpf:
+    """Q_i of the even-n diagonal partition from the printed formulas, at 50 digits.
+
+    The four regimes as printed: the first strip, the lower and upper cubics
+    (whose terms of size n^3 cancel, harmless at this precision), and the
+    last strip 1/(15n).
+    """
+    with mp.workdps(50):
+        n, i = mpf(n), mpf(i)
+        if i == 1:
+            return 1 - 14 * sqrt(2) / (15 * sqrt(n)) + 2 / (5 * n)
+        if i == n:
+            return 1 / (15 * n)
+        if i <= n / 2:
+            a = sqrt(2 * n) * sqrt(i - 1)
+            b = sqrt((i - 1) * i)
+            c = sqrt(2 * n) * sqrt(i)
+            poly = (
+                -4 * i**3
+                + i**2 * (-16 * a + 4 * b + 16 * c + 10)
+                + i * (32 * a - 8 * b - 40 * c + 5)
+                + (-16 * a + 4 * b + 10 * c + 15 * n - 5)
+            )
+        else:
+            t = sqrt(1 - i / n) * sqrt((n + 1 - i) / n)
+            poly = (
+                4 * i**3
+                + i**2 * (4 * n * t - 12 * n - 2)
+                + i * (-8 * n**2 * t + 12 * n**2 + 4 * n - 3)
+                + (4 * n**3 * t - 4 * n**3 - 2 * n**2 + 3 * n + 1)
+            )
+        return poly / (15 * n)
+
+
+def expected_l2_sq_printed(n: int) -> mpf:
+    """E[L2^2] = 1/(4n) - sum_i Q_i / n^2 for even n, at 50 digits."""
+    with mp.workdps(50):
+        total = mp.fsum(strip_integral_printed(n, i) for i in range(1, n + 1))
+        return 1 / mpf(4 * n) - total / mpf(n) ** 2
 
 
 # Expected squared discrepancy of the diagonal partition, precomputed with

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from stratdisc import asymptotics, cli, expected_l2_sq_exact, generating_set
+from stratdisc import asymptotics, cli, exactform, expected_l2_sq_exact, generating_set
 
 
 def run_main(args, capsys):
@@ -92,6 +92,27 @@ class TestRatioCommand:
     def test_json(self, capsys):
         _, out, _ = run_main(["ratio", "--n", "4", "--format", "json"], capsys)
         assert json.loads(out)["rows"][0]["n"] == 4
+
+    def test_large_n_stays_below_two(self, capsys):
+        code, out, err = run_main(["ratio", "--n", "65536,131072,262144"], capsys)
+        assert code == 0
+        assert err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [n for n, _ in rows] == ["65536", "131072", "262144"]
+        assert all(1.99 < float(v) < 2.0 for _, v in rows)
+
+    @pytest.mark.parametrize(
+        "argv", [["ratio", "--n", "4"], ["table", "--n", "4", "--m-nodes", "500"]], ids=["ratio", "table"]
+    )
+    def test_even_n_failure_is_an_error_not_odd_n(self, argv, capsys, monkeypatch):
+        def broken(n):
+            raise ValueError("strip table broke")
+
+        monkeypatch.setattr(exactform, "strip_integral_table", broken)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert "error: strip table broke" in err
+        assert "error:odd-n" not in out
 
 
 class TestSampleCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from stratdisc import (
@@ -20,7 +21,7 @@ from stratdisc import (
     strip_integral_upper,
 )
 
-from oracles import EXACT_HIGH_PRECISION
+from oracles import EXACT_HIGH_PRECISION, expected_l2_sq_printed, strip_integral_printed
 
 
 class TestStripIntegrals:
@@ -79,6 +80,48 @@ class TestStripIntegrals:
             StripIntegralTable(n=2, values=(-0.1, 1.0 / 30.0))
         with pytest.raises(ValueError):
             StripIntegralTable(n=2, values=(0.1, 0.5))
+
+
+class TestPrecisionContract:
+    """The rationalised regimes against the printed formulas in 50-digit arithmetic."""
+
+    @pytest.mark.parametrize("n", range(4, 65, 2))
+    def test_every_table_entry_small_n(self, n):
+        values = strip_integral_table(n).values
+        for i in range(1, n + 1):
+            assert values[i - 1] == pytest.approx(float(strip_integral_printed(n, i)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [4096, 2**18, 2**24])
+    def test_sampled_strips_large_n(self, n):
+        rng = np.random.default_rng(n)
+        lower = np.unique(np.r_[2, 3, n // 2 - 1, n // 2, rng.integers(2, n // 2 + 1, 40)])
+        upper = np.unique(np.r_[n // 2 + 1, n // 2 + 2, n - 2, n - 1, rng.integers(n // 2 + 1, n, 40)])
+        for fn, idx in ((strip_integral_lower, lower), (strip_integral_upper, upper)):
+            got = fn(n, idx)
+            want = np.array([float(strip_integral_printed(n, int(i))) for i in idx])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_table_is_the_regime_calls_at_large_n(self):
+        n = 4096
+        values = strip_integral_table(n).values
+        assert np.array_equal(values[1 : n // 2], strip_integral_lower(n, np.arange(2, n // 2 + 1)))
+        assert np.array_equal(values[n // 2 : -1], strip_integral_upper(n, np.arange(n // 2 + 1, n)))
+        assert values[n // 2] == strip_integral_upper(n, n // 2 + 1)
+
+    @pytest.mark.parametrize("n", [*range(2, 65, 2), 256, 1024, 4096])
+    def test_expectation(self, n):
+        want = float(expected_l2_sq_printed(n))
+        assert expected_l2_sq_exact(n).value == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_excess_over_leading_term_decays_past_2_20(self):
+        # n*E - 5/72 decays like n^(-3/2): a factor 8 from 2^18 to 2^20
+        excess = {n: n * expected_l2_sq_exact(n).value - 5.0 / 72.0 for n in (2**18, 2**20)}
+        assert excess[2**20] > 0.0
+        assert 6.0 < excess[2**18] / excess[2**20] < 10.0
+
+    def test_table_values_are_read_only(self):
+        with pytest.raises(ValueError):
+            strip_integral_table(8).values[0] = 0.0
 
 
 class TestExactExpectation:
