@@ -58,9 +58,16 @@ class DiscrepancyEstimate:
 def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEstimate:
     """Node-set average of (1/N^2) sum_i q_i(1 - q_i) over the partition strips.
 
-    The strip loop carries the clipped area at the previous cut, so each cut
-    is evaluated once; nodes outside a strip's support contribute exact
-    zeros, which keeps the result identical to the naive per-strip loop.
+    With V(r) the clipped area of a node's box at cut r, q_i = N (V(r_{i-1})
+    - V(r_i)).  The strip loop carries V from the previous cut, so each cut
+    is evaluated once, and only on the nodes that reach past it.  The nodes
+    are sorted once by s = x + y, as the kernel computes it; a node with
+    s <= r_i has V(r_i) = 0.0 exactly, since no relu argument of the kernel
+    is positive there, and the same holds at every later cut.  For such a
+    node, strip i adds q(1 - q) with q = N V(r_{i-1}), and later strips add
+    exact zeros, which are skipped.  Each node so gets the same nonzero
+    additions in the same order as in the per-strip loop, and fsum does not
+    depend on node order, so the value is bitwise that of the per-strip loop.
     Defaults to Halton bases (2, 3) with 40000 nodes.
     """
     if n < 2:
@@ -72,13 +79,25 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     gs = generating_set(n)
     x = nodes.points[:, 0]
     y = nodes.points[:, 1]
+    s = x + y
+    order = np.argsort(s)
+    # starts[i - 1]: the first sorted node with x + y > r_i
+    starts = np.searchsorted(s, gs.breakpoints, side="right", sorter=order).tolist()
+    del s
+    x, y = x[order], y[order]
+    del order
     v_prev = x * y
     acc = np.zeros_like(x)
-    for i in range(1, n + 1):
-        v_i = np.zeros_like(x) if i == n else intersection_area_grid(gs.boundary(i), x, y)
-        q = n * (v_prev - v_i)
-        acc += q * (1.0 - q)
-        v_prev = v_i
+    lo = 0
+    for r, hi in zip(gs.breakpoints, starts):
+        v_i = intersection_area_grid(r, x[hi:], y[hi:])
+        # nodes in [lo, hi) have V(r_i) = 0: their q is N V(r_{i-1})
+        v_prev[hi - lo:] -= v_i
+        q = n * v_prev
+        acc[lo:] += q * (1.0 - q)
+        v_prev, lo = v_i, hi
+    q = n * v_prev  # cell N: V(r_N) = 0 for every node
+    acc[lo:] += q * (1.0 - q)
     value = math.fsum(acc.tolist()) / (nodes.n * n * n)
     return DiscrepancyEstimate(
         value=value,

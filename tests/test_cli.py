@@ -5,10 +5,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from stratdisc import asymptotics, cli, exactform, expected_l2_sq_exact, generating_set
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_main(args, capsys):
@@ -284,3 +288,20 @@ class TestDeterminism:
         result = run_subprocess(["--help"])
         assert result.returncode == 0
         assert "table" in result.stdout
+
+
+class TestPinnedOutput:
+    """Output bytes pinned to files; a faster path must reproduce them exactly."""
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["table"], "table_default.csv"),
+            (["mc", "--n", "16", "--replicates", "2000", "--seed", "5"], "mc_n16_r2000_s5.csv"),
+        ],
+    )
+    def test_output_matches_pinned_file(self, args, name, capsys):
+        code, out, err = run_main(args, capsys)
+        assert code == 0
+        assert err == ""
+        assert out.encode() == (DATA / name).read_bytes()

@@ -13,6 +13,7 @@ from stratdisc import (
     DiscrepancyEstimate,
     HaltonConfig,
     Method,
+    PointSet,
     expected_l2_sq_exact,
     expected_l2_sq_mc,
     expected_l2_sq_qmc,
@@ -24,6 +25,40 @@ from stratdisc import (
     ratio_to_random,
     vertical_baseline,
 )
+
+
+def _per_strip_value(n, nodes):
+    """The QMC estimate with every strip's overlap fraction recomputed on every node."""
+    x = nodes.points[:, 0]
+    y = nodes.points[:, 1]
+    gs = generating_set(n)
+    acc = np.zeros_like(x)
+    for i in range(1, n + 1):
+        q = overlap_fraction(gs, i, x, y)
+        acc += q * (1.0 - q)
+    return math.fsum(acc.tolist()) / (nodes.n * n * n)
+
+
+def _cut_nodes(n):
+    """Nodes with x + y == r_i exactly in float64, several on every cut, and their neighbours."""
+    points = []
+    for r in generating_set(n).breakpoints:
+        on_cut = [
+            (x, r - x)
+            for x in (0.0, r / 2.0, 1.0, 0.1, 0.3, 0.7)
+            if x <= r and r - x <= 1.0 and x + (r - x) == r
+        ]
+        assert len(on_cut) >= 2
+        for x, y in on_cut:
+            points += [(x, y), (x, np.nextafter(y, 0.0)), (x, min(1.0, np.nextafter(y, 2.0)))]
+    return np.array(points)
+
+
+def _boundary_nodes():
+    """Nodes on the axes and the top and right edges, the four corners included."""
+    t = np.array([0.0, 1e-300, 0.25, 0.5, 0.75, 1.0])
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    return np.vstack([np.column_stack(pair) for pair in ((t, zero), (zero, t), (t, one), (one, t))])
 
 
 class TestDiscrepancyEstimate:
@@ -71,6 +106,41 @@ class TestQmcEstimator:
                 acc += q * (1.0 - q)
             value = math.fsum(acc.tolist()) / (nodes.n * n * n)
             assert expected_l2_sq_qmc(n, nodes).value == value
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64])
+    def test_edge_nodes_equal_per_strip_loop(self, n):
+        # nodes exactly on a cut, on the axes, at the corners, and repeated:
+        # skipping the nodes that do not reach a cut must change no bit
+        nodes = PointSet(np.vstack([halton(HaltonConfig(count=300)).points, _cut_nodes(n), _boundary_nodes()]))
+        nodes = PointSet(np.vstack([nodes.points, nodes.points[::7]]))
+        assert expected_l2_sq_qmc(n, nodes).value == _per_strip_value(n, nodes)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("which", ["cuts", "origin"])
+    def test_degenerate_node_sets_equal_per_strip_loop(self, n, which):
+        nodes = PointSet({"cuts": _cut_nodes(n), "origin": [[0.0, 0.0]]}[which])
+        assert expected_l2_sq_qmc(n, nodes).value == _per_strip_value(n, nodes)
+
+    def test_node_order_does_not_matter(self, halton_nodes):
+        shuffled = PointSet(np.random.default_rng(0).permutation(halton_nodes.points))
+        for n in (4, 7, 64):
+            assert expected_l2_sq_qmc(n, shuffled).value == expected_l2_sq_qmc(n, halton_nodes).value
+
+    def test_kernel_sees_only_nodes_past_each_cut(self, halton_nodes, monkeypatch):
+        elements = 0
+        kernel = estimators.intersection_area_grid
+
+        def counting(r, x, y):
+            nonlocal elements
+            elements += np.broadcast(x, y).size
+            return kernel(r, x, y)
+
+        monkeypatch.setattr(estimators, "intersection_area_grid", counting)
+        n, m = 64, halton_nodes.n
+        expected_l2_sq_qmc(n, halton_nodes)
+        s = halton_nodes.points[:, 0] + halton_nodes.points[:, 1]
+        assert elements == sum(int(np.count_nonzero(s > r)) for r in generating_set(n).breakpoints)
+        assert elements <= 0.55 * (n - 1) * m
 
     def test_works_for_odd_n(self):
         nodes = halton(HaltonConfig(count=2000))
