@@ -12,11 +12,12 @@ long summation identities:
     pieces regroup into four component sums (by power of i) that are summed
     separately and collapse to 13N/72 + O(sqrt(N)).
 
-Everything is checked by direct compensated summation.  The sqrt-sum
-approximants are transcribed verbatim; direct summation shows the k = 1/2
-and k = 1 variants differ from the true sums by a small n-independent
-constant (about 0.0375 and 0.100 respectively) on top of the stated decay.
-The order reports therefore estimate that limiting offset and fit the decay
+Everything is checked by direct compensated summation; the component sums,
+whose terms of size N^3 cancel, are summed in 40-digit decimal arithmetic.
+The sqrt-sum approximants are transcribed verbatim; direct summation shows
+the k = 1/2 and k = 1 variants differ from the true sums by a small
+n-independent constant (about 0.0375 and 0.100 respectively) on top of the
+stated decay.  The order reports therefore estimate that limiting offset and fit the decay
 of the remainder, reporting both the raw and offset-adjusted exponents
 rather than altering the printed formulas.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,15 +84,21 @@ class ApproximantOrderReport:
     adjusted_order: float
 
 
-def power_sqrt_sum(n: int, k: float) -> float:
-    """Direct compensated sum of i^k * sqrt(i-1) for i = 2 .. n/2."""
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
-    if n > MAX_DIRECT_N:
-        raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")
-    return math.fsum(i**k * math.sqrt(i - 1.0) for i in range(2, n // 2 + 1))
+def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
+    """Direct compensated sums of i^k * sqrt(i-1) for i = 2 .. n/2, one per n in ns.
+
+    The terms are computed once, up to the largest n, and each n gets the
+    fsum of its prefix; every value is that of a sum over its own terms.
+    """
+    for n in ns:
+        if n < 4 or n % 2:
+            raise ValueError(f"need even n >= 4, got n={n}")
+        if n > MAX_DIRECT_N:
+            raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
+        if k < 0:
+            raise ValueError(f"need k >= 0, got k={k}")
+    terms = [i**k * math.sqrt(i - 1.0) for i in range(2, max(ns, default=0) // 2 + 1)]
+    return [math.fsum(terms[:n // 2 - 1]) for n in ns]
 
 
 def power_sqrt_sum_approx(n: int, k: float) -> float:
@@ -129,13 +136,19 @@ def power_sqrt_claimed_order(k: float) -> float:
     return -1.0 if k == 0.5 else k - 1.5
 
 
-def power_sum(n: int, k: float) -> float:
-    """Direct compensated sum of i^k for i = 1 .. n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if n > MAX_DIRECT_N:
-        raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
-    return math.fsum(i**k for i in range(1, n + 1))
+def power_sum(ns: Sequence[int], k: float) -> list[float]:
+    """Direct compensated sums of i^k for i = 1 .. n, one per n in ns.
+
+    The terms are computed once, up to the largest n, and each n gets the
+    fsum of its prefix; every value is that of a sum over its own terms.
+    """
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if n > MAX_DIRECT_N:
+            raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
+    terms = [i**k for i in range(1, max(ns, default=0) + 1)]
+    return [math.fsum(terms[:n]) for n in ns]
 
 
 def power_sum_approx(n: int, k: float) -> float:
@@ -172,55 +185,67 @@ def paired_strip_integral(n: int, i: int) -> float:
     ) / (15.0 * n)
 
 
-class ComponentSums(NamedTuple):
-    """The four component sums of sum_i g(i), split by power of i."""
+@dataclass(frozen=True)
+class ComponentSums:
+    """The four component sums of sum_i g(i), split by power of i.
+
+    Each field is the 40-digit sum of its piece, rounded once to float.
+    Iterating yields the four pieces.  Their terms of size N^3 cancel in the
+    total, so a float sum of the rounded pieces is off by about N^3 eps;
+    `total` is the four added at 40 digits and then rounded once.
+    """
 
     cubic: float
     quadratic: float
     linear: float
     constant: float
+    total: float
+
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.cubic, self.quadratic, self.linear, self.constant))
 
 
 def component_sums(n: int) -> ComponentSums:
     """Directly sum the cubic, quadratic, linear, and constant pieces of g.
 
     Their total equals the interior strip-integral sum sum_{i=2}^{N-1} Q_i.
+    Every piece carries the factor 1/(15N), and sqrt(2) N s_lo, N s_lo s_hi
+    and sqrt(2) N s_hi are the square roots of the integers 2N(i-1), (i-1)i
+    and 2Ni.  The numerators are summed term by term in 40-digit decimal
+    arithmetic, the cubic one as an exact integer, and each is divided by
+    15N once.
     """
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got n={n}")
-    cubic = []
-    quadratic = []
-    linear = []
-    constant = []
-    for i in range(2, n // 2 + 1):
-        s_lo = math.sqrt((i - 1.0) / n)
-        s_hi = math.sqrt(i / n)
-        cubic.append(-8.0 * i**3 / (15.0 * n))
-        quadratic.append(
-            i**2
-            * (-16.0 * _SQRT2 * n * s_lo + 8.0 * n * s_lo * s_hi + 16.0 * _SQRT2 * n * s_hi + 20.0)
-            / (15.0 * n)
-        )
-        linear.append(
-            i * (32.0 * _SQRT2 * n * s_lo - 16.0 * n * s_lo * s_hi - 40.0 * _SQRT2 * n * s_hi) / (15.0 * n)
-        )
-        constant.append(
-            (-16.0 * _SQRT2 * n * s_lo + 8.0 * n * s_lo * s_hi + 10.0 * _SQRT2 * n * s_hi + 15.0 * n - 5.0)
-            / (15.0 * n)
-        )
-    return ComponentSums(
-        cubic=math.fsum(cubic),
-        quadratic=math.fsum(quadratic),
-        linear=math.fsum(linear),
-        constant=math.fsum(constant),
-    )
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cubic = 0
+        quadratic = linear = constant = Decimal(0)
+        a = Decimal(2 * n).sqrt()  # sqrt(2N(i-1)) at i = 2
+        for i in range(2, n // 2 + 1):
+            b = Decimal((i - 1) * i).sqrt()
+            c = Decimal(2 * n * i).sqrt()
+            cubic -= 8 * i**3
+            quadratic += i**2 * (-16 * a + 8 * b + 16 * c + 20)
+            linear += i * (32 * a - 16 * b - 40 * c)
+            constant += -16 * a + 8 * b + 10 * c + (15 * n - 5)
+            a = c
+        scale = Decimal(15 * n)
+        pieces = [Decimal(cubic) / scale, quadratic / scale, linear / scale, constant / scale]
+        return ComponentSums(*(float(p) for p in pieces), total=float(sum(pieces)))
 
 
 def cubic_component_closed_form(n: int) -> float:
-    """The cubic component in closed form: -N^3/120 - N^2/30 - N/30 + 8/(15N)."""
+    """The cubic component in closed form: -N^3/120 - N^2/30 - N/30 + 8/(15N).
+
+    Evaluated as the one integer fraction (64 - (N(N+2))^2) / (120N), which
+    Python divides with a single correct rounding at every n.
+    """
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got n={n}")
-    return -(n**3) / 120.0 - n**2 / 30.0 - n / 30.0 + 8.0 / (15.0 * n)
+    return (64 - (n * (n + 2)) ** 2) / (120 * n)
 
 
 def interior_strip_sum(n: int) -> float:
@@ -274,7 +299,8 @@ def power_sqrt_order_report(k: float, ns: Sequence[int] = DEFAULT_FIT_NS) -> App
     growing errors the offset is irrelevant and kept at zero.
     """
     claimed = power_sqrt_claimed_order(k)
-    signed = [power_sqrt_sum_approx(n, k) - power_sqrt_sum(n, k) for n in ns]
+    approx = [power_sqrt_sum_approx(n, k) for n in ns]
+    signed = [a - direct for a, direct in zip(approx, power_sqrt_sum(ns, k))]
     raw = fit_error_order(ns, signed)
     if claimed < 0.0:
         offset = estimate_limit_offset(ns, signed, -claimed)

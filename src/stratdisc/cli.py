@@ -91,6 +91,9 @@ def cmd_table(config: RunConfig) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
     ns = config.n_values or TABLE1_NS
     nodes = lowdisc.halton(lowdisc.HaltonConfig(count=config.m_nodes))
+    # sorted once by x + y, so each row's QMC argsort sees sorted input;
+    # the QMC value does not depend on node order
+    nodes = lowdisc.PointSet(nodes.points[np.argsort(nodes.points[:, 0] + nodes.points[:, 1])])
 
     def row(n: int) -> dict[str, Any]:
         return {
@@ -227,8 +230,8 @@ def _verify_harmonic(checks: _Checks) -> None:
     ns = asymptotics.DEFAULT_FIT_NS
     for k in (0.5, 1.5, 2.5):
         worst = max(
-            abs(asymptotics.power_sum_approx(n, k) - asymptotics.power_sum(n, k)) / n ** (k - 2.0)
-            for n in ns
+            abs(asymptotics.power_sum_approx(n, k) - direct) / n ** (k - 2.0)
+            for n, direct in zip(ns, asymptotics.power_sum(ns, k))
         )
         checks.add(
             f"harmonic-bound k={fmt(k)}",
@@ -237,9 +240,8 @@ def _verify_harmonic(checks: _Checks) -> None:
         )
     for k in (1.0, 2.0):
         worst = max(
-            abs(asymptotics.power_sum_approx(n, k) - asymptotics.power_sum(n, k))
-            / asymptotics.power_sum(n, k)
-            for n in ns
+            abs(asymptotics.power_sum_approx(n, k) - direct) / direct
+            for n, direct in zip(ns, asymptotics.power_sum(ns, k))
         )
         checks.add(
             f"harmonic-exact k={fmt(k)}",
@@ -248,9 +250,8 @@ def _verify_harmonic(checks: _Checks) -> None:
         )
     # k=3 is exact up to the constant remainder 1/120
     worst = max(
-        abs(asymptotics.power_sum_approx(n, 3.0) - asymptotics.power_sum(n, 3.0))
-        - 1e-12 * asymptotics.power_sum(n, 3.0)
-        for n in ns
+        abs(asymptotics.power_sum_approx(n, 3.0) - direct) - 1e-12 * direct
+        for n, direct in zip(ns, asymptotics.power_sum(ns, 3.0))
     )
     checks.add("harmonic-constant k=3", worst <= 1.0 / 120.0 + 1e-6, f"max |error| - fp slack = {fmt(worst)}")
 
@@ -270,7 +271,7 @@ def _verify_components(checks: _Checks, ns: Sequence[int]) -> None:
     for n in ns:
         comps = asymptotics.component_sums(n)
         worst_cubic = max(worst_cubic, abs(comps.cubic - asymptotics.cubic_component_closed_form(n)))
-        worst_total = max(worst_total, abs(math.fsum(comps) - asymptotics.interior_strip_sum(n)))
+        worst_total = max(worst_total, abs(comps.total - asymptotics.interior_strip_sum(n)))
     checks.add(
         f"component-cubic-closed n={{{','.join(map(str, ns))}}}",
         worst_cubic <= 1e-9,
@@ -303,8 +304,8 @@ def _verify_strip_quadrature(checks: _Checks) -> None:
         gs = partition.generating_set(n)
         table = exactform.strip_integral_table(n)
         worst = max(
-            abs(table.values[i - 1] - qgeometry.mean_square_overlap(gs, i, grid=1000))
-            for i in range(1, n + 1)
+            abs(closed - quad)
+            for closed, quad in zip(table.values, qgeometry.mean_square_overlap(gs, grid=1000))
         )
         checks.add(f"strip-quadrature n={n}", worst <= 1e-4, f"max |closed - quadrature| = {fmt(worst)}")
 
@@ -344,10 +345,9 @@ def _verify_point_checks(checks: _Checks) -> None:
     worst = 0.0
     pts = rng.random((2000, 2))
     for n in (4, 16):
-        gs = partition.generating_set(n)
-        for x, y in pts:
-            total = math.fsum(qgeometry.overlap_vector(gs, x, y).tolist())
-            worst = max(worst, abs(total - n * x * y))
+        q = qgeometry.overlap_vector(partition.generating_set(n), pts[:, 0], pts[:, 1])
+        for row, (x, y) in zip(q.tolist(), pts.tolist()):
+            worst = max(worst, abs(math.fsum(row) - n * x * y))
     checks.add("telescoping", worst <= 1e-10, f"max |sum q_i - n*x*y| = {fmt(worst)}")
 
 
@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the summation and cross-method checks")
     p_verify.add_argument("--n", type=_parse_n_list, metavar="LIST", default=None,
-                          help="override n values for the component-sum and collapse checks (even, >= 4)")
+                          help="override n values for the component-sum and collapse checks "
+                          f"(even, 4 to {asymptotics.MAX_DIRECT_N})")
     add_common(p_verify)
 
     return parser
@@ -437,8 +438,8 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     n_values = getattr(args, "n", None) or ()
     if args.command in ("sample", "mc") and len(n_values) != 1:
         parser.error(f"{args.command} takes exactly one --n value")
-    if args.command == "verify" and any(n < 4 or n % 2 for n in n_values):
-        parser.error("verify --n values must be even and >= 4")
+    if args.command == "verify" and any(n < 4 or n % 2 or n > asymptotics.MAX_DIRECT_N for n in n_values):
+        parser.error(f"verify --n values must be even, >= 4 and <= {asymptotics.MAX_DIRECT_N}")
     if args.command == "mc" and getattr(args, "replicates") < 2:
         parser.error("--replicates must be >= 2")
     if args.command in ("sample", "mc") and args.seed < 0:

@@ -68,7 +68,9 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     exact zeros, which are skipped.  Each node so gets the same nonzero
     additions in the same order as in the per-strip loop, and fsum does not
     depend on node order, so the value is bitwise that of the per-strip loop.
-    Defaults to Halton bases (2, 3) with 40000 nodes.
+    A total below zero can only be rounding residue and is returned as 0.0.
+    Defaults to Halton bases (2, 3) with 40000 nodes; node sets already
+    sorted by x + y sort fastest.
     """
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
@@ -98,7 +100,10 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
         v_prev, lo = v_i, hi
     q = n * v_prev  # cell N: V(r_N) = 0 for every node
     acc[lo:] += q * (1.0 - q)
-    value = math.fsum(acc.tolist()) / (nodes.n * n * n)
+    # a node at or near (1, 1) has q = 1 in exact arithmetic, and rounding
+    # can leave q(1 - q) a few ulps below zero; only the total is floored,
+    # so every nonnegative value keeps its bits
+    value = max(math.fsum(acc.tolist()) / (nodes.n * n * n), 0.0)
     return DiscrepancyEstimate(
         value=value,
         method=Method.QMC,

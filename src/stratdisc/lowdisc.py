@@ -125,8 +125,12 @@ def l2_discrepancy_sq_batch(points: np.ndarray) -> np.ndarray:
 def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     """Midpoint quadrature of D(x,y)^2 over a grid x grid lattice of anchors.
 
-    Counting uses a 2-D prefix sum over the histogram of per-point anchor
-    ranks, so cost is O(grid^2 + n) rather than O(grid^2 * n).
+    The count table changes from one anchor row to the next only at the
+    distinct x ranks of the points, at most min(n, grid + 1) of them.  Its
+    rows are built as a 2-D prefix sum over a histogram of those ranks and
+    gathered for every anchor row, so cost is O(grid^2 + n log n) and memory
+    O(grid^2).  Counts are exact integers, so the order of the prefix sums
+    does not change any bit.
     """
     if ps.n < 1:
         raise ValueError("point set must be nonempty")
@@ -137,8 +141,13 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     # i.e. the first anchor whose half-open box [0, mid) contains the point
     ix = np.searchsorted(mids, ps.points[:, 0], side="right")
     iy = np.searchsorted(mids, ps.points[:, 1], side="right")
-    hist = np.zeros((grid + 1, grid + 1), dtype=np.float64)
-    np.add.at(hist, (ix, iy), 1.0)
-    counts = hist.cumsum(axis=0).cumsum(axis=1)[:grid, :grid]
-    deviation = counts / ps.n - np.outer(mids, mids)
-    return float(np.mean(deviation * deviation))
+    ranks, rank_of = np.unique(ix, return_inverse=True)
+    # row 0 stays empty: anchor rows below every x rank count no point
+    hist = np.zeros((ranks.size + 1, grid + 1), dtype=np.float64)
+    np.add.at(hist, (rank_of + 1, iy), 1.0)
+    table = hist.cumsum(axis=0).cumsum(axis=1)[:, :grid]
+    deviation = table[np.searchsorted(ranks, np.arange(grid), side="right")]
+    deviation /= ps.n
+    deviation -= np.outer(mids, mids)
+    deviation *= deviation
+    return float(np.mean(deviation))

@@ -65,29 +65,47 @@ def overlap_fraction(gs: GeneratingSet, i: int, x: float | np.ndarray, y: float 
     return n * (v_lo - v_hi)
 
 
-def overlap_vector(gs: GeneratingSet, x: float, y: float) -> np.ndarray:
-    """All overlap fractions (q_1, ..., q_N) at one point, in one kernel call."""
-    v = np.empty(gs.n + 1, dtype=np.float64)
-    v[0] = x * y
-    v[1:-1] = intersection_area_grid(np.asarray(gs.breakpoints), x, y)
-    v[-1] = 0.0
-    return gs.n * (v[:-1] - v[1:])
+def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
+    """All overlap fractions (q_1, ..., q_N) at each point, in one kernel call.
+
+    x and y are scalars or broadcastable arrays of shape S; the result has
+    shape S + (N,), and row j holds the N fractions at point j.  Each value
+    is bitwise the one a call on that point alone returns.
+    """
+    x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
+    y = np.asarray(y, dtype=np.float64)[..., np.newaxis]
+    xy = x * y
+    v = np.empty(xy.shape[:-1] + (gs.n + 1,), dtype=np.float64)
+    v[..., :1] = xy
+    v[..., 1:-1] = intersection_area_grid(np.asarray(gs.breakpoints), x, y)
+    v[..., -1] = 0.0
+    return gs.n * (v[..., :-1] - v[..., 1:])
 
 
-def mean_square_overlap(gs: GeneratingSet, i: int, grid: int = 2000) -> float:
-    """Midpoint-rule quadrature of q_i^2 over the unit square.
+def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
+    """Midpoint-rule quadrature of q_i^2 over the unit square, for i = 1 .. N.
 
     The numeric cross-check for the closed-form strip integrals.  Rows are
-    processed in blocks, each grid row is summed on its own, and the per-row
-    sums are combined with fsum.
+    processed in blocks; within a block each cut is evaluated once and its
+    V carried to the next strip, so q_i = N (V(r_{i-1}) - V(r_i)) costs one
+    kernel call.  Each grid row is summed on its own and the per-row sums of
+    each strip are combined with fsum, so every value is bitwise that of a
+    quadrature of that strip alone.
     """
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
+    n = gs.n
     mids = (np.arange(grid) + 0.5) / grid
     y_row = mids[np.newaxis, :]
-    row_sums: list[float] = []
+    row_sums: list[list[float]] = [[] for _ in range(n)]
     for a in range(0, grid, _CHUNK):
         x_col = mids[a:a + _CHUNK, np.newaxis]
-        q = overlap_fraction(gs, i, x_col, y_row)
-        row_sums.extend(np.sum(q * q, axis=1).tolist())
-    return math.fsum(row_sums) / (grid * grid)
+        v_prev = x_col * y_row
+        for sums, r in zip(row_sums, gs.breakpoints):
+            v_i = intersection_area_grid(r, x_col, y_row)
+            q = n * (v_prev - v_i)
+            sums.extend(np.sum(q * q, axis=1).tolist())
+            v_prev = v_i
+        q = n * v_prev  # cell N: V(r_N) = 0
+        row_sums[-1].extend(np.sum(q * q, axis=1).tolist())
+    return [math.fsum(sums) / (grid * grid) for sums in row_sums]

@@ -4,7 +4,10 @@ Each oracle recomputes a quantity by a different route than the library:
 clipped areas by slicing instead of vertex cases, the pairwise discrepancy
 identity by plain Python loops, radical inverses by exact rational digit
 reversal, the strip integrals from their printed polynomial forms in 50-digit
-arithmetic.  None of this code is imported by the package.
+arithmetic.  A few keep an earlier, slower form of a library routine (the
+per-strip quadrature, the full-histogram brute force, the per-n power sums),
+which the library must reproduce bit for bit.  None of this code is imported
+by the package.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
+
+from stratdisc.qgeometry import overlap_fraction
 
 
 def clipped_area_by_slices(r: float, x: float, y: float) -> float:
@@ -69,6 +74,37 @@ def l2_by_anchor_grid(points: np.ndarray, grid: int) -> float:
     return math.fsum(total) / (grid * grid)
 
 
+def brute_force_by_histogram(points: np.ndarray, grid: int) -> float:
+    """Anchor-grid quadrature of D^2 from a full (grid+1)^2 histogram.
+
+    Counts every anchor box by a double cumsum over the histogram of the
+    points' anchor ranks, then averages the squared deviation.
+    """
+    mids = (np.arange(grid) + 0.5) / grid
+    ix = np.searchsorted(mids, points[:, 0], side="right")
+    iy = np.searchsorted(mids, points[:, 1], side="right")
+    hist = np.zeros((grid + 1, grid + 1), dtype=np.float64)
+    np.add.at(hist, (ix, iy), 1.0)
+    counts = hist.cumsum(axis=0).cumsum(axis=1)[:grid, :grid]
+    deviation = counts / len(points) - np.outer(mids, mids)
+    return float(np.mean(deviation * deviation))
+
+
+def mean_square_overlap_per_strip(gs, i: int, grid: int) -> float:
+    """Midpoint-rule quadrature of q_i^2 for one strip.
+
+    Both cuts of the strip are evaluated afresh in every block of 200 grid
+    rows; each row is summed on its own and the row sums combined with fsum.
+    """
+    mids = (np.arange(grid) + 0.5) / grid
+    y_row = mids[np.newaxis, :]
+    row_sums = []
+    for a in range(0, grid, 200):
+        q = overlap_fraction(gs, i, mids[a:a + 200, np.newaxis], y_row)
+        row_sums.extend(np.sum(q * q, axis=1).tolist())
+    return math.fsum(row_sums) / (grid * grid)
+
+
 def radical_inverse(base: int, k: int) -> float:
     """Digit-reversed fraction of k in the given base (van der Corput).
 
@@ -114,6 +150,16 @@ def power_by_loop(n: int, k: float) -> float:
     for i in range(1, n + 1):
         total += i**k
     return total
+
+
+def power_sum_by_generator(n: int, k: float) -> float:
+    """Compensated sum of i^k for i = 1 .. n, over its own terms."""
+    return math.fsum(i**k for i in range(1, n + 1))
+
+
+def power_sqrt_sum_by_generator(n: int, k: float) -> float:
+    """Compensated sum of i^k sqrt(i-1) for i = 2 .. n/2, over its own terms."""
+    return math.fsum(i**k * math.sqrt(i - 1.0) for i in range(2, n // 2 + 1))
 
 
 def strip_integral_printed(n: int, i: int) -> mpf:

@@ -24,46 +24,68 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
-from stratdisc.asymptotics import MAX_DIRECT_N, ZETA_NEG, power_sqrt_claimed_order
+from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, power_sqrt_claimed_order
 
-from oracles import power_by_loop, power_sqrt_by_loop
+from oracles import power_by_loop, power_sqrt_by_loop, power_sqrt_sum_by_generator, power_sum_by_generator
 
 
 class TestDirectSums:
     def test_power_sqrt_small_values(self):
-        assert power_sqrt_sum(4, 1.0) == 2.0  # single term 2*sqrt(1)
-        assert power_sqrt_sum(6, 1.0) == pytest.approx(2.0 + 3.0 * math.sqrt(2.0), abs=1e-15)
+        assert power_sqrt_sum([4], 1.0)[0] == 2.0  # single term 2*sqrt(1)
+        assert power_sqrt_sum([6], 1.0)[0] == pytest.approx(2.0 + 3.0 * math.sqrt(2.0), abs=1e-15)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_power_sqrt_matches_loop(self, k):
-        assert power_sqrt_sum(2048, k) == pytest.approx(power_sqrt_by_loop(2048, k), rel=1e-13)
+        assert power_sqrt_sum([2048], k)[0] == pytest.approx(power_sqrt_by_loop(2048, k), rel=1e-13)
 
     def test_power_sum_known_values(self):
-        assert power_sum(10, 1.0) == 55.0
-        assert power_sum(5, 2.0) == 55.0
-        assert power_sum(4, 3.0) == 100.0
+        assert power_sum([10], 1.0)[0] == 55.0
+        assert power_sum([5], 2.0)[0] == 55.0
+        assert power_sum([4], 3.0)[0] == 100.0
 
     def test_power_sum_matches_loop(self):
-        assert power_sum(3000, 1.5) == pytest.approx(power_by_loop(3000, 1.5), rel=1e-13)
+        assert power_sum([3000], 1.5)[0] == pytest.approx(power_by_loop(3000, 1.5), rel=1e-13)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            power_sqrt_sum(5, 1.0)  # odd
+            power_sqrt_sum([5], 1.0)  # odd
         with pytest.raises(ValueError):
-            power_sqrt_sum(2, 1.0)  # too small
+            power_sqrt_sum([2], 1.0)  # too small
         with pytest.raises(ValueError):
-            power_sqrt_sum(4, -0.5)
+            power_sqrt_sum([4], -0.5)
         with pytest.raises(ValueError):
-            power_sqrt_sum(2 * MAX_DIRECT_N, 1.0)
+            power_sqrt_sum([2 * MAX_DIRECT_N], 1.0)
         with pytest.raises(ValueError):
-            power_sum(0, 1.0)
+            power_sum([0], 1.0)
+
+
+    @pytest.mark.parametrize("k", sorted(ZETA_NEG))
+    @pytest.mark.parametrize("ns", [DEFAULT_FIT_NS, (513, 1, 4096, 2, 64, 1, 37)])
+    def test_power_sum_ladder_equals_per_n_sums(self, k, ns):
+        assert power_sum(ns, k) == [power_sum_by_generator(n, k) for n in ns]
+
+    @pytest.mark.parametrize("k", sorted(ZETA_NEG))
+    @pytest.mark.parametrize("ns", [DEFAULT_FIT_NS, (514, 4, 4096, 6, 64, 4, 38)])
+    def test_power_sqrt_sum_ladder_equals_per_n_sums(self, k, ns):
+        assert power_sqrt_sum(ns, k) == [power_sqrt_sum_by_generator(n, k) for n in ns]
+
+    def test_ladder_validated_per_element(self):
+        assert power_sum([], 1.0) == power_sqrt_sum([], 1.0) == []
+        with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+            power_sum([4, 0, 8], 1.0)
+        with pytest.raises(ValueError, match="exceeds the direct-summation cap"):
+            power_sum([4, MAX_DIRECT_N + 1], 1.0)
+        with pytest.raises(ValueError, match="need even n >= 4, got n=7"):
+            power_sqrt_sum([8, 7], 1.0)
+        with pytest.raises(ValueError, match="need k >= 0"):
+            power_sqrt_sum([8, 16], -0.5)
 
 
 class TestSqrtSumApproximant:
     def test_relative_accuracy(self):
         # relative error is tiny even where an additive constant remains
         for k in (0.5, 1.0, 1.5, 2.0, 2.5):
-            direct = power_sqrt_sum(4096, k)
+            direct = power_sqrt_sum([4096], k)[0]
             approx = power_sqrt_sum_approx(4096, k)
             assert approx == pytest.approx(direct, rel=1e-6)
 
@@ -110,26 +132,26 @@ class TestHarmonicApproximant:
     @pytest.mark.parametrize("n", [16, 256, 4096])
     def test_exact_for_integer_k(self, n):
         for k in (1.0, 2.0):
-            assert power_sum_approx(n, k) == pytest.approx(power_sum(n, k), rel=1e-12)
+            assert power_sum_approx(n, k) == pytest.approx(power_sum([n], k)[0], rel=1e-12)
 
     def test_k3_constant_remainder(self):
         # the k=3 approximant misses the true sum by exactly the 1/120 term;
         # larger n would drown the constant in ulp rounding of n^4/4
         for n in (16, 64, 256):
-            gap = power_sum(n, 3.0) - power_sum_approx(n, 3.0)
+            gap = power_sum([n], 3.0)[0] - power_sum_approx(n, 3.0)
             assert gap == pytest.approx(-1.0 / 120.0, abs=1e-6)
 
     @pytest.mark.parametrize("k", [0.5, 1.5, 2.5])
     def test_error_within_claimed_bound(self, k):
         for n in (64, 512, 4096):
-            err = abs(power_sum_approx(n, k) - power_sum(n, k))
+            err = abs(power_sum_approx(n, k) - power_sum([n], k)[0])
             assert err <= n ** (k - 2.0)
 
     def test_zeta_constants_match_direct_limits(self):
         # recover each zeta value empirically from the direct sums
         def tail(n, k):
             poly = n ** (k + 1.0) / (k + 1.0) + n**k / 2.0 + k * n ** (k - 1.0) / 12.0
-            return power_sum(n, k) - poly
+            return power_sum([n], k)[0] - poly
 
         assert tail(2**16, 0.5) == pytest.approx(ZETA_NEG[0.5], abs=1e-8)
         assert tail(2**16, 1.5) == pytest.approx(ZETA_NEG[1.5], abs=1e-3)
@@ -176,6 +198,19 @@ class TestComponentSums:
             assert component_sums(n).cubic == pytest.approx(
                 cubic_component_closed_form(n), abs=1e-9
             )
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_components_at_large_n(self, n):
+        # float sums of the pieces lose about n^3 eps; the 40-digit total
+        # and the correctly rounded cubic hold the verify bounds
+        comps = component_sums(n)
+        assert abs(comps.total - interior_strip_sum(n)) <= 1e-8
+        assert abs(comps.cubic - cubic_component_closed_form(n)) <= 1e-9
+
+    def test_iterates_over_the_four_pieces(self):
+        comps = component_sums(64)
+        assert list(comps) == [comps.cubic, comps.quadratic, comps.linear, comps.constant]
+        assert comps.total == pytest.approx(math.fsum(comps), abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 16, 64, 256])
     def test_components_rebuild_interior_sum(self, n):

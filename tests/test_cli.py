@@ -211,6 +211,20 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n", ["4096", "16384", "65536"])
+    def test_large_n_passes(self, n, capsys):
+        # the pair components cancel at size n^3; summed at 40 digits they
+        # meet the unchanged absolute bounds
+        code, out, _ = run_main(["verify", "--n", n], capsys)
+        assert code == 0, out
+        assert out.endswith("24/24 checks passed\n")
+
+    def test_n_override_capped_at_direct_sum_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", str(2 * asymptotics.MAX_DIRECT_N)])
+        assert exc.value.code == 2
+        assert str(asymptotics.MAX_DIRECT_N) in capsys.readouterr().err
+
 
 class TestArgumentHandling:
     @pytest.mark.parametrize(
@@ -298,6 +312,7 @@ class TestPinnedOutput:
         [
             (["table"], "table_default.csv"),
             (["mc", "--n", "16", "--replicates", "2000", "--seed", "5"], "mc_n16_r2000_s5.csv"),
+            (["verify"], "verify_default.txt"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

@@ -142,6 +142,13 @@ class TestQmcEstimator:
         assert elements == sum(int(np.count_nonzero(s > r)) for r in generating_set(n).breakpoints)
         assert elements <= 0.55 * (n - 1) * m
 
+    @pytest.mark.parametrize("n", range(2, 129))
+    def test_corner_node_gives_zero(self, n):
+        # at (1, 1) every q_i is 1 in exact arithmetic, so the value is 0;
+        # a total rounded below zero is floored, one rounded above stays
+        value = expected_l2_sq_qmc(n, PointSet([[1.0, 1.0]])).value
+        assert 0.0 <= value <= 1e-16
+
     def test_works_for_odd_n(self):
         nodes = halton(HaltonConfig(count=2000))
         est = expected_l2_sq_qmc(5, nodes)

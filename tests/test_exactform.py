@@ -38,8 +38,9 @@ class TestStripIntegrals:
     def test_closed_forms_match_quadrature(self, n):
         gs = generating_set(n)
         table = strip_integral_table(n)
+        quads = mean_square_overlap(gs, grid=1000)
         for i in range(1, n + 1):
-            quad = mean_square_overlap(gs, i, grid=1000)
+            quad = quads[i - 1]
             assert table.values[i - 1] == pytest.approx(quad, abs=1e-6)
 
     def test_table_layout(self):

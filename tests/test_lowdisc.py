@@ -17,7 +17,13 @@ from stratdisc import (
 )
 from stratdisc.lowdisc import _radical_inverse_block
 
-from oracles import l2_by_anchor_grid, radical_inverse, radical_inverse_by_digits, warnock_by_loops
+from oracles import (
+    brute_force_by_histogram,
+    l2_by_anchor_grid,
+    radical_inverse,
+    radical_inverse_by_digits,
+    warnock_by_loops,
+)
 
 
 class TestRadicalInverse:
@@ -157,6 +163,22 @@ class TestBruteForce:
         fast = brute_force_l2_sq(PointSet(pts), grid=60)
         slow = l2_by_anchor_grid(pts, grid=60)
         assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 32, 500, 3000])
+    @pytest.mark.parametrize("grid", [10, 60, 1000])
+    def test_equals_histogram_oracle(self, m, grid):
+        pts = np.random.default_rng(m * grid).random((m, 2))
+        assert brute_force_l2_sq(PointSet(pts), grid) == brute_force_by_histogram(pts, grid)
+
+    @pytest.mark.parametrize("grid", [10, 60, 1000])
+    def test_equals_histogram_oracle_on_edges(self, grid):
+        # the corners, anchor midpoints (on a box edge, so outside it), and
+        # repeated x ranks
+        mids = (np.arange(grid) + 0.5) / grid
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0],
+                        [mids[0], mids[-1]], [mids[3], mids[3]], [mids[3], 0.2], [mids[-1], mids[0]]])
+        for points in (pts, pts[:1], pts[1:2], pts[4:]):
+            assert brute_force_l2_sq(PointSet(points), grid) == brute_force_by_histogram(points, grid)
 
     def test_single_corner_point(self):
         val = brute_force_l2_sq(PointSet([[1.0, 1.0]]), grid=500)

@@ -19,7 +19,7 @@ from stratdisc import (
     overlap_vector,
 )
 
-from oracles import clipped_area_by_slices, overlap_by_slices
+from oracles import clipped_area_by_slices, mean_square_overlap_per_strip, overlap_by_slices
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 CUT = st.floats(min_value=1e-9, max_value=2.0, exclude_max=True)
@@ -125,6 +125,22 @@ class TestOverlapVector:
             per_cell = [overlap_fraction(gs, i, x, y) for i in range(1, n + 1)]
             np.testing.assert_array_equal(overlap_vector(gs, x, y), np.array(per_cell))
 
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_batch_equals_per_point_loop(self, n):
+        # Halton points, the corners, points on every cut and one ulp off
+        gs = generating_set(n)
+        cuts = np.array(gs.breakpoints) / 2.0
+        x = np.concatenate([halton(HaltonConfig(count=200)).points[:, 0], [0.0, 1.0, 0.0, 1.0], cuts,
+                            np.nextafter(cuts, 1.0)])
+        y = np.concatenate([halton(HaltonConfig(count=200)).points[:, 1], [0.0, 1.0, 1.0, 0.0], cuts, cuts])
+        batch = overlap_vector(gs, x, y)
+        assert batch.shape == (x.size, n)
+        for j in range(x.size):
+            np.testing.assert_array_equal(batch[j], overlap_vector(gs, x[j], y[j]))
+        grid = overlap_vector(gs, x[:12].reshape(3, 4), y[:12].reshape(3, 4))
+        np.testing.assert_array_equal(grid, batch[:12].reshape(3, 4, n))
+        np.testing.assert_array_equal(overlap_vector(gs, 0.37, y), overlap_vector(gs, np.full(y.size, 0.37), y))
+
     def test_grid_matches_scalar(self):
         # an array call of overlap_fraction equals per-point calls
         gs = generating_set(5)
@@ -148,10 +164,18 @@ class TestMeanSquareOverlap:
 
         gs = generating_set(4)
         table = strip_integral_table(4)
+        quads = mean_square_overlap(gs, grid=1000)
         for i in range(1, 5):
-            quad = mean_square_overlap(gs, i, grid=1000)
+            quad = quads[i - 1]
             assert quad == pytest.approx(table.values[i - 1], abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
+    @pytest.mark.parametrize("grid", [10, 1000])
+    def test_equals_per_strip_quadrature(self, n, grid):
+        gs = generating_set(n)
+        want = [mean_square_overlap_per_strip(gs, i, grid) for i in range(1, n + 1)]
+        assert mean_square_overlap(gs, grid) == want
 
     def test_grid_validated(self):
         with pytest.raises(ValueError):
-            mean_square_overlap(generating_set(4), 1, grid=5)
+            mean_square_overlap(generating_set(4), grid=5)
