@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -197,67 +197,73 @@ def cmd_mc(config: RunConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # verification suite
+#
+# Each check takes its sizes, inputs and tolerances and returns records of
+# name, pass flag and detail.  `run_verify` runs them at the sizes below; the
+# acceptance gate runs the same functions at its own sizes.
 
 
-@dataclass
-class _Checks:
-    results: list[dict[str, Any]] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str) -> None:
-        self.results.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.results)
+Record = dict[str, Any]
 
 
-def _verify_sqrt_sum_orders(checks: _Checks) -> None:
-    for k in (0.5, 1.0, 1.5, 2.0, 2.5):
+def _record(name: str, passed: bool, detail: str) -> Record:
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def check_sqrt_sum_orders(ks: Sequence[float], tol: float) -> list[Record]:
+    """Error order of each sqrt-sum approximant, raw or offset-adjusted, within tol of the claim."""
+    records = []
+    for k in ks:
         report = asymptotics.power_sqrt_order_report(k)
         ok = min(
             abs(report.fitted_order - report.claimed_order),
             abs(report.adjusted_order - report.claimed_order),
-        ) <= 0.25
-        checks.add(
+        ) <= tol
+        records.append(_record(
             f"sqrt-sum-order k={fmt(k)}",
             ok,
             f"claimed {fmt(report.claimed_order)}, fitted {fmt(report.fitted_order)}, "
             f"measured offset {fmt(report.constant_offset)}, adjusted {fmt(report.adjusted_order)}",
-        )
+        ))
+    return records
 
 
-def _verify_harmonic(checks: _Checks) -> None:
-    ns = asymptotics.DEFAULT_FIT_NS
+def check_harmonic(ns: Sequence[int], rel_tol: float) -> list[Record]:
+    """Harmonic approximants over ns: within the claimed O(n^(k-2)) with constant 1
+    for k = 1/2, 3/2, 5/2; exact to rel_tol for k = 1, 2; off by the constant
+    1/120 for k = 3, after a floating-point slack of rel_tol times the sum.
+    """
+    records = []
     for k in (0.5, 1.5, 2.5):
         worst = max(
             abs(asymptotics.power_sum_approx(n, k) - direct) / n ** (k - 2.0)
             for n, direct in zip(ns, asymptotics.power_sum(ns, k))
         )
-        checks.add(
-            f"harmonic-bound k={fmt(k)}",
-            worst <= 1.0,
-            f"max |error|/n^(k-2) = {fmt(worst)} (bound 1)",
-        )
+        records.append(_record(
+            f"harmonic-bound k={fmt(k)}", worst <= 1.0, f"max |error|/n^(k-2) = {fmt(worst)} (bound 1)"
+        ))
     for k in (1.0, 2.0):
         worst = max(
             abs(asymptotics.power_sum_approx(n, k) - direct) / direct
             for n, direct in zip(ns, asymptotics.power_sum(ns, k))
         )
-        checks.add(
-            f"harmonic-exact k={fmt(k)}",
-            worst <= 1e-12,
-            f"max relative error {fmt(worst)}",
-        )
-    # k=3 is exact up to the constant remainder 1/120
+        records.append(_record(
+            f"harmonic-exact k={fmt(k)}", worst <= rel_tol, f"max relative error {fmt(worst)}"
+        ))
     worst = max(
-        abs(asymptotics.power_sum_approx(n, 3.0) - direct) - 1e-12 * direct
+        abs(asymptotics.power_sum_approx(n, 3.0) - direct) - rel_tol * direct
         for n, direct in zip(ns, asymptotics.power_sum(ns, 3.0))
     )
-    checks.add("harmonic-constant k=3", worst <= 1.0 / 120.0 + 1e-6, f"max |error| - fp slack = {fmt(worst)}")
+    records.append(_record(
+        "harmonic-constant k=3", worst <= 1.0 / 120.0 + 1e-6, f"max |error| - fp slack = {fmt(worst)}"
+    ))
+    return records
 
 
-def _verify_components(checks: _Checks, ns: Sequence[int]) -> None:
-    for n in (8, 16, 64):
+def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
+    """g(i) = Q_i + Q_{N+1-i} against the two regime formulas, for each n."""
+    records = []
+    for n in ns:
         worst = max(
             abs(
                 asymptotics.paired_strip_integral(n, i)
@@ -265,115 +271,132 @@ def _verify_components(checks: _Checks, ns: Sequence[int]) -> None:
             )
             for i in range(2, n // 2 + 1)
         )
-        checks.add(f"pair-identity n={n}", worst <= 1e-10, f"max |pair - (lower+upper)| = {fmt(worst)}")
+        records.append(_record(
+            f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {fmt(worst)}"
+        ))
+    return records
+
+
+def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -> list[Record]:
+    """The cubic component against its closed form, and the component total
+    against the interior strip sum, worst over ns."""
     worst_cubic = 0.0
     worst_total = 0.0
     for n in ns:
         comps = asymptotics.component_sums(n)
         worst_cubic = max(worst_cubic, abs(comps.cubic - asymptotics.cubic_component_closed_form(n)))
         worst_total = max(worst_total, abs(comps.total - asymptotics.interior_strip_sum(n)))
-    checks.add(
-        f"component-cubic-closed n={{{','.join(map(str, ns))}}}",
-        worst_cubic <= 1e-9,
-        f"max |direct - closed| = {fmt(worst_cubic)}",
-    )
-    checks.add(
-        f"component-identity n={{{','.join(map(str, ns))}}}",
-        worst_total <= 1e-8,
-        f"max |sum(components) - interior sum| = {fmt(worst_total)}",
-    )
+    label = ",".join(map(str, ns))
+    return [
+        _record(f"component-cubic-closed n={{{label}}}", worst_cubic <= cubic_tol,
+                f"max |direct - closed| = {fmt(worst_cubic)}"),
+        _record(f"component-identity n={{{label}}}", worst_total <= identity_tol,
+                f"max |sum(components) - interior sum| = {fmt(worst_total)}"),
+    ]
 
 
-def _verify_collapse(checks: _Checks, ns: Sequence[int]) -> None:
-    normalized = []
-    for n in ns:
-        report = asymptotics.interior_sum_check(n)
-        normalized.append(report.abs_error / math.sqrt(n))
-    ok = all(
-        later <= 2.0 * earlier for earlier, later in zip(normalized, normalized[1:])
-    )
-    checks.add(
+def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
+    """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth times the last."""
+    normalized = [asymptotics.interior_sum_check(n).abs_error / math.sqrt(n) for n in ns]
+    ok = all(later <= growth * earlier for earlier, later in zip(normalized, normalized[1:]))
+    return [_record(
         "collapse-order",
         ok and all(math.isfinite(v) for v in normalized),
         "normalized |interior - 13n/72|/sqrt(n): " + ", ".join(fmt(v) for v in normalized),
-    )
+    )]
 
 
-def _verify_strip_quadrature(checks: _Checks) -> None:
-    for n in (4, 8):
-        gs = partition.generating_set(n)
+def check_strip_quadrature(ns: Sequence[int], grid: int, tol: float) -> list[Record]:
+    """Closed-form strip integrals against midpoint quadrature on a grid x grid lattice."""
+    records = []
+    for n in ns:
         table = exactform.strip_integral_table(n)
-        worst = max(
-            abs(closed - quad)
-            for closed, quad in zip(table.values, qgeometry.mean_square_overlap(gs, grid=1000))
-        )
-        checks.add(f"strip-quadrature n={n}", worst <= 1e-4, f"max |closed - quadrature| = {fmt(worst)}")
+        quads = qgeometry.mean_square_overlap(partition.generating_set(n), grid)
+        worst = max(abs(closed - quad) for closed, quad in zip(table.values, quads))
+        records.append(_record(
+            f"strip-quadrature n={n}", worst <= tol, f"max |closed - quadrature| = {fmt(worst)}"
+        ))
+    return records
 
 
-def _verify_cross_method(checks: _Checks) -> None:
-    nodes = lowdisc.halton(lowdisc.HaltonConfig(count=20000))
+def check_cross_method(nodes: lowdisc.PointSet, ns: Sequence[int], tol: float) -> list[Record]:
+    """Relative gap of the QMC estimate on nodes to the closed form, worst over ns."""
     worst = 0.0
-    for n in (4, 16, 64):
+    for n in ns:
         exact = exactform.expected_l2_sq_exact(n).value
         qmc = estimators.expected_l2_sq_qmc(n, nodes).value
         worst = max(worst, abs(qmc - exact) / exact)
-    checks.add("exact-vs-qmc", worst <= 0.01, f"max relative gap {fmt(worst)} over n in {{4,16,64}}")
+    label = ",".join(map(str, ns))
+    return [_record("exact-vs-qmc", worst <= tol, f"max relative gap {fmt(worst)} over n in {{{label}}}")]
 
 
-def _verify_point_checks(checks: _Checks) -> None:
-    gs = partition.generating_set(4)
-    got = [qgeometry.overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
-    want = (0.8114, 0.3886, 0.08, 0.0)
-    worst = max(abs(g - w) for g, w in zip(got, want))
-    checks.add("worked-example", worst <= 5e-4, f"q = ({', '.join(fmt(v) for v in got)})")
+def check_worked_example(tol: float) -> list[Record]:
+    """The four overlap fractions at (0.4, 0.8) with n = 4 against their rounded values."""
+    got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8).tolist()
+    worst = max(abs(g - w) for g, w in zip(got, (0.8114, 0.3886, 0.08, 0.0)))
+    return [_record("worked-example", worst <= tol, f"q = ({', '.join(fmt(v) for v in got)})")]
 
-    corner = lowdisc.l2_discrepancy_sq(lowdisc.PointSet(np.array([[1.0, 1.0]])))
-    origin = lowdisc.l2_discrepancy_sq(lowdisc.PointSet(np.array([[0.0, 0.0]])))
-    checks.add(
+
+def _l2_sq(points: np.ndarray) -> float:
+    return float(lowdisc.l2_discrepancy_sq_batch(points[np.newaxis])[0])
+
+
+def check_pairwise_anchors(tol: float) -> list[Record]:
+    """The pairwise identity at the single points (1, 1) and (0, 0): 1/9 and 11/18."""
+    corner = _l2_sq(np.array([[1.0, 1.0]]))
+    origin = _l2_sq(np.array([[0.0, 0.0]]))
+    return [_record(
         "pairwise-anchors",
-        abs(corner - 1.0 / 9.0) <= 1e-12 and abs(origin - 11.0 / 18.0) <= 1e-12,
+        abs(corner - 1.0 / 9.0) <= tol and abs(origin - 11.0 / 18.0) <= tol,
         f"(1,1) -> {fmt(corner)}, (0,0) -> {fmt(origin)}",
-    )
+    )]
 
-    rng = np.random.default_rng(20240817)
+
+def check_pairwise_vs_brute(rng: np.random.Generator, sets: int, grid: int, tol: float) -> list[Record]:
+    """The pairwise identity against anchor-grid quadrature on random sets of 1 to 32 points."""
     worst = 0.0
-    for _ in range(5):
+    for _ in range(sets):
         pts = lowdisc.PointSet(rng.random((int(rng.integers(1, 33)), 2)))
-        worst = max(worst, abs(lowdisc.l2_discrepancy_sq(pts) - lowdisc.brute_force_l2_sq(pts, 1000)))
-    checks.add("pairwise-vs-brute", worst <= 1e-3, f"max |pairwise - brute| = {fmt(worst)}")
+        worst = max(worst, abs(_l2_sq(pts.points) - lowdisc.brute_force_l2_sq(pts, grid)))
+    return [_record("pairwise-vs-brute", worst <= tol, f"max |pairwise - brute| = {fmt(worst)}")]
 
+
+def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list[Record]:
+    """sum_i q_i(x, y) = n x y at every point, for each n."""
     worst = 0.0
-    pts = rng.random((2000, 2))
-    for n in (4, 16):
-        q = qgeometry.overlap_vector(partition.generating_set(n), pts[:, 0], pts[:, 1])
-        for row, (x, y) in zip(q.tolist(), pts.tolist()):
+    for n in ns:
+        q = qgeometry.overlap_vector(partition.generating_set(n), points[:, 0], points[:, 1])
+        for row, (x, y) in zip(q.tolist(), points.tolist()):
             worst = max(worst, abs(math.fsum(row) - n * x * y))
-    checks.add("telescoping", worst <= 1e-10, f"max |sum q_i - n*x*y| = {fmt(worst)}")
+    return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
 
 
 def run_verify(config: RunConfig) -> tuple[str, bool]:
-    component_ns = config.n_values or (4, 16, 64, 256)
-    collapse_ns = config.n_values or tuple(2**j for j in range(6, 13))
-    checks = _Checks()
-    _verify_sqrt_sum_orders(checks)
-    _verify_harmonic(checks)
-    _verify_components(checks, component_ns)
-    _verify_collapse(checks, collapse_ns)
-    _verify_strip_quadrature(checks)
-    _verify_cross_method(checks)
-    _verify_point_checks(checks)
+    # sorted and deduplicated: the collapse check compares neighbouring n
+    ns = tuple(sorted(set(config.n_values)))
+    rng = np.random.default_rng(20240817)
+    checks = [
+        *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
+        *check_harmonic(asymptotics.DEFAULT_FIT_NS, rel_tol=1e-12),
+        *check_pair_identity((8, 16, 64), tol=1e-10),
+        *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
+        *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
+        *check_strip_quadrature((4, 8), grid=1000, tol=1e-4),
+        *check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01),
+        *check_worked_example(tol=5e-4),
+        *check_pairwise_anchors(tol=1e-12),
+        *check_pairwise_vs_brute(rng, sets=5, grid=1000, tol=1e-3),
+        *check_telescoping((4, 16), rng.random((2000, 2)), tol=1e-10),
+    ]
+    all_passed = all(r["passed"] for r in checks)
 
     if config.format == "json":
-        text = json.dumps({"checks": checks.results, "passed": checks.all_passed}, indent=2) + "\n"
+        text = json.dumps({"checks": checks, "passed": all_passed}, indent=2) + "\n"
     else:
-        lines = [
-            f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}"
-            for r in checks.results
-        ]
-        passed = sum(r["passed"] for r in checks.results)
-        lines.append(f"{passed}/{len(checks.results)} checks passed")
+        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in checks]
+        lines.append(f"{sum(r['passed'] for r in checks)}/{len(checks)} checks passed")
         text = "\n".join(lines) + "\n"
-    return text, checks.all_passed
+    return text, all_passed
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ closed form elsewhere:
   * Monte Carlo: draw stratified samples, evaluate each with the pairwise
     discrepancy identity, and average.
 
-Closed-form baselines for i.i.d. uniform points, vertical strips, and
-jittered grids give the comparison values the ratio statistics are built on.
+Closed-form baselines for i.i.d. uniform points and vertical strips give
+the comparison values the ratio statistics are built on.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class Method(str, enum.Enum):
     EXACT = "exact"
     QMC = "qmc"
     MC = "mc"
-    BASELINE = "closed-form-baseline"
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,6 @@ def vertical_baseline(n: int) -> float:
     if n < 1:
         raise ValueError(f"need at least 1 strip, got n={n}")
     return (3.0 * n + 2.0) / (36.0 * n * n)
-
-
-def jittered_baseline(m: int) -> float:
-    """E[L2^2] of a jittered sample on the m x m grid: ((m/2)^2 - (m/2 - 1/6)^2)/m^4."""
-    if m < 1:
-        raise ValueError(f"need at least a 1x1 grid, got m={m}")
-    half = m / 2.0
-    return (half * half - (half - 1.0 / 6.0) ** 2) / float(m) ** 4
 
 
 def ratio_to_random(n: int, est: DiscrepancyEstimate) -> float:

@@ -5,8 +5,9 @@ diagonal, placed at offsets r_1 < ... < r_{N-1} (measured as x+y = r) chosen
 so that every strip has area exactly 1/N.  Below the anti-diagonal the region
 {x+y <= r} is a triangle of area r^2/2, which gives r_i = sqrt(2i/N) for
 i <= N/2; above it the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).
-The module also provides the two reference partitions used for comparison:
-vertical strips and the m x m jittered grid.
+The module also samples the two reference partitions used for comparison:
+vertical strips and the m x m jittered grid.  A sample lists its points in
+cell order, so no routine here needs a cell lookup.
 
 Sampling is one uniform point per cell.  The diagonal cells are sampled
 exactly by inverting the same area function: an offset s whose area below
@@ -20,7 +21,6 @@ requested.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +71,6 @@ def generating_set(n: int) -> GeneratingSet:
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
     return GeneratingSet(n=n, breakpoints=tuple(_offset_below(np.arange(1, n), n).tolist()))
-
-
-def cell_of(gs: GeneratingSet, x: float, y: float) -> int:
-    """Index of the strip containing (x, y); strips are closed below, open above.
-
-    The single exception is the corner (1,1) with x+y = 2 = r_N, which
-    belongs to the last cell.  Points outside the closed unit square are
-    rejected.
-    """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point ({x}, {y}) outside the unit square")
-    return bisect_right(gs.breakpoints, x + y) + 1
-
-
-def cell_area(gs: GeneratingSet, i: int) -> float:
-    """Area of cell i, computed from the triangle areas below each cut."""
-    if not 1 <= i <= gs.n:
-        raise ValueError(f"cell index {i} out of range 1..{gs.n}")
-    return _area_below(gs.boundary(i)) - _area_below(gs.boundary(i - 1))
-
-
-def _area_below(r: float) -> float:
-    """Area of {x+y <= r} within the unit square."""
-    if r <= 1.0:
-        return r * r / 2.0
-    return 1.0 - (2.0 - r) * (2.0 - r) / 2.0
 
 
 def _offset_below(m: np.ndarray, n: int) -> np.ndarray:

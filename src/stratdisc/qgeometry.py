@@ -22,6 +22,9 @@ corresponding vertex is outside.
 On top of the clipped areas sit the per-cell overlap fractions of the
 diagonal partition: q_i(x,y) is N times the area of cell i inside [0,x]x[0,y],
 obtained as N * (V(r_{i-1}) - V(r_i)) with V(r_0) = x*y and V(r_N) = 0.
+overlap_vector returns all N of them at once; q_i alone is its entry i - 1.
+mean_square_overlap is the quadrature of q_i^2 that `stratdisc verify` holds
+the closed-form strip integrals against.
 """
 
 from __future__ import annotations
@@ -47,22 +50,6 @@ def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: floa
     bx = np.maximum(x - r, 0.0)
     by = np.maximum(y - r, 0.0)
     return ((g * g - bx * bx) - by * by) * 0.5
-
-
-def overlap_fraction(gs: GeneratingSet, i: int, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
-    """q_i(x, y): N times the area of cell i inside the box [0,x] x [0,y].
-
-    x and y are scalars or broadcastable arrays.  Evaluated as the
-    difference of clipped areas at the cell's two cuts, which is exactly
-    zero whenever x + y <= r_{i-1}.  Values lie in [0, 1] since each cell
-    has area 1/N.
-    """
-    n = gs.n
-    if not 1 <= i <= n:
-        raise ValueError(f"cell index {i} out of range 1..{n}")
-    v_lo = x * y if i == 1 else intersection_area_grid(gs.boundary(i - 1), x, y)
-    v_hi = 0.0 if i == n else intersection_area_grid(gs.boundary(i), x, y)
-    return n * (v_lo - v_hi)
 
 
 def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:

@@ -5,20 +5,72 @@ clipped areas by slicing instead of vertex cases, the pairwise discrepancy
 identity by plain Python loops, radical inverses by exact rational digit
 reversal, the strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier, slower form of a library routine (the
-per-strip quadrature, the full-histogram brute force, the per-n power sums),
-which the library must reproduce bit for bit.  None of this code is imported
-by the package.
+per-strip overlap fraction and quadrature, the full-histogram brute force,
+the per-n power sums), which the library must reproduce bit for bit.  The
+cell lookup, cell areas and the jittered-grid closed form, which no library
+routine needs, live here too.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from stratdisc.qgeometry import overlap_fraction
+from stratdisc.qgeometry import intersection_area_grid
+
+
+def overlap_fraction(gs, i: int, x, y):
+    """q_i(x, y): N times the area of cell i inside the box [0,x] x [0,y].
+
+    The per-strip form: x and y are scalars or broadcastable arrays, and the
+    difference of clipped areas at the cell's two cuts is exactly zero
+    whenever x + y <= r_{i-1}.  The library's overlap_vector must equal it
+    bit for bit.
+    """
+    n = gs.n
+    if not 1 <= i <= n:
+        raise ValueError(f"cell index {i} out of range 1..{n}")
+    v_lo = x * y if i == 1 else intersection_area_grid(gs.boundary(i - 1), x, y)
+    v_hi = 0.0 if i == n else intersection_area_grid(gs.boundary(i), x, y)
+    return n * (v_lo - v_hi)
+
+
+def cell_of(gs, x: float, y: float) -> int:
+    """Index of the strip containing (x, y); strips are closed below, open above.
+
+    The single exception is the corner (1,1) with x+y = 2 = r_N, which
+    belongs to the last cell.  Points outside the closed unit square are
+    rejected.
+    """
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"point ({x}, {y}) outside the unit square")
+    return bisect_right(gs.breakpoints, x + y) + 1
+
+
+def cell_area(gs, i: int) -> float:
+    """Area of cell i, computed from the triangle areas below each cut."""
+    if not 1 <= i <= gs.n:
+        raise ValueError(f"cell index {i} out of range 1..{gs.n}")
+    return _area_below(gs.boundary(i)) - _area_below(gs.boundary(i - 1))
+
+
+def _area_below(r: float) -> float:
+    """Area of {x+y <= r} within the unit square."""
+    if r <= 1.0:
+        return r * r / 2.0
+    return 1.0 - (2.0 - r) * (2.0 - r) / 2.0
+
+
+def jittered_baseline(m: int) -> float:
+    """E[L2^2] of a jittered sample on the m x m grid: ((m/2)^2 - (m/2 - 1/6)^2)/m^4."""
+    if m < 1:
+        raise ValueError(f"need at least a 1x1 grid, got m={m}")
+    half = m / 2.0
+    return (half * half - (half - 1.0 / 6.0) ** 2) / float(m) ** 4
 
 
 def clipped_area_by_slices(r: float, x: float, y: float) -> float:

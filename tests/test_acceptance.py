@@ -1,19 +1,21 @@
 """Acceptance gate: the nine headline checks, one visible line each.
 
 Every test prints `PASS <name>: <detail>` (or FAIL) directly to the
-terminal, then asserts.  Tolerances are pinned here and nowhere else.
+terminal, then asserts.  Criteria 3, 7 and 8 run the check functions of
+`stratdisc verify` at their own sizes, seeds and tolerances, and print each
+of its records indented under their line; no check is computed twice.
+The sizes and tolerances of the gate are pinned here.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 import stratdisc
-from stratdisc import cli
+from stratdisc import asymptotics, cli
 from stratdisc.asymptotics import fit_error_order
 
 from oracles import PRINTED_TABLE1
@@ -25,12 +27,38 @@ BRUTE_SEED = 12345
 
 @pytest.fixture
 def report(capsys):
-    def _report(name, ok, detail):
+    def _report(name, ok, detail, records=()):
         with capsys.disabled():
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", flush=True)
+            for r in records:
+                print(f"    {'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}", flush=True)
         assert ok, f"{name}: {detail}"
 
     return _report
+
+
+@pytest.fixture
+def report_checks(report):
+    """Report a list of verify's records; the criterion passes if every record does."""
+
+    def _report_checks(name, records):
+        passed = sum(r["passed"] for r in records)
+        report(name, passed == len(records), f"{passed}/{len(records)} verify checks pass", records)
+
+    return _report_checks
+
+
+def criterion_8_checks():
+    """Criterion 8's records; also run under an injected fault below."""
+    return [
+        *cli.check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
+        # exact where exactness is claimed, and the remaining errors inside
+        # the claimed O(n^{k-2}) envelope (their true decay is faster still,
+        # so a two-sided slope fit is not meaningful)
+        *cli.check_harmonic((64, 1024, 16384), rel_tol=1e-12),
+        *cli.check_components(range(4, 257, 2), cubic_tol=1e-9, identity_tol=1e-8),
+        *cli.check_collapse([2**j for j in range(9, 14)], growth=2.0),  # four octaves
+    ]
 
 
 def test_criterion_1_table_reproduction(report, monkeypatch):
@@ -66,18 +94,9 @@ def test_criterion_2_exact_vs_qmc(report, qmc_sweep, exact_sweep):
     )
 
 
-def test_criterion_3_worked_example(report):
+def test_criterion_3_worked_example(report_checks):
     """The four overlap fractions at (0.4, 0.8) with n=4 match the rounded values."""
-    gs = stratdisc.generating_set(4)
-    got = [stratdisc.overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
-    want = [0.8114, 0.3886, 0.08, 0.0]
-    worst = max(abs(g - w) for g, w in zip(got, want))
-    ok = worst <= 5e-4
-    report(
-        "criterion-3 worked-example",
-        ok,
-        f"q = ({', '.join(f'{v:.6f}' for v in got)}), max gap {worst:.2e} (tol 5e-4)",
-    )
+    report_checks("criterion-3 worked-example", cli.check_worked_example(tol=5e-4))
 
 
 def test_criterion_4_asymptotic_decay(report):
@@ -135,92 +154,30 @@ def test_criterion_6_strong_partition_principle(report, qmc_sweep, exact_sweep):
     )
 
 
-def test_criterion_7_oracle_suite(report):
+def test_criterion_7_oracle_suite(report_checks):
     """Closed forms vs quadrature, pairwise identity vs brute force, telescoping."""
-    worst_strip = 0.0
-    for n in (4, 8, 16):
-        gs = stratdisc.generating_set(n)
-        table = stratdisc.strip_integral_table(n)
-        quads = stratdisc.mean_square_overlap(gs, grid=2000)
-        for i in range(1, n + 1):
-            worst_strip = max(worst_strip, abs(table.values[i - 1] - quads[i - 1]))
-
-    rng = np.random.default_rng(BRUTE_SEED)
-    worst_brute = 0.0
-    for _ in range(20):
-        pts = stratdisc.PointSet(rng.random((int(rng.integers(1, 33)), 2)))
-        pairwise = stratdisc.l2_discrepancy_sq(pts)
-        brute = stratdisc.brute_force_l2_sq(pts, grid=2000)
-        worst_brute = max(worst_brute, abs(pairwise - brute))
-
-    gs6 = stratdisc.generating_set(6)
-    xy = np.random.default_rng(MC_SEED).random((10000, 2))
-    q = stratdisc.overlap_vector(gs6, xy[:, 0], xy[:, 1])
-    worst_tel = max(
-        abs(math.fsum(row) - 6.0 * x * y)
-        for row, (x, y) in zip(q.tolist(), xy.tolist())
-    )
-
-    ok = worst_strip <= 1e-4 and worst_brute <= 1e-3 and worst_tel <= 1e-10
-    report(
-        "criterion-7 oracle-suite",
-        ok,
-        f"strip closed-vs-quadrature {worst_strip:.2e} (tol 1e-4), "
-        f"pairwise-vs-brute {worst_brute:.2e} (tol 1e-3), "
-        f"telescoping {worst_tel:.2e} (tol 1e-10)",
-    )
+    report_checks("criterion-7 oracle-suite", [
+        *cli.check_strip_quadrature((4, 8, 16), grid=2000, tol=1e-4),
+        *cli.check_pairwise_vs_brute(np.random.default_rng(BRUTE_SEED), sets=20, grid=2000, tol=1e-3),
+        *cli.check_telescoping((6,), np.random.default_rng(MC_SEED).random((10000, 2)), tol=1e-10),
+    ])
 
 
-def test_criterion_8_summation_verification(report):
+def test_criterion_8_summation_verification(report_checks):
     """Approximant error orders, the component-sum identity, and the collapse."""
-    order_ok = True
-    order_details = []
-    for k in (0.5, 1.0, 1.5, 2.0, 2.5):
-        rep = stratdisc.power_sqrt_order_report(k)
-        gap = min(
-            abs(rep.fitted_order - rep.claimed_order),
-            abs(rep.adjusted_order - rep.claimed_order),
-        )
-        order_ok = order_ok and gap <= 0.25
-        order_details.append(f"k={k:g}:{gap:.2f}")
+    report_checks("criterion-8 summation-verification", criterion_8_checks())
 
-    # harmonic approximants: exact where exactness is claimed, and the
-    # remaining errors inside the claimed O(n^{k-2}) envelope (their true
-    # decay is faster still, so a two-sided slope fit is not meaningful)
-    harmonic_ns = (64, 1024, 16384)
-    direct = {
-        k: dict(zip(harmonic_ns, stratdisc.power_sum(harmonic_ns, k)))
-        for k in (0.5, 1.0, 1.5, 2.0, 2.5)
-    }
-    harmonic_ok = True
-    for n in harmonic_ns:
-        for k in (1.0, 2.0):
-            harmonic_ok = harmonic_ok and math.isclose(
-                stratdisc.power_sum_approx(n, k), direct[k][n], rel_tol=1e-12
-            )
-        for k in (0.5, 1.5, 2.5):
-            err = abs(stratdisc.power_sum_approx(n, k) - direct[k][n])
-            harmonic_ok = harmonic_ok and err <= n ** (k - 2.0)
 
-    worst_identity = 0.0
-    for n in range(4, 257, 2):
-        total = math.fsum(stratdisc.component_sums(n))
-        worst_identity = max(worst_identity, abs(total - stratdisc.interior_strip_sum(n)))
-
-    collapse_ns = [2**j for j in range(9, 14)]  # four octaves
-    normalized = [
-        stratdisc.interior_sum_check(n).abs_error / math.sqrt(n) for n in collapse_ns
-    ]
-    collapse_ok = all(b <= 2.0 * a for a, b in zip(normalized, normalized[1:]))
-
-    ok = order_ok and harmonic_ok and worst_identity <= 1e-8 and collapse_ok
-    report(
-        "criterion-8 summation-verification",
-        ok,
-        f"order gaps [{', '.join(order_details)}] (<= 0.25), harmonic bounds: {harmonic_ok}, "
-        f"component identity {worst_identity:.2e} (tol 1e-8), "
-        f"collapse normalized errors {normalized[0]:.3f} -> {normalized[-1]:.3f}",
-    )
+def test_injected_fault_fails_verify_and_criterion_8(monkeypatch):
+    # verify and criterion 8 run one definition of the harmonic check, so a
+    # drifting approximant fails both
+    exact = asymptotics.power_sum_approx
+    monkeypatch.setattr(asymptotics, "power_sum_approx", lambda n, k: exact(n, k) + 1e-3)
+    text, passed = cli.run_verify(cli.RunConfig(command="verify", n_values=(4, 16)))
+    assert not passed
+    assert "FAIL harmonic-exact k=1:" in text
+    failed = [r["name"] for r in criterion_8_checks() if not r["passed"]]
+    assert "harmonic-exact k=1" in failed
 
 
 def test_criterion_9_mc_consistency(report):

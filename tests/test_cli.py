@@ -205,6 +205,13 @@ class TestVerifyCommand:
         assert code == 3
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("raw, canonical", [("256,4", "4,256"), ("4096,64", "64,4096"), ("16,4,16", "4,16")])
+    def test_n_order_and_repeats_do_not_matter(self, raw, canonical, capsys):
+        # the collapse check compares neighbouring n, so the list is sorted
+        # and deduplicated before any check runs
+        assert run_main(["verify", "--n", raw], capsys) == run_main(["verify", "--n", canonical], capsys)
+        assert run_main(["verify", "--n", raw], capsys)[0] == 0
+
     def test_n_override_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "5"])

@@ -19,12 +19,12 @@ from stratdisc import (
     expected_l2_sq_qmc,
     generating_set,
     halton,
-    jittered_baseline,
-    overlap_fraction,
     random_baseline,
     ratio_to_random,
     vertical_baseline,
 )
+
+from oracles import jittered_baseline, overlap_fraction
 
 
 def _per_strip_value(n, nodes):
@@ -76,7 +76,6 @@ class TestDiscrepancyEstimate:
 
     def test_method_values(self):
         assert Method.QMC.value == "qmc"
-        assert Method.BASELINE.value == "closed-form-baseline"
 
 
 class TestQmcEstimator:

@@ -13,13 +13,13 @@ from stratdisc import (
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
     generating_set,
-    mean_square_overlap,
     strip_integral_first,
     strip_integral_last,
     strip_integral_lower,
     strip_integral_table,
     strip_integral_upper,
 )
+from stratdisc.qgeometry import mean_square_overlap
 
 from oracles import EXACT_HIGH_PRECISION, expected_l2_sq_printed, strip_integral_printed
 

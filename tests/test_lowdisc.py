@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratdisc import (
-    HaltonConfig,
-    PointSet,
-    brute_force_l2_sq,
-    halton,
-    l2_discrepancy_sq,
-    l2_discrepancy_sq_batch,
-)
-from stratdisc.lowdisc import _radical_inverse_block
+from stratdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
+from stratdisc.lowdisc import _radical_inverse_block, brute_force_l2_sq
 
 from oracles import (
     brute_force_by_histogram,
@@ -116,23 +109,28 @@ class TestPointSet:
             PointSet(bad)
 
 
+def l2_one(points):
+    """The batch kernel on a single replicate."""
+    return l2_discrepancy_sq_batch(np.asarray(points, dtype=np.float64)[np.newaxis])[0]
+
+
 class TestPairwiseDiscrepancy:
     def test_corner_point_anchors(self):
         # single point at (1,1): the box never contains it, L2^2 = 1/9
-        assert l2_discrepancy_sq(PointSet([[1.0, 1.0]])) == pytest.approx(1 / 9, abs=1e-15)
+        assert l2_one([[1.0, 1.0]]) == pytest.approx(1 / 9, abs=1e-15)
         # single point at the origin: always counted, L2^2 = 11/18
-        assert l2_discrepancy_sq(PointSet([[0.0, 0.0]])) == pytest.approx(11 / 18, abs=1e-15)
+        assert l2_one([[0.0, 0.0]]) == pytest.approx(11 / 18, abs=1e-15)
 
     def test_single_interior_point(self):
         # direct integral for one point (a, b) evaluated by the loop oracle
         pts = np.array([[0.3, 0.7]])
-        assert l2_discrepancy_sq(PointSet(pts)) == pytest.approx(warnock_by_loops(pts), abs=1e-15)
+        assert l2_one(pts) == pytest.approx(warnock_by_loops(pts), abs=1e-15)
 
     def test_matches_loop_oracle_random_sets(self):
         rng = np.random.default_rng(2024)
         for _ in range(10):
             pts = rng.random((int(rng.integers(1, 20)), 2))
-            got = l2_discrepancy_sq(PointSet(pts))
+            got = l2_one(pts)
             want = warnock_by_loops(pts)
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -140,12 +138,12 @@ class TestPairwiseDiscrepancy:
         rng = np.random.default_rng(7)
         stack = rng.random((6, 12, 2))
         batch = l2_discrepancy_sq_batch(stack)
-        scalar = np.array([l2_discrepancy_sq(PointSet(p)) for p in stack])
+        scalar = np.array([l2_one(p) for p in stack])
         np.testing.assert_allclose(batch, scalar, atol=1e-14)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            l2_discrepancy_sq(PointSet(np.empty((0, 2))))
+            l2_one(np.empty((0, 2)))
 
 
 class TestBruteForce:
@@ -153,7 +151,7 @@ class TestBruteForce:
         rng = np.random.default_rng(12345)
         for _ in range(5):
             pts = PointSet(rng.random((int(rng.integers(1, 33)), 2)))
-            exact = l2_discrepancy_sq(pts)
+            exact = l2_one(pts.points)
             approx = brute_force_l2_sq(pts, grid=1000)
             assert approx == pytest.approx(exact, abs=1e-3)
 

@@ -14,12 +14,11 @@ from stratdisc import (
     generating_set,
     halton,
     intersection_area_grid,
-    mean_square_overlap,
-    overlap_fraction,
     overlap_vector,
 )
+from stratdisc.qgeometry import mean_square_overlap
 
-from oracles import clipped_area_by_slices, mean_square_overlap_per_strip, overlap_by_slices
+from oracles import clipped_area_by_slices, mean_square_overlap_per_strip, overlap_by_slices, overlap_fraction
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 CUT = st.floats(min_value=1e-9, max_value=2.0, exclude_max=True)
@@ -57,7 +56,7 @@ class TestOverlapFraction:
     def test_worked_example_n4(self):
         # documented check at (0.4, 0.8) with four cells
         gs = generating_set(4)
-        got = [overlap_fraction(gs, i, 0.4, 0.8) for i in range(1, 5)]
+        got = overlap_vector(gs, 0.4, 0.8)
         want = [0.8114, 0.3886, 0.08, 0.0]
         np.testing.assert_allclose(got, want, atol=5e-4)
 
@@ -65,9 +64,10 @@ class TestOverlapFraction:
         gs = generating_set(8)
         # box corner below the cell's lower cut: exact 0.0, not merely tiny
         x, y = 0.3, 0.2
+        q = overlap_vector(gs, x, y)
         for i in range(1, 9):
             if x + y <= gs.boundary(i - 1):
-                assert overlap_fraction(gs, i, x, y) == 0.0
+                assert q[i - 1] == 0.0
 
     @given(
         n=st.integers(min_value=2, max_value=24),
@@ -76,9 +76,7 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_fractions_lie_in_unit_interval(self, n, x, y):
-        gs = generating_set(n)
-        for i in range(1, n + 1):
-            q = overlap_fraction(gs, i, x, y)
+        for q in overlap_vector(generating_set(n), x, y):
             assert -1e-12 <= q <= 1.0 + 1e-12
 
     @given(
@@ -88,16 +86,16 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_telescoping_sum(self, n, x, y):
-        gs = generating_set(n)
-        total = math.fsum(overlap_fraction(gs, i, x, y) for i in range(1, n + 1))
+        total = math.fsum(overlap_vector(generating_set(n), x, y).tolist())
         assert total == pytest.approx(n * x * y, abs=1e-10)
 
     @given(x=UNIT, y=UNIT)
     @settings(max_examples=200, deadline=None)
     def test_matches_slice_oracle(self, x, y):
         gs = generating_set(6)
+        q = overlap_vector(gs, x, y)
         for i in range(1, 7):
-            got = overlap_fraction(gs, i, x, y)
+            got = q[i - 1]
             want = overlap_by_slices(gs.boundary(i - 1), gs.boundary(i), 6, x, y)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -142,7 +140,7 @@ class TestOverlapVector:
         np.testing.assert_array_equal(overlap_vector(gs, 0.37, y), overlap_vector(gs, np.full(y.size, 0.37), y))
 
     def test_grid_matches_scalar(self):
-        # an array call of overlap_fraction equals per-point calls
+        # an array call of the per-strip oracle equals per-point calls
         gs = generating_set(5)
         rng = np.random.default_rng(77)
         x = rng.random(64)
