@@ -28,21 +28,27 @@ from .estimators import DiscrepancyEstimate, Method
 
 _SQRT2 = math.sqrt(2.0)
 
+# Strips per regime call in strip_integral_table; bounds its temporaries.
+_BLOCK = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class StripIntegralTable:
-    """The strip integrals Q_1..Q_N for one even N, as a read-only float64 array."""
+    """The strip integrals Q_1..Q_N for one even N, as a read-only float64 array.
+
+    A float64 array passed in is taken over, not copied, and made read-only.
+    """
 
     n: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (self.n,):
             raise ValueError("table length must equal n")
-        if (values < 0.0).any():
+        if values.min() < 0.0:
             raise ValueError("strip integrals cannot be negative")
         last = 1.0 / (15.0 * self.n)
         if not math.isclose(values[-1], last, rel_tol=1e-12):
@@ -106,11 +112,21 @@ def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
 
 
 def strip_integral_table(n: int) -> StripIntegralTable:
-    """All strip integrals for even n >= 4, in strip order."""
+    """All strip integrals for even n >= 4, in strip order.
+
+    The table is allocated once and each regime is evaluated into it in
+    blocks of _BLOCK strips, so the regimes' temporaries stay a few MiB at
+    any n.  Both regime formulas are elementwise, so every value is bitwise
+    that of one call on the regime's whole index range.
+    """
     _require_even(n, 4)
-    lower = strip_integral_lower(n, np.arange(2, n // 2 + 1))
-    upper = strip_integral_upper(n, np.arange(n // 2 + 1, n))
-    values = np.concatenate(([strip_integral_first(n)], lower, upper, [strip_integral_last(n)]))
+    values = np.empty(n)
+    values[0] = strip_integral_first(n)
+    for regime, lo, hi in ((strip_integral_lower, 2, n // 2 + 1), (strip_integral_upper, n // 2 + 1, n)):
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            values[a - 1:b - 1] = regime(n, np.arange(a, b))
+    values[-1] = strip_integral_last(n)
     return StripIntegralTable(n=n, values=values)
 
 

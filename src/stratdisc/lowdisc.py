@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Anchor rows per block of x*y products in brute_force_l2_sq, so that no
+# second grid x grid array is built.
+_ROWS = 64
+
 
 @dataclass(frozen=True)
 class HaltonConfig:
@@ -89,8 +93,15 @@ def l2_discrepancy_sq_batch(points: np.ndarray) -> np.ndarray:
 
     Used by the Monte Carlo estimator, and on one replicate by the checks;
     within 1.2e-16 of a plain-loop evaluation of the identity on 300 random
-    sets of 1 to 32 points.  The pairwise term is formed in place, so only two
-    (R, n, n) temporaries are alive at once.
+    sets of 1 to 32 points.
+
+    The pairwise factors are taken in min form: u = 1 - x and v = 1 - y are
+    formed once per point, and 1 - max(x_i, x_j) is min(u_i, u_j).  That is
+    exact, not just close: rounding is monotone, so fl(1 - a) never
+    increases with a, and fl(1 - max(a, b)) = min(fl(1 - a), fl(1 - b)) for
+    every pair of floats.  The result is bitwise that of the max form with
+    two fewer (R, n, n) passes; two (R, n, n) temporaries are allocated, and
+    the input is never written to.
     """
     n = points.shape[1]
     if n < 1:
@@ -98,12 +109,11 @@ def l2_discrepancy_sq_batch(points: np.ndarray) -> np.ndarray:
     x = points[..., 0]
     y = points[..., 1]
     linear = np.sum((1.0 - x * x) * (1.0 - y * y), axis=1) / 4.0
-    mx = np.maximum(x[:, :, None], x[:, None, :])
-    my = np.maximum(y[:, :, None], y[:, None, :])
-    np.subtract(1.0, mx, out=mx)
-    np.subtract(1.0, my, out=my)
-    mx *= my
-    pairwise = np.sum(mx, axis=(1, 2))
+    u = 1.0 - x
+    v = 1.0 - y
+    pair = np.minimum(u[:, :, None], u[:, None, :])
+    pair *= np.minimum(v[:, :, None], v[:, None, :])
+    pairwise = np.sum(pair, axis=(1, 2))
     return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
 
 
@@ -114,8 +124,9 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     distinct x ranks of the points, at most min(n, grid + 1) of them.  Its
     rows are built as a 2-D prefix sum over a histogram of those ranks and
     gathered for every anchor row, so cost is O(grid^2 + n log n) and memory
-    O(grid^2).  Counts are exact integers, so the order of the prefix sums
-    does not change any bit.
+    O(grid^2): the anchor products x*y are subtracted in place, a block of
+    rows at a time.  Counts are exact integers, so the order of the prefix
+    sums does not change any bit.
     """
     if ps.n < 1:
         raise ValueError("point set must be nonempty")
@@ -133,6 +144,7 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     table = hist.cumsum(axis=0).cumsum(axis=1)[:, :grid]
     deviation = table[np.searchsorted(ranks, np.arange(grid), side="right")]
     deviation /= ps.n
-    deviation -= np.outer(mids, mids)
+    for a in range(0, grid, _ROWS):
+        deviation[a:a + _ROWS] -= mids[a:a + _ROWS, np.newaxis] * mids
     deviation *= deviation
     return float(np.mean(deviation))

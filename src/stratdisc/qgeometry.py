@@ -45,11 +45,28 @@ def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: floa
 
     r, x and y are scalars or broadcastable arrays.  Always within [0, x*y];
     exact zero when the box never reaches the line and for degenerate boxes.
+
+    Computed as ((g*g - bx*bx) - by*by) * 0.5 with g = relu(x + y - r),
+    bx = relu(x - r) and by = relu(y - r), every pass in place: the call
+    allocates the result g, of the broadcast shape of r, x and y, and one
+    scratch array for bx that by reuses when their shapes agree.  It never
+    writes to r, x or y.  Scalar inputs give an np.float64.
     """
-    g = np.maximum(x + y - r, 0.0)
-    bx = np.maximum(x - r, 0.0)
-    by = np.maximum(y - r, 0.0)
-    return ((g * g - bx * bx) - by * by) * 0.5
+    g = np.add(x, y, out=np.empty(np.broadcast_shapes(np.shape(r), np.shape(x), np.shape(y))))
+    g -= r
+    np.maximum(g, 0.0, out=g)
+    g *= g
+    t = None
+    for side in (x, y):
+        shape = np.broadcast_shapes(np.shape(side), np.shape(r))
+        if t is None or t.shape != shape:
+            t = np.empty(shape)
+        np.subtract(side, r, out=t)
+        np.maximum(t, 0.0, out=t)
+        t *= t
+        g -= t
+    g *= 0.5
+    return g[()]
 
 
 def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
@@ -90,9 +107,13 @@ def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
         v_prev = x_col * y_row
         for sums, r in zip(row_sums, gs.breakpoints):
             v_i = intersection_area_grid(r, x_col, y_row)
-            q = n * (v_prev - v_i)
-            sums.extend(np.sum(q * q, axis=1).tolist())
+            # q = N (V(r_{i-1}) - V(r_i)), squared, in v_prev's own buffer
+            v_prev -= v_i
+            v_prev *= n
+            v_prev *= v_prev
+            sums.extend(np.sum(v_prev, axis=1).tolist())
             v_prev = v_i
-        q = n * v_prev  # cell N: V(r_N) = 0
-        row_sums[-1].extend(np.sum(q * q, axis=1).tolist())
+        v_prev *= n  # cell N: V(r_N) = 0
+        v_prev *= v_prev
+        row_sums[-1].extend(np.sum(v_prev, axis=1).tolist())
     return [math.fsum(sums) / (grid * grid) for sums in row_sums]

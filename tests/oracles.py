@@ -5,8 +5,10 @@ clipped areas by slicing instead of vertex cases, the pairwise discrepancy
 identity by plain Python loops, radical inverses by exact rational digit
 reversal, the strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier, slower form of a library routine (the
-per-strip overlap fraction and quadrature, the full-histogram brute force,
-the per-n power sums), which the library must reproduce bit for bit.  The
+clipped-area kernel with a fresh array per pass, the max-form batch
+Warnock kernel, the per-strip overlap fraction and quadrature, the
+full-histogram brute force, the per-n power sums), which the library must
+reproduce bit for bit.  The
 cell lookup, cell areas and the jittered-grid closed form, which no library
 routine needs, live here too.  None of this code is imported by the package.
 """
@@ -94,6 +96,39 @@ def overlap_by_slices(breaks_lo: float, breaks_hi: float, n: int, x: float, y: f
     a_lo = x * y if breaks_lo == 0.0 else clipped_area_by_slices(breaks_lo, x, y)
     a_hi = 0.0 if breaks_hi >= 2.0 else clipped_area_by_slices(breaks_hi, x, y)
     return n * (a_lo - a_hi)
+
+
+def intersection_area_by_temporaries(r, x, y):
+    """Clipped area of [0,x] x [0,y] above u + v = r, one fresh array per pass.
+
+    The kernel's expression before it was rewritten in place; the library's
+    intersection_area_grid must equal it bit for bit.
+    """
+    g = np.maximum(x + y - r, 0.0)
+    bx = np.maximum(x - r, 0.0)
+    by = np.maximum(y - r, 0.0)
+    return ((g * g - bx * bx) - by * by) * 0.5
+
+
+def warnock_batch_max_form(points: np.ndarray) -> np.ndarray:
+    """Pairwise identity on a stack (R, n, 2) with the factors 1 - max(., .).
+
+    The batch kernel before it took its factors in min form; the library's
+    l2_discrepancy_sq_batch must equal it bit for bit.
+    """
+    n = points.shape[1]
+    if n < 1:
+        raise ValueError("point sets must be nonempty")
+    x = points[..., 0]
+    y = points[..., 1]
+    linear = np.sum((1.0 - x * x) * (1.0 - y * y), axis=1) / 4.0
+    mx = np.maximum(x[:, :, None], x[:, None, :])
+    my = np.maximum(y[:, :, None], y[:, None, :])
+    np.subtract(1.0, mx, out=mx)
+    np.subtract(1.0, my, out=my)
+    mx *= my
+    pairwise = np.sum(mx, axis=(1, 2))
+    return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
 
 
 def warnock_by_loops(points: np.ndarray) -> float:

@@ -320,6 +320,8 @@ class TestPinnedOutput:
             (["table"], "table_default.csv"),
             (["mc", "--n", "16", "--replicates", "2000", "--seed", "5"], "mc_n16_r2000_s5.csv"),
             (["verify"], "verify_default.txt"),
+            (["ratio", "--n", "4,16,64,256,1024,4096,16384,65536,131072,262144"], "ratio_ladder.csv"),
+            (["mc", "--n", "64", "--replicates", "10000", "--seed", "1"], "mc_n64_r10000_s1.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

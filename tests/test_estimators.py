@@ -19,12 +19,14 @@ from stratdisc import (
     expected_l2_sq_qmc,
     generating_set,
     halton,
+    l2_discrepancy_sq_batch,
     random_baseline,
     ratio_to_random,
+    sample_partition,
     vertical_baseline,
 )
 
-from oracles import jittered_baseline, overlap_fraction
+from oracles import jittered_baseline, overlap_fraction, warnock_batch_max_form
 
 
 def _per_strip_value(n, nodes):
@@ -211,6 +213,28 @@ class TestMcEstimator:
         full = expected_l2_sq_mc(16, 300, seed=4)
         monkeypatch.setattr(estimators, "_WARNOCK_TEMP_BYTES", 7 * 8 * 16 * 16)
         chunked = expected_l2_sq_mc(16, 300, seed=4)
+        assert chunked.value == full.value
+        assert chunked.std_error == full.std_error
+
+    @pytest.mark.parametrize("chunk", [1, 8, 300])
+    def test_warnock_chunk_budgets_at_n64(self, monkeypatch, chunk):
+        # budgets of one replicate, eight and all of them: the same chunks
+        # reach the kernel, and its values are the max form's on the stack
+        n, replicates, seed = 64, 300, 6
+        full = expected_l2_sq_mc(n, replicates, seed)
+        seen = []
+
+        def spy(points):
+            values = l2_discrepancy_sq_batch(points)
+            seen.append(values)
+            return values
+
+        monkeypatch.setattr(estimators, "l2_discrepancy_sq_batch", spy)
+        monkeypatch.setattr(estimators, "_WARNOCK_TEMP_BYTES", chunk * 8 * n * n)
+        chunked = expected_l2_sq_mc(n, replicates, seed)
+        assert [v.size for v in seen] == [min(chunk, replicates - a) for a in range(0, replicates, chunk)]
+        want = warnock_batch_max_form(sample_partition("diagonal", n, replicates, seed))
+        assert np.concatenate(seen).tobytes() == want.tobytes()
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stratdisc import exactform
 from stratdisc import (
     Method,
     StripIntegralTable,
@@ -123,6 +125,38 @@ class TestPrecisionContract:
     def test_table_values_are_read_only(self):
         with pytest.raises(ValueError):
             strip_integral_table(8).values[0] = 0.0
+
+
+class TestBlockedTable:
+    """The table is filled in blocks; its values are those of one call per regime."""
+
+    @staticmethod
+    def assert_equals_unblocked(n):
+        values = strip_integral_table(n).values
+        lower = strip_integral_lower(n, np.arange(2, n // 2 + 1))
+        upper = strip_integral_upper(n, np.arange(n // 2 + 1, n))
+        want = np.concatenate(([strip_integral_first(n)], lower, upper, [strip_integral_last(n)]))
+        assert values.tobytes() == want.tobytes()
+
+    def test_large_n(self):
+        self.assert_equals_unblocked(2**20)
+
+    @pytest.mark.parametrize("d", [-2, 0, 2])
+    def test_regime_lengths_around_a_block(self, d):
+        # each regime has n/2 - 1 strips: one less than, equal to and one
+        # more than a block
+        self.assert_equals_unblocked(2 * (exactform._BLOCK + 1) + d)
+
+    def test_memory_bounded_at_2_22(self):
+        # the 32 MiB table plus one block of regime temporaries; evaluating
+        # each regime in one call would take five times the table
+        tracemalloc.start()
+        try:
+            strip_integral_table(2**22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestExactExpectation:

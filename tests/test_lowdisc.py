@@ -15,6 +15,7 @@ from oracles import (
     l2_by_anchor_grid,
     radical_inverse,
     radical_inverse_by_digits,
+    warnock_batch_max_form,
     warnock_by_loops,
 )
 
@@ -144,6 +145,32 @@ class TestPairwiseDiscrepancy:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             l2_one(np.empty((0, 2)))
+
+
+class TestMinFormBits:
+    """The min-form batch kernel against the max form, bit for bit."""
+
+    @pytest.mark.parametrize("r, n", [(1, 1), (1, 7), (50, 16), (9, 64), (3, 200)])
+    def test_random_stacks(self, r, n):
+        stack = np.random.default_rng(r * n).random((r, n, 2))
+        got = l2_discrepancy_sq_batch(stack)
+        assert got.tobytes() == warnock_batch_max_form(stack).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_adversarial_coordinates(self, n):
+        # 0, 1, 1 - ulp, ties and values one ulp apart, drawn with repeats
+        half = np.nextafter(0.5, [0.0, 1.0])
+        pool = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, *half,
+                         0.1, np.nextafter(0.1, 1.0), 0.9, np.nextafter(0.9, 0.0)])
+        stack = np.random.default_rng(n).choice(pool, size=(40, n, 2))
+        got = l2_discrepancy_sq_batch(stack)
+        assert got.tobytes() == warnock_batch_max_form(stack).tobytes()
+
+    def test_input_left_unmodified(self):
+        stack = np.random.default_rng(5).random((6, 12, 2))
+        before = stack.copy()
+        l2_discrepancy_sq_batch(stack)
+        assert stack.tobytes() == before.tobytes()
 
 
 class TestBruteForce:

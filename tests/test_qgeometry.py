@@ -18,7 +18,13 @@ from stratdisc import (
 )
 from stratdisc.qgeometry import mean_square_overlap
 
-from oracles import clipped_area_by_slices, mean_square_overlap_per_strip, overlap_by_slices, overlap_fraction
+from oracles import (
+    clipped_area_by_slices,
+    intersection_area_by_temporaries,
+    mean_square_overlap_per_strip,
+    overlap_by_slices,
+    overlap_fraction,
+)
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 CUT = st.floats(min_value=1e-9, max_value=2.0, exclude_max=True)
@@ -50,6 +56,74 @@ class TestIntersectionArea:
         # x + y = r exactly (dyadic values) must give exact zero for scalars and arrays
         assert intersection_area_grid(0.75, 0.25, 0.5) == 0.0
         assert intersection_area_grid(0.75, np.array([0.25]), np.array([0.5]))[0] == 0.0
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def edge_coordinates(n):
+    """0, 1, 1 - ulp, ties, cut midpoints and their neighbours one ulp apart."""
+    cuts = np.array(generating_set(n).breakpoints)
+    half = cuts / 2.0
+    base = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, 0.5], half[half <= 1.0]])
+    return np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, 1.0)]).clip(0.0, 1.0)
+
+
+class TestKernelBits:
+    """The in-place kernel against its fresh-array form, bit for bit."""
+
+    def test_scalars(self):
+        rng = np.random.default_rng(1)
+        for r, x, y in rng.random((300, 3)) * [2.0, 1.0, 1.0]:
+            got = intersection_area_grid(float(r), float(x), float(y))
+            assert type(got) is np.float64
+            assert_same_bits(got, intersection_area_by_temporaries(float(r), float(x), float(y)))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
+    def test_adversarial_coordinates_every_shape(self, n):
+        cuts = np.array(generating_set(n).breakpoints)
+        c = edge_coordinates(n)
+        x, y = np.meshgrid(c, c, indexing="ij")
+        x, y = x.ravel(), y.ravel()
+        # scalar cut over arrays, as the QMC strip loop calls it
+        for r in [*cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 2.0)]:
+            assert_same_bits(intersection_area_grid(r, x, y), intersection_area_by_temporaries(r, x, y))
+        # every cut against a column of points, as overlap_vector calls it
+        assert_same_bits(intersection_area_grid(cuts, x[:, None], y[:, None]),
+                         intersection_area_by_temporaries(cuts, x[:, None], y[:, None]))
+        # an outer grid of x and y, as the strip quadrature calls it
+        for r in cuts:
+            assert_same_bits(intersection_area_grid(r, c[:, None], c[None, :]),
+                             intersection_area_by_temporaries(r, c[:, None], c[None, :]))
+        # scalar point, array of cuts; and every point, scalar by scalar
+        assert_same_bits(intersection_area_grid(cuts, 0.75, 0.5), intersection_area_by_temporaries(cuts, 0.75, 0.5))
+        for xi, yi in zip(c, c[::-1]):
+            assert_same_bits(intersection_area_grid(cuts[0], xi, yi),
+                             intersection_area_by_temporaries(cuts[0], xi, yi))
+
+    def test_random_broadcast_stacks(self):
+        rng = np.random.default_rng(8)
+        cuts = np.array(generating_set(33).breakpoints)
+        x, y = rng.random((2, 4, 50, 1))
+        assert_same_bits(intersection_area_grid(cuts, x, y), intersection_area_by_temporaries(cuts, x, y))
+        assert_same_bits(intersection_area_grid(cuts, x, 0.5), intersection_area_by_temporaries(cuts, x, 0.5))
+        r = rng.random((4, 1, 7)) * 2.0
+        assert_same_bits(intersection_area_grid(r, x, y), intersection_area_by_temporaries(r, x, y))
+
+    def test_inputs_left_unmodified(self):
+        rng = np.random.default_rng(3)
+        r = rng.random(9) * 2.0
+        x, y = rng.random((2, 40, 1))
+        copies = [a.copy() for a in (r, x, y)]
+        intersection_area_grid(r, x, y)
+        intersection_area_grid(r[0], x, y)
+        intersection_area_grid(r[0], x[:, 0], y[:, 0])
+        for a, before in zip((r, x, y), copies):
+            assert_same_bits(a, before)
 
 
 class TestOverlapFraction:
