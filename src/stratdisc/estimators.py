@@ -37,6 +37,11 @@ from .qgeometry import intersection_area_grid
 # replicate is evaluated on its own.
 _WARNOCK_TEMP_BYTES = 256 * 2**10
 
+# Points per block of the streamed MC loop, rounded to whole Warnock chunks:
+# one block of replicates is sampled, scored and dropped before the next, so
+# MC memory does not grow with the replicate count.
+_BLOCK_POINTS = 2**16
+
 
 class Method(str, enum.Enum):
     """How an expected-discrepancy value was obtained."""
@@ -130,17 +135,21 @@ def expected_l2_sq_mc(
     """Average pairwise-identity discrepancy over stratified replicates.
 
     std_error is the unbiased sample standard deviation divided by
-    sqrt(replicates).  All replicates are drawn in one batch per cell, so
-    the result is deterministic in (n, replicates, seed, partition).
+    sqrt(replicates).  The replicates are streamed in blocks: each block is
+    drawn as rows start.. of every cell's stream, scored in Warnock chunks
+    and dropped.  A block is a whole number of chunks, so the kernel sees the
+    same chunks as on one batch of all replicates, and the result is
+    deterministic in (n, replicates, seed, partition).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
-    points = sample_partition(partition, n, replicates, seed)
     chunk = max(1, _WARNOCK_TEMP_BYTES // (8 * n * n))
-    values = np.concatenate(
-        [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, replicates, chunk)]
-    )
-    as_list = values.tolist()
+    rows = chunk * max(1, _BLOCK_POINTS // (n * chunk))
+    values = []
+    for start in range(0, replicates, rows):
+        points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
+        values += [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, len(points), chunk)]
+    as_list = np.concatenate(values).tolist()
     mean = math.fsum(as_list) / replicates
     variance = math.fsum((v - mean) ** 2 for v in as_list) / (replicates - 1)
     return DiscrepancyEstimate(

@@ -7,8 +7,8 @@ reversal, the strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier, slower form of a library routine (the
 clipped-area kernel with a fresh array per pass, the max-form batch
 Warnock kernel, the per-strip overlap fraction and quadrature, the
-full-histogram brute force, the per-n power sums), which the library must
-reproduce bit for bit.  The
+full-histogram brute force, the per-n power sums, the per-cell
+SeedSequence draw), which the library must reproduce bit for bit.  The
 cell lookup, cell areas and the jittered-grid closed form, which no library
 routine needs, live here too.  None of this code is imported by the package.
 """
@@ -108,6 +108,16 @@ def intersection_area_by_temporaries(r, x, y):
     bx = np.maximum(x - r, 0.0)
     by = np.maximum(y - r, 0.0)
     return ((g * g - bx * bx) - by * by) * 0.5
+
+
+def cell_uniforms_by_seed_sequence(seed: int, stream: int, i: int, count: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+count-1 of cell i's uniforms, shape (count, 2).
+
+    The sampler's draw before it computed the seed words of all cells in one
+    pass: a SeedSequence and a generator per cell, drawing every row from 0.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream, i))
+    return np.random.default_rng(seq).random((start + count, 2))[start:]
 
 
 def warnock_batch_max_form(points: np.ndarray) -> np.ndarray:

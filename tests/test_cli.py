@@ -322,6 +322,16 @@ class TestPinnedOutput:
             (["verify"], "verify_default.txt"),
             (["ratio", "--n", "4,16,64,256,1024,4096,16384,65536,131072,262144"], "ratio_ladder.csv"),
             (["mc", "--n", "64", "--replicates", "10000", "--seed", "1"], "mc_n64_r10000_s1.csv"),
+            (["sample", "--n", "64", "--seed", "3"], "sample_n64_s3.csv"),
+            (["sample", "--n", "16", "--seed", str(2**64 + 7)], "sample_n16_s18446744073709551623.csv"),
+            (
+                ["mc", "--n", "16", "--replicates", "2000", "--seed", "5", "--partition", "vertical"],
+                "mc_n16_r2000_s5_vertical.csv",
+            ),
+            (
+                ["mc", "--n", "16", "--replicates", "2000", "--seed", "5", "--partition", "jittered"],
+                "mc_n16_r2000_s5_jittered.csv",
+            ),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):
@@ -329,3 +339,11 @@ class TestPinnedOutput:
         assert code == 0
         assert err == ""
         assert out.encode() == (DATA / name).read_bytes()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only sampling loads numpy.random; every other command starts without it
+    code = "import sys, stratdisc.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

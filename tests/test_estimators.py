@@ -238,6 +238,46 @@ class TestMcEstimator:
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
 
+    @pytest.mark.parametrize(
+        "n, replicates, kind", [(8, 8193, "diagonal"), (64, 1025, "vertical"), (16, 3000, "jittered")]
+    )
+    def test_streamed_blocks_equal_one_batch(self, n, replicates, kind):
+        # replicate counts that end in a partial block
+        est = expected_l2_sq_mc(n, replicates, 12, kind)
+        values = l2_discrepancy_sq_batch(sample_partition(kind, n, replicates, 12)).tolist()
+        mean = math.fsum(values) / replicates
+        variance = math.fsum((v - mean) ** 2 for v in values) / (replicates - 1)
+        assert est.value == mean
+        assert est.std_error == math.sqrt(variance / replicates)
+
+    @pytest.mark.parametrize("block_points, rows", [(1, 128), (3 * 128 * 16, 384), (2**16, 4096)])
+    def test_block_size_invisible_in_result(self, monkeypatch, block_points, rows):
+        # at n = 16 a Warnock chunk is 128 replicates; a block is whole chunks
+        n, replicates, seed = 16, 1000, 2
+        full = expected_l2_sq_mc(n, replicates, seed, "jittered")
+        blocks = []
+
+        def spy(kind, n, count, seed, start=0):
+            blocks.append((start, count))
+            return sample_partition(kind, n, count, seed, start)
+
+        monkeypatch.setattr(estimators, "sample_partition", spy)
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", block_points)
+        streamed = expected_l2_sq_mc(n, replicates, seed, "jittered")
+        assert blocks == [(a, min(rows, replicates - a)) for a in range(0, replicates, rows)]
+        assert streamed.value == full.value
+        assert streamed.std_error == full.std_error
+
+    def test_memory_bounded_in_replicates(self):
+        # all 100,000 replicates drawn at once peaked at 390 MiB
+        tracemalloc.start()
+        try:
+            expected_l2_sq_mc(64, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_meta_fields(self):
         est = expected_l2_sq_mc(4, 100, seed=5, partition="vertical")
         assert est.meta == {"n": 4, "replicates": 100, "seed": 5, "partition": "vertical"}

@@ -20,7 +20,7 @@ from stratdisc import (
     sample_vertical_batch,
 )
 
-from oracles import cell_area, cell_of
+from oracles import cell_area, cell_of, cell_uniforms_by_seed_sequence
 
 
 class TestGeneratingSet:
@@ -200,7 +200,7 @@ class TestStratifiedSampler:
         top = 1.0 - 2.0**-53
         edges = np.array([[u0, u1] for u0 in (0.0, top) for u1 in (0.0, 0.5, top)])
 
-        def edge_uniforms(seed, stream, n, count):
+        def edge_uniforms(seed, stream, n, count, start=0):
             return np.broadcast_to(edges[:, None, :], (count, n, 2))
 
         monkeypatch.setattr(partition, "_cell_uniforms", edge_uniforms)
@@ -266,3 +266,37 @@ class TestSamplePartition:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown partition kind"):
             sample_partition("hexagonal", 4, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, n", [("diagonal", 7), ("diagonal", 64), ("vertical", 6), ("jittered", 9)]
+    )
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 40), (5, 6), (13, 40), (39, 40)])
+    def test_row_offset_reads_the_same_rows(self, kind, n, a, b):
+        full = sample_partition(kind, n, 40, seed=17)
+        part = sample_partition(kind, n, b - a, 17, start=a)
+        assert part.tobytes() == full[a:b].tobytes()
+
+    def test_negative_row_offset_rejected(self):
+        with pytest.raises(ValueError, match="row offset"):
+            sample_partition("vertical", 4, 1, seed=0, start=-1)
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200 + 99])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("start", [0, 1, 1023])
+    def test_streams_equal_the_seed_sequence_draw(self, seed, stream, start):
+        u = partition._cell_uniforms(seed, stream, 4096, 3, start)
+        for i in (1, 2, 2048, 4096):
+            want = cell_uniforms_by_seed_sequence(seed, stream, i, 3, start)
+            assert u[:, i - 1].tobytes() == want.tobytes(), i
+
+    def test_cell_index_past_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            partition._seed_words(0, 0, 2**32)
+        with pytest.raises(ValueError, match="32-bit"):
+            partition._cell_uniforms(0, 1, 2**32, 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            partition._seed_words(-1, 0, 4)
