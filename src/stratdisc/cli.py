@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,25 +30,7 @@ _ODD_NOTE = (
     "For large n the odd-n expectation approaches the same 5/(72n) behavior."
 )
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: which command, on which n, with what knobs."""
-
-    command: str
-    n_values: tuple[int, ...] = ()
-    m_nodes: int = 40000
-    replicates: int = 10000
-    seed: int = 0
-    partition: str = "diagonal"
-    format: str = "csv"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if any(n < 2 for n in self.n_values):
-            raise ValueError("n values must be >= 2")
-        if self.m_nodes < 1:
-            raise ValueError("m_nodes must be >= 1")
+Record = dict[str, Any]
 
 
 def fmt(value: float) -> str:
@@ -81,21 +62,44 @@ def _map_rows(fn: Callable[[int], Any], items: Sequence[int]) -> list[Any]:
         return list(pool.map(fn, items))
 
 
-def _csv(header: str, rows: Iterable[Sequence[str]]) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _render(args: argparse.Namespace, records: Iterable[Record],
+            envelope: Callable[[list[Record]], Any] = lambda rows: {"rows": rows}) -> str:
+    """Records, all with the same keys, as CSV or as JSON inside envelope.
+
+    CSV: the keys are the header, floats go through fmt, None becomes the
+    odd-n marker.  JSON: floats are rounded to the printed precision and
+    None becomes null.  A record holding None puts the odd-n note on stderr.
+    Records are consumed one at a time, so a generator of them is never
+    held whole.
+    """
+    header = ""
+    rows: list[Any] = []
+    odd = False
+    for record in records:
+        header = header or ",".join(record)
+        odd = odd or any(v is None for v in record.values())
+        if args.format == "json":
+            rows.append({key: _jnum(v) if isinstance(v, float) else v for key, v in record.items()})
+        else:
+            rows.append(",".join(
+                ODD_MARKER if v is None else fmt(v) if isinstance(v, float) else str(v)
+                for v in record.values()
+            ))
+    if odd:
+        print(_ODD_NOTE, file=sys.stderr)
+    if args.format == "json":
+        return json.dumps(envelope(rows), indent=2) + "\n"
+    return "\n".join([header, *rows]) + "\n"
 
 
-def cmd_table(config: RunConfig) -> str:
+def cmd_table(args: argparse.Namespace) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
-    ns = config.n_values or TABLE1_NS
-    nodes = lowdisc.halton(lowdisc.HaltonConfig(count=config.m_nodes))
+    nodes = lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes))
     # sorted once by x + y, so each row's QMC argsort sees sorted input;
     # the QMC value does not depend on node order
     nodes = lowdisc.PointSet(nodes.points[np.argsort(nodes.points[:, 0] + nodes.points[:, 1])])
 
-    def row(n: int) -> dict[str, Any]:
+    def row(n: int) -> Record:
         return {
             "n": n,
             "exact": None if n % 2 else exactform.expected_l2_sq_exact(n).value,
@@ -105,94 +109,42 @@ def cmd_table(config: RunConfig) -> str:
             "vertical": estimators.vertical_baseline(n),
         }
 
-    rows = _map_rows(row, ns)
-    if any(r["exact"] is None for r in rows):
-        print(_ODD_NOTE, file=sys.stderr)
-    if config.format == "json":
-        payload = [
-            {key: (_jnum(v) if isinstance(v, float) else v) for key, v in r.items()}
-            for r in rows
-        ]
-        return json.dumps({"rows": payload}, indent=2) + "\n"
-    return _csv(
-        "n,exact,qmc,asymptotic,random,vertical",
-        (
-            [
-                str(r["n"]),
-                ODD_MARKER if r["exact"] is None else fmt(r["exact"]),
-                fmt(r["qmc"]),
-                fmt(r["asymptotic"]),
-                fmt(r["random"]),
-                fmt(r["vertical"]),
-            ]
-            for r in rows
-        ),
-    )
+    return _render(args, _map_rows(row, args.n))
 
 
-def cmd_ratio(config: RunConfig) -> str:
+def cmd_ratio(args: argparse.Namespace) -> str:
     """Ratio of the i.i.d. baseline to the exact diagonal expectation."""
-    ns = config.n_values or RATIO_DEFAULT_NS
 
-    def row(n: int) -> tuple[int, float | None]:
+    def row(n: int) -> Record:
         if n % 2:
-            return n, None
-        return n, estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))
+            return {"n": n, "ratio": None}
+        return {"n": n, "ratio": estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
 
-    rows = _map_rows(row, ns)
-    if any(r[1] is None for r in rows):
-        print(_ODD_NOTE, file=sys.stderr)
-    if config.format == "json":
-        payload = [{"n": n, "ratio": None if v is None else _jnum(v)} for n, v in rows]
-        return json.dumps({"rows": payload}, indent=2) + "\n"
-    return _csv(
-        "n,ratio",
-        ([str(n), ODD_MARKER if v is None else fmt(v)] for n, v in rows),
-    )
+    return _render(args, _map_rows(row, args.n))
 
 
-def cmd_sample(config: RunConfig) -> str:
+def cmd_sample(args: argparse.Namespace) -> str:
     """One stratified sample: rows of (x, y, cell)."""
-    n = config.n_values[0]
-    points = partition.sample_partition(config.partition, n, 1, config.seed)[0].tolist()
-    if config.format == "json":
-        payload = {
-            "n": n,
-            "seed": config.seed,
-            "partition": config.partition,
-            "points": [
-                {"x": _jnum(x), "y": _jnum(y), "cell": c}
-                for c, (x, y) in enumerate(points, start=1)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return _csv(
-        "x,y,cell",
-        ([fmt(x), fmt(y), str(c)] for c, (x, y) in enumerate(points, start=1)),
+    points = partition.sample_partition(args.partition, args.n[0], 1, args.seed)[0].tolist()
+    return _render(
+        args,
+        ({"x": x, "y": y, "cell": c} for c, (x, y) in enumerate(points, start=1)),
+        lambda rows: {"n": args.n[0], "seed": args.seed, "partition": args.partition, "points": rows},
     )
 
 
-def cmd_mc(config: RunConfig) -> str:
+def cmd_mc(args: argparse.Namespace) -> str:
     """Monte Carlo estimate over stratified replicates, with standard error."""
-    n = config.n_values[0]
-    est = estimators.expected_l2_sq_mc(n, config.replicates, config.seed, config.partition)
-    assert est.std_error is not None
-    if config.format == "json":
-        return json.dumps(
-            {
-                "n": n,
-                "partition": config.partition,
-                "replicates": config.replicates,
-                "seed": config.seed,
-                "value": _jnum(est.value),
-                "std_error": _jnum(est.std_error),
-            },
-            indent=2,
-        ) + "\n"
-    return _csv(
-        "n,partition,replicates,seed,value,std_error",
-        [[str(n), config.partition, str(config.replicates), str(config.seed), fmt(est.value), fmt(est.std_error)]],
-    )
+    est = estimators.expected_l2_sq_mc(args.n[0], args.replicates, args.seed, args.partition)
+    record = {
+        "n": args.n[0],
+        "partition": args.partition,
+        "replicates": args.replicates,
+        "seed": args.seed,
+        "value": est.value,
+        "std_error": est.std_error,
+    }
+    return _render(args, [record], lambda rows: rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +153,6 @@ def cmd_mc(config: RunConfig) -> str:
 # Each check takes its sizes, inputs and tolerances and returns records of
 # name, pass flag and detail.  `run_verify` runs them at the sizes below; the
 # acceptance gate runs the same functions at its own sizes.
-
-
-Record = dict[str, Any]
 
 
 def _record(name: str, passed: bool, detail: str) -> Record:
@@ -371,9 +320,9 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
     return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
 
 
-def run_verify(config: RunConfig) -> tuple[str, bool]:
+def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     # sorted and deduplicated: the collapse check compares neighbouring n
-    ns = tuple(sorted(set(config.n_values)))
+    ns = tuple(sorted(set(args.n or ())))
     rng = np.random.default_rng(20240817)
     checks = [
         *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
@@ -390,7 +339,7 @@ def run_verify(config: RunConfig) -> tuple[str, bool]:
     ]
     all_passed = all(r["passed"] for r in checks)
 
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps({"checks": checks, "passed": all_passed}, indent=2) + "\n"
     else:
         lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in checks]
@@ -413,105 +362,91 @@ def _parse_n_list(raw: str) -> tuple[int, ...]:
     return values
 
 
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """An argparse type: parse raw, then reject a value for which ok is false."""
+
+    def check(raw: str) -> Any:
+        value = parse(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
+        return value
+
+    # argparse names the type in its error for unparsable input: "invalid int value"
+    check.__name__ = parse.__name__
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser: each setting's default and range rule is stated here once.
+
+    Every command stores in `run` the function that takes the parsed
+    arguments and returns the output text; verify's returns its pass flag too.
+    """
     parser = argparse.ArgumentParser(
         prog="stratdisc",
         description="Expected L2 discrepancy of diagonally stratified samples of the unit square.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    n_list = _checked(_parse_n_list, lambda ns: min(ns) >= 2, "n values must be >= 2")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], Any]) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", default=None, help="write output to a file instead of stdout")
+        p.set_defaults(run=run)
 
     p_table = sub.add_parser("table", help="expected discrepancy by all methods, per n")
-    p_table.add_argument("--n", type=_parse_n_list, metavar="LIST", default=None,
+    p_table.add_argument("--n", type=n_list, metavar="LIST", default=TABLE1_NS,
                          help=f"comma-separated cell counts (default: {','.join(map(str, TABLE1_NS))})")
-    p_table.add_argument("--m-nodes", type=int, default=40000, help="integration node count (default 40000)")
-    add_common(p_table)
+    p_table.add_argument("--m-nodes", type=_checked(int, lambda m: m >= 1, "must be >= 1"), default=40000,
+                         help="integration node count (default %(default)s)")
+    add_common(p_table, cmd_table)
 
     p_ratio = sub.add_parser("ratio", help="i.i.d.-to-stratified expectation ratio, per n")
-    p_ratio.add_argument("--n", type=_parse_n_list, metavar="LIST", default=None,
+    p_ratio.add_argument("--n", type=n_list, metavar="LIST", default=RATIO_DEFAULT_NS,
                          help=f"comma-separated cell counts (default: {','.join(map(str, RATIO_DEFAULT_NS))})")
-    add_common(p_ratio)
+    add_common(p_ratio, cmd_ratio)
 
-    p_sample = sub.add_parser("sample", help="draw one stratified sample")
-    p_sample.add_argument("--n", type=_parse_n_list, metavar="N", required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--partition", choices=("diagonal", "vertical", "jittered"), default="diagonal")
-    add_common(p_sample)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate over stratified replicates")
-    p_mc.add_argument("--n", type=_parse_n_list, metavar="N", required=True)
-    p_mc.add_argument("--replicates", type=int, default=10000)
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--partition", choices=("diagonal", "vertical", "jittered"), default="diagonal")
-    add_common(p_mc)
+    for name, run, summary in (
+        ("sample", cmd_sample, "draw one stratified sample"),
+        ("mc", cmd_mc, "Monte Carlo estimate over stratified replicates"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--n", type=_checked(n_list, lambda ns: len(ns) == 1, "expected exactly one value"),
+                       metavar="N", required=True)
+        if name == "mc":
+            p.add_argument("--replicates", type=_checked(int, lambda r: r >= 2, "must be >= 2"), default=10000)
+        p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "must be >= 0"), default=0)
+        p.add_argument("--partition", choices=("diagonal", "vertical", "jittered"), default="diagonal")
+        add_common(p, run)
 
     p_verify = sub.add_parser("verify", help="run the summation and cross-method checks")
-    p_verify.add_argument("--n", type=_parse_n_list, metavar="LIST", default=None,
-                          help="override n values for the component-sum and collapse checks "
-                          f"(even, 4 to {asymptotics.MAX_DIRECT_N})")
-    add_common(p_verify)
+    p_verify.add_argument(
+        "--n",
+        type=_checked(n_list, lambda ns: all(4 <= n <= asymptotics.MAX_DIRECT_N and n % 2 == 0 for n in ns),
+                      f"values must be even, >= 4 and <= {asymptotics.MAX_DIRECT_N}"),
+        metavar="LIST",
+        default=None,
+        help=f"override n values for the component-sum and collapse checks (even, 4 to {asymptotics.MAX_DIRECT_N})",
+    )
+    add_common(p_verify, run_verify)
 
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    n_values = getattr(args, "n", None) or ()
-    if args.command in ("sample", "mc") and len(n_values) != 1:
-        parser.error(f"{args.command} takes exactly one --n value")
-    if args.command == "verify" and any(n < 4 or n % 2 or n > asymptotics.MAX_DIRECT_N for n in n_values):
-        parser.error(f"verify --n values must be even, >= 4 and <= {asymptotics.MAX_DIRECT_N}")
-    if args.command == "mc" and getattr(args, "replicates") < 2:
-        parser.error("--replicates must be >= 2")
-    if args.command in ("sample", "mc") and args.seed < 0:
-        parser.error("--seed must be >= 0")
-    try:
-        return RunConfig(
-            command=args.command,
-            n_values=tuple(n_values),
-            m_nodes=getattr(args, "m_nodes", 40000),
-            replicates=getattr(args, "replicates", 10000),
-            seed=getattr(args, "seed", 0),
-            partition=getattr(args, "partition", "diagonal"),
-            format=args.format,
-            out=args.out,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(parser, args)
+    args = build_parser().parse_args(argv)
     try:
-        if config.command == "table":
-            _emit(cmd_table(config), config.out)
-        elif config.command == "ratio":
-            _emit(cmd_ratio(config), config.out)
-        elif config.command == "sample":
-            _emit(cmd_sample(config), config.out)
-        elif config.command == "mc":
-            _emit(cmd_mc(config), config.out)
+        result = args.run(args)
+        text, passed = result if args.command == "verify" else (result, True)
+        if args.out is None:
+            sys.stdout.write(text)
         else:
-            text, all_passed = run_verify(config)
-            _emit(text, config.out)
-            if not all_passed:
-                return 3
-    except (ValueError, OSError) as exc:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 0 if passed else 3
 
 
 if __name__ == "__main__":

@@ -118,7 +118,7 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     # a node at or near (1, 1) has q = 1 in exact arithmetic, and rounding
     # can leave q(1 - q) a few ulps below zero; only the total is floored,
     # so every nonnegative value keeps its bits
-    value = max(math.fsum(acc.tolist()) / (nodes.n * n * n), 0.0)
+    value = max(math.fsum(memoryview(acc)) / (nodes.n * n * n), 0.0)
     return DiscrepancyEstimate(
         value=value,
         method=Method.QMC,
@@ -145,13 +145,15 @@ def expected_l2_sq_mc(
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
     chunk = max(1, _WARNOCK_TEMP_BYTES // (8 * n * n))
     rows = chunk * max(1, _BLOCK_POINTS // (n * chunk))
-    values = []
+    values = np.empty(replicates)
     for start in range(0, replicates, rows):
         points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
-        values += [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, len(points), chunk)]
-    as_list = np.concatenate(values).tolist()
-    mean = math.fsum(as_list) / replicates
-    variance = math.fsum((v - mean) ** 2 for v in as_list) / (replicates - 1)
+        for a in range(0, len(points), chunk):
+            values[start + a:start + a + chunk] = l2_discrepancy_sq_batch(points[a:a + chunk])
+    # a memoryview feeds fsum Python floats one at a time, as fast as a
+    # list of them and without holding one
+    mean = math.fsum(memoryview(values)) / replicates
+    variance = math.fsum((v - mean) ** 2 for v in memoryview(values)) / (replicates - 1)
     return DiscrepancyEstimate(
         value=mean,
         method=Method.MC,

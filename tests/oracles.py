@@ -4,13 +4,13 @@ Each oracle recomputes a quantity by a different route than the library:
 clipped areas by slicing instead of vertex cases, the pairwise discrepancy
 identity by plain Python loops, radical inverses by exact rational digit
 reversal, the strip integrals from their printed polynomial forms in 50-digit
-arithmetic.  A few keep an earlier, slower form of a library routine (the
+arithmetic.  A few keep an earlier form of a library routine (the
 clipped-area kernel with a fresh array per pass, the max-form batch
 Warnock kernel, the per-strip overlap fraction and quadrature, the
 full-histogram brute force, the per-n power sums, the per-cell
-SeedSequence draw), which the library must reproduce bit for bit.  The
-cell lookup, cell areas and the jittered-grid closed form, which no library
-routine needs, live here too.  None of this code is imported by the package.
+SeedSequence draw, the MC moments summed from a list), which the library
+must reproduce bit for bit.  The cell lookup, cell areas and the
+jittered-grid closed form, which no library routine needs, live here too.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
+from stratdisc import estimators
+from stratdisc.lowdisc import l2_discrepancy_sq_batch
+from stratdisc.partition import sample_partition
 from stratdisc.qgeometry import intersection_area_grid
 
 
@@ -139,6 +142,26 @@ def warnock_batch_max_form(points: np.ndarray) -> np.ndarray:
     mx *= my
     pairwise = np.sum(mx, axis=(1, 2))
     return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
+
+
+def mc_moments_by_list(n: int, replicates: int, seed: int, partition: str = "diagonal") -> tuple[float, float]:
+    """Mean and standard error of MC replicates with the values held in a Python list.
+
+    expected_l2_sq_mc before it kept the values in one float64 array: the
+    same blocks and Warnock chunks, concatenated and converted to a list for
+    both fsum passes.  The library's value and std_error must equal these
+    bit for bit.
+    """
+    chunk = max(1, estimators._WARNOCK_TEMP_BYTES // (8 * n * n))
+    rows = chunk * max(1, estimators._BLOCK_POINTS // (n * chunk))
+    values = []
+    for start in range(0, replicates, rows):
+        points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
+        values += [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, len(points), chunk)]
+    as_list = np.concatenate(values).tolist()
+    mean = math.fsum(as_list) / replicates
+    variance = math.fsum((v - mean) ** 2 for v in as_list) / (replicates - 1)
+    return mean, math.sqrt(variance / replicates)
 
 
 def warnock_by_loops(points: np.ndarray) -> float:

@@ -65,7 +65,7 @@ def test_criterion_1_table_reproduction(report, monkeypatch):
     """All 14 tabulated values reproduced within 1% by the table command."""
     monkeypatch.delenv("STRATDISC_THREADS", raising=False)
     start = time.perf_counter()
-    out = cli.cmd_table(cli.RunConfig(command="table"))
+    out = cli.cmd_table(cli.build_parser().parse_args(["table"]))
     elapsed = time.perf_counter() - start
     got = {}
     for line in out.strip().split("\n")[1:]:
@@ -173,7 +173,7 @@ def test_injected_fault_fails_verify_and_criterion_8(monkeypatch):
     # drifting approximant fails both
     exact = asymptotics.power_sum_approx
     monkeypatch.setattr(asymptotics, "power_sum_approx", lambda n, k: exact(n, k) + 1e-3)
-    text, passed = cli.run_verify(cli.RunConfig(command="verify", n_values=(4, 16)))
+    text, passed = cli.run_verify(cli.build_parser().parse_args(["verify", "--n", "4,16"]))
     assert not passed
     assert "FAIL harmonic-exact k=1:" in text
     failed = [r["name"] for r in criterion_8_checks() if not r["passed"]]

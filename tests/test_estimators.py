@@ -26,7 +26,7 @@ from stratdisc import (
     vertical_baseline,
 )
 
-from oracles import jittered_baseline, overlap_fraction, warnock_batch_max_form
+from oracles import jittered_baseline, mc_moments_by_list, overlap_fraction, warnock_batch_max_form
 
 
 def _per_strip_value(n, nodes):
@@ -273,6 +273,25 @@ class TestMcEstimator:
         tracemalloc.start()
         try:
             expected_l2_sq_mc(64, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, replicates, seed, kind",
+        [(4, 100_000, 1, "diagonal"), (64, 3001, 5, "vertical"), (9, 20_000, 2, "jittered"), (2, 2, 0, "diagonal")],
+    )
+    def test_moments_equal_list_form(self, n, replicates, seed, kind):
+        est = expected_l2_sq_mc(n, replicates, seed, kind)
+        assert (est.value, est.std_error) == mc_moments_by_list(n, replicates, seed, kind)
+
+    def test_memory_bounded_at_a_million_replicates(self):
+        # the values held as a Python list peaked at 46 MiB; one float64
+        # array of them is 7.6 MiB
+        tracemalloc.start()
+        try:
+            expected_l2_sq_mc(4, 10**6, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
