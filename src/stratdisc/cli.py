@@ -435,7 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # --out is opened to append before the command runs: a bad path fails at
+    # once, a file already there is kept until the text is ready, and a file
+    # created here is removed if the command fails
+    created = args.out is not None and not os.path.lexists(args.out)
     try:
+        if args.out is not None:
+            open(args.out, "a").close()
         result = args.run(args)
         text, passed = result if args.command == "verify" else (result, True)
         if args.out is None:
@@ -443,9 +449,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
+            created = False
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if created and os.path.lexists(args.out):
+            os.remove(args.out)
     return 0 if passed else 3
 
 

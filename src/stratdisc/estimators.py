@@ -25,22 +25,10 @@ from .lowdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
 from .partition import generating_set, sample_partition
 from .qgeometry import intersection_area_grid
 
-# Byte size of each (chunk, n, n) float64 temporary of the Warnock kernel;
-# the replicate chunk is sized from it so MC memory stays bounded at any n.
-# At 256 KiB the kernel's two temporaries fit together in a core's 2 MiB L2
-# cache: on a 2-vCPU Xeon, n = 256, R = 1,000 runs twice as fast as with
-# 4 MiB chunks, and n = 64, R = 10,000 no slower.  It also takes the
-# temporaries off the 4 MiB mark: glibc's dynamic mmap threshold rose to
-# their size, so whether each one was mmapped or kept on the heap depended
-# on the run's earlier allocations, and `mc --n 64` peak RSS read 75 or
-# 80 MB by heap layout alone.  Values do not depend on the budget: each
-# replicate is evaluated on its own.
-_WARNOCK_TEMP_BYTES = 256 * 2**10
-
-# Points per block of the streamed MC loop, rounded to whole Warnock chunks:
-# one block of replicates is sampled, scored and dropped before the next, so
-# MC memory does not grow with the replicate count.
-_BLOCK_POINTS = 2**16
+# Points per block of the streamed MC loop: one block of replicates is
+# sampled, scored by one Warnock kernel call and dropped before the next, so
+# MC memory grows with neither the replicate count nor n^2.
+_BLOCK_POINTS = 2**15
 
 
 class Method(str, enum.Enum):
@@ -136,20 +124,18 @@ def expected_l2_sq_mc(
 
     std_error is the unbiased sample standard deviation divided by
     sqrt(replicates).  The replicates are streamed in blocks: each block is
-    drawn as rows start.. of every cell's stream, scored in Warnock chunks
-    and dropped.  A block is a whole number of chunks, so the kernel sees the
-    same chunks as on one batch of all replicates, and the result is
+    drawn as rows start.. of every cell's stream, scored and dropped.  The
+    kernel's value for a replicate does not depend on the others in its
+    block, so the result is that of one batch of all replicates, and it is
     deterministic in (n, replicates, seed, partition).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
-    chunk = max(1, _WARNOCK_TEMP_BYTES // (8 * n * n))
-    rows = chunk * max(1, _BLOCK_POINTS // (n * chunk))
+    rows = max(1, _BLOCK_POINTS // n)
     values = np.empty(replicates)
     for start in range(0, replicates, rows):
         points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
-        for a in range(0, len(points), chunk):
-            values[start + a:start + a + chunk] = l2_discrepancy_sq_batch(points[a:a + chunk])
+        values[start:start + rows] = l2_discrepancy_sq_batch(points)
     # a memoryview feeds fsum Python floats one at a time, as fast as a
     # list of them and without holding one
     mean = math.fsum(memoryview(values)) / replicates

@@ -2,15 +2,17 @@
 
 Each oracle recomputes a quantity by a different route than the library:
 clipped areas by slicing instead of vertex cases, the pairwise discrepancy
-identity by plain Python loops, radical inverses by exact rational digit
-reversal, the strip integrals from their printed polynomial forms in 50-digit
-arithmetic.  A few keep an earlier form of a library routine (the
-clipped-area kernel with a fresh array per pass, the max-form batch
-Warnock kernel, the per-strip overlap fraction and quadrature, the
-full-histogram brute force, the per-n power sums, the per-cell
-SeedSequence draw, the MC moments summed from a list), which the library
-must reproduce bit for bit.  The cell lookup, cell areas and the
-jittered-grid closed form, which no library routine needs, live here too.  None of this code is imported by the package.
+identity by plain Python loops and in exact rational arithmetic, radical
+inverses by exact rational digit reversal, the strip integrals from their
+printed polynomial forms in 50-digit arithmetic.  A few keep an earlier form
+of a library routine (the clipped-area kernel with a fresh array per pass,
+the per-strip overlap fraction and quadrature, the full-histogram brute
+force, the per-n power sums, the per-cell SeedSequence draw, the MC moments
+summed from a list), which the library must reproduce bit for bit.  The
+O(n^2) min-form and max-form Warnock kernels, which the sort-once kernel
+replaced, must agree with each other bit for bit.  The cell lookup, cell
+areas and the jittered-grid closed form, which no library routine needs,
+live here too.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
@@ -123,11 +125,31 @@ def cell_uniforms_by_seed_sequence(seed: int, stream: int, i: int, count: int, s
     return np.random.default_rng(seq).random((start + count, 2))[start:]
 
 
+def warnock_batch_min_form(points: np.ndarray) -> np.ndarray:
+    """Pairwise identity on a stack (R, n, 2) over every pair, factors in min form.
+
+    The batch kernel before it sorted each set once: u = 1 - x and v = 1 - y
+    per point, and min(u_i, u_j) * min(v_i, v_j) summed over two (R, n, n)
+    temporaries.  It must equal the max form bit for bit.
+    """
+    n = points.shape[1]
+    if n < 1:
+        raise ValueError("point sets must be nonempty")
+    x = points[..., 0]
+    y = points[..., 1]
+    linear = np.sum((1.0 - x * x) * (1.0 - y * y), axis=1) / 4.0
+    u = 1.0 - x
+    v = 1.0 - y
+    pair = np.minimum(u[:, :, None], u[:, None, :])
+    pair *= np.minimum(v[:, :, None], v[:, None, :])
+    pairwise = np.sum(pair, axis=(1, 2))
+    return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
+
+
 def warnock_batch_max_form(points: np.ndarray) -> np.ndarray:
     """Pairwise identity on a stack (R, n, 2) with the factors 1 - max(., .).
 
-    The batch kernel before it took its factors in min form; the library's
-    l2_discrepancy_sq_batch must equal it bit for bit.
+    The batch kernel before it took its factors in min form.
     """
     n = points.shape[1]
     if n < 1:
@@ -148,16 +170,14 @@ def mc_moments_by_list(n: int, replicates: int, seed: int, partition: str = "dia
     """Mean and standard error of MC replicates with the values held in a Python list.
 
     expected_l2_sq_mc before it kept the values in one float64 array: the
-    same blocks and Warnock chunks, concatenated and converted to a list for
-    both fsum passes.  The library's value and std_error must equal these
-    bit for bit.
+    same blocks, concatenated and converted to a list for both fsum passes.
+    The library's value and std_error must equal these bit for bit.
     """
-    chunk = max(1, estimators._WARNOCK_TEMP_BYTES // (8 * n * n))
-    rows = chunk * max(1, estimators._BLOCK_POINTS // (n * chunk))
+    rows = max(1, estimators._BLOCK_POINTS // n)
     values = []
     for start in range(0, replicates, rows):
         points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
-        values += [l2_discrepancy_sq_batch(points[a:a + chunk]) for a in range(0, len(points), chunk)]
+        values.append(l2_discrepancy_sq_batch(points))
     as_list = np.concatenate(values).tolist()
     mean = math.fsum(as_list) / replicates
     variance = math.fsum((v - mean) ** 2 for v in as_list) / (replicates - 1)
@@ -174,6 +194,25 @@ def warnock_by_loops(points: np.ndarray) -> float:
         for xj, yj in points:
             pairwise.append((1.0 - max(xi, xj)) * (1.0 - max(yi, yj)))
     return 1.0 / 9.0 - 2.0 * math.fsum(linear) / n + math.fsum(pairwise) / (n * n)
+
+
+def warnock_exact(points: np.ndarray) -> Fraction:
+    """The pairwise identity on one set (n, 2) in exact rational arithmetic.
+
+    Every float in [0, 1] is a whole multiple of 2^-1074, so the coordinates
+    are held as integers on that scale: 1 - x, the max and every product and
+    sum are exact, and only the caller's final conversion rounds.
+    """
+    n = len(points)
+    one = 2**1074
+    xs = [int(Fraction(x) * one) for x in points[:, 0].tolist()]
+    ys = [int(Fraction(y) * one) for y in points[:, 1].tolist()]
+    linear = Fraction(sum((one * one - x * x) * (one * one - y * y) for x, y in zip(xs, ys)), 4 * one**4)
+    pairwise = Fraction(
+        sum((one - max(xi, xj)) * (one - max(yi, yj)) for xi, yi in zip(xs, ys) for xj, yj in zip(xs, ys)),
+        one * one,
+    )
+    return Fraction(1, 9) - 2 * linear / n + pairwise / (n * n)
 
 
 def l2_by_anchor_grid(points: np.ndarray, grid: int) -> float:

@@ -294,6 +294,32 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_out_unwritable_fails_before_the_command(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_verify", lambda args: calls.append(args))
+        code, out, err = run_main(["verify", "--out", str(tmp_path / "missing" / "x.txt")], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: ")
+
+    def test_failing_command_leaves_no_file(self, monkeypatch, tmp_path, capsys):
+        def fail(args):
+            raise ValueError("no table")
+
+        monkeypatch.setattr(cli, "cmd_table", fail)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for target in (new, old):
+            code, _, err = run_main(["table", "--out", str(target)], capsys)
+            assert (code, err) == (2, "error: no table\n")
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
+    def test_out_replaces_a_longer_file(self, tmp_path, capsys):
+        target = tmp_path / "ratio.csv"
+        target.write_text("x" * 10_000)
+        assert run_main(["ratio", "--n", "4", "--out", str(target)], capsys)[0] == 0
+        assert target.read_text() == cli.cmd_ratio(cli.build_parser().parse_args(["ratio", "--n", "4"]))
+
     def test_fmt_renders_12_significant_digits(self):
         assert cli.fmt(0.020353234628542593) == "0.0203532346285"
         assert cli.fmt(1.0 / 3.0) == "0.333333333333"
@@ -361,6 +387,7 @@ class TestPinnedOutput:
             ),
             (["mc", "--n", "4", "--replicates", "100", "--seed", "2", "--format", "json"], "mc_n4_r100_s2.json"),
             (["verify", "--n", "4,16", "--format", "json"], "verify_n4_16.json"),
+            (["mc", "--n", "256", "--replicates", "200", "--seed", "7"], "mc_n256_r200_s7.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

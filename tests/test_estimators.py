@@ -26,7 +26,7 @@ from stratdisc import (
     vertical_baseline,
 )
 
-from oracles import jittered_baseline, mc_moments_by_list, overlap_fraction, warnock_batch_max_form
+from oracles import jittered_baseline, mc_moments_by_list, overlap_fraction
 
 
 def _per_strip_value(n, nodes):
@@ -209,17 +209,28 @@ class TestMcEstimator:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_memory_bounded_at_n4096(self):
+        # two (n, n) Warnock temporaries per replicate peaked at 256 MiB here
+        tracemalloc.start()
+        try:
+            expected_l2_sq_mc(4096, 4, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_warnock_chunk_size_invisible_in_result(self, monkeypatch):
+        # kernel calls of 7 replicates against one call on all 300
         full = expected_l2_sq_mc(16, 300, seed=4)
-        monkeypatch.setattr(estimators, "_WARNOCK_TEMP_BYTES", 7 * 8 * 16 * 16)
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", 7 * 16)
         chunked = expected_l2_sq_mc(16, 300, seed=4)
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
 
     @pytest.mark.parametrize("chunk", [1, 8, 300])
     def test_warnock_chunk_budgets_at_n64(self, monkeypatch, chunk):
-        # budgets of one replicate, eight and all of them: the same chunks
-        # reach the kernel, and its values are the max form's on the stack
+        # kernel calls of one replicate, eight and all of them: each call
+        # gets one block, and its values are the kernel's on the whole stack
         n, replicates, seed = 64, 300, 6
         full = expected_l2_sq_mc(n, replicates, seed)
         seen = []
@@ -230,10 +241,10 @@ class TestMcEstimator:
             return values
 
         monkeypatch.setattr(estimators, "l2_discrepancy_sq_batch", spy)
-        monkeypatch.setattr(estimators, "_WARNOCK_TEMP_BYTES", chunk * 8 * n * n)
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", chunk * n)
         chunked = expected_l2_sq_mc(n, replicates, seed)
         assert [v.size for v in seen] == [min(chunk, replicates - a) for a in range(0, replicates, chunk)]
-        want = warnock_batch_max_form(sample_partition("diagonal", n, replicates, seed))
+        want = l2_discrepancy_sq_batch(sample_partition("diagonal", n, replicates, seed))
         assert np.concatenate(seen).tobytes() == want.tobytes()
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
@@ -250,9 +261,9 @@ class TestMcEstimator:
         assert est.value == mean
         assert est.std_error == math.sqrt(variance / replicates)
 
-    @pytest.mark.parametrize("block_points, rows", [(1, 128), (3 * 128 * 16, 384), (2**16, 4096)])
+    @pytest.mark.parametrize("block_points, rows", [(1, 1), (384 * 16, 384), (2**16, 4096)])
     def test_block_size_invisible_in_result(self, monkeypatch, block_points, rows):
-        # at n = 16 a Warnock chunk is 128 replicates; a block is whole chunks
+        # at n = 16 a block is block_points // 16 replicates, and at least one
         n, replicates, seed = 16, 1000, 2
         full = expected_l2_sq_mc(n, replicates, seed, "jittered")
         blocks = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from oracles import (
     radical_inverse,
     radical_inverse_by_digits,
     warnock_batch_max_form,
+    warnock_batch_min_form,
     warnock_by_loops,
+    warnock_exact,
 )
 
 
@@ -147,24 +151,47 @@ class TestPairwiseDiscrepancy:
             l2_one(np.empty((0, 2)))
 
 
+_EPS = np.finfo(np.float64).eps
+_HALF = np.nextafter(0.5, [0.0, 1.0])
+# 0, 1, 1 - ulp, the least subnormal, ties and values one ulp apart
+_ADVERSARIAL_POOL = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, *_HALF,
+                              0.1, np.nextafter(0.1, 1.0), 0.9, np.nextafter(0.9, 0.0)])
+
+
+def assert_within_exact(stack):
+    """Each replicate of the kernel within n * eps of the exact identity."""
+    n = stack.shape[1]
+    for got, points in zip(l2_discrepancy_sq_batch(stack).tolist(), stack):
+        assert abs(Fraction(got) - warnock_exact(points)) <= n * _EPS
+
+
 class TestMinFormBits:
-    """The min-form batch kernel against the max form, bit for bit."""
+    """The min form of the pairwise factors, on which the sort-once kernel rests.
+
+    The O(n^2) min-form oracle equals the max form bit for bit; the kernel is
+    held to the exact identity within n * eps.
+    """
 
     @pytest.mark.parametrize("r, n", [(1, 1), (1, 7), (50, 16), (9, 64), (3, 200)])
     def test_random_stacks(self, r, n):
         stack = np.random.default_rng(r * n).random((r, n, 2))
-        got = l2_discrepancy_sq_batch(stack)
-        assert got.tobytes() == warnock_batch_max_form(stack).tobytes()
+        assert warnock_batch_min_form(stack).tobytes() == warnock_batch_max_form(stack).tobytes()
+        assert_within_exact(stack)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 33])
     def test_adversarial_coordinates(self, n):
-        # 0, 1, 1 - ulp, ties and values one ulp apart, drawn with repeats
-        half = np.nextafter(0.5, [0.0, 1.0])
-        pool = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, *half,
-                         0.1, np.nextafter(0.1, 1.0), 0.9, np.nextafter(0.9, 0.0)])
-        stack = np.random.default_rng(n).choice(pool, size=(40, n, 2))
-        got = l2_discrepancy_sq_batch(stack)
-        assert got.tobytes() == warnock_batch_max_form(stack).tobytes()
+        stack = np.random.default_rng(n).choice(_ADVERSARIAL_POOL, size=(40, n, 2))
+        assert warnock_batch_min_form(stack).tobytes() == warnock_batch_max_form(stack).tobytes()
+        assert_within_exact(stack)
+
+    @pytest.mark.parametrize("r, n, ties", [(7, 1, False), (40, 33, False), (25, 64, False), (4, 300, False),
+                                             (30, 17, True)])
+    def test_replicate_bits_independent_of_stack(self, r, n, ties):
+        # each replicate alone, as a stack of one, against the whole stack
+        rng = np.random.default_rng(n)
+        stack = rng.choice(_ADVERSARIAL_POOL, size=(r, n, 2)) if ties else rng.random((r, n, 2))
+        alone = np.concatenate([l2_discrepancy_sq_batch(stack[i:i + 1]) for i in range(r)])
+        assert alone.tobytes() == l2_discrepancy_sq_batch(stack).tobytes()
 
     def test_input_left_unmodified(self):
         stack = np.random.default_rng(5).random((6, 12, 2))
