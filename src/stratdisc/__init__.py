@@ -29,7 +29,6 @@ from .estimators import (
     vertical_baseline,
 )
 from .exactform import (
-    StripIntegralTable,
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
     strip_integral_first,
@@ -67,7 +66,6 @@ __all__ = [
     "HaltonConfig",
     "Method",
     "PointSet",
-    "StripIntegralTable",
     "SumCheckReport",
     "component_sums",
     "cubic_component_closed_form",

@@ -250,7 +250,7 @@ def cubic_component_closed_form(n: int) -> float:
 
 def interior_strip_sum(n: int) -> float:
     """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry."""
-    return math.fsum(strip_integral_table(n).values[1:-1])
+    return math.fsum(memoryview(strip_integral_table(n))[1:-1])
 
 
 def interior_sum_check(n: int) -> SumCheckReport:

@@ -23,12 +23,6 @@ from . import asymptotics, estimators, exactform, lowdisc, partition, qgeometry
 
 TABLE1_NS = (4, 6, 8, 10, 12, 14, 16, 32, 48, 64, 80, 96, 112, 128)
 RATIO_DEFAULT_NS = (4, 8, 16, 32, 64, 128)
-ODD_MARKER = "error:odd-n"
-
-_ODD_NOTE = (
-    "note: the exact closed form needs even n; odd rows carry a marker. "
-    "For large n the odd-n expectation approaches the same 5/(72n) behavior."
-)
 
 Record = dict[str, Any]
 
@@ -66,27 +60,18 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
             envelope: Callable[[list[Record]], Any] = lambda rows: {"rows": rows}) -> str:
     """Records, all with the same keys, as CSV or as JSON inside envelope.
 
-    CSV: the keys are the header, floats go through fmt, None becomes the
-    odd-n marker.  JSON: floats are rounded to the printed precision and
-    None becomes null.  A record holding None puts the odd-n note on stderr.
-    Records are consumed one at a time, so a generator of them is never
-    held whole.
+    CSV: the keys are the header and floats go through fmt.  JSON: floats
+    are rounded to the printed precision.  Records are consumed one at a
+    time, so a generator of them is never held whole.
     """
     header = ""
     rows: list[Any] = []
-    odd = False
     for record in records:
         header = header or ",".join(record)
-        odd = odd or any(v is None for v in record.values())
         if args.format == "json":
             rows.append({key: _jnum(v) if isinstance(v, float) else v for key, v in record.items()})
         else:
-            rows.append(",".join(
-                ODD_MARKER if v is None else fmt(v) if isinstance(v, float) else str(v)
-                for v in record.values()
-            ))
-    if odd:
-        print(_ODD_NOTE, file=sys.stderr)
+            rows.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in record.values()))
     if args.format == "json":
         return json.dumps(envelope(rows), indent=2) + "\n"
     return "\n".join([header, *rows]) + "\n"
@@ -102,7 +87,7 @@ def cmd_table(args: argparse.Namespace) -> str:
     def row(n: int) -> Record:
         return {
             "n": n,
-            "exact": None if n % 2 else exactform.expected_l2_sq_exact(n).value,
+            "exact": exactform.expected_l2_sq_exact(n).value,
             "qmc": estimators.expected_l2_sq_qmc(n, nodes).value,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
             "random": estimators.random_baseline(n),
@@ -116,8 +101,6 @@ def cmd_ratio(args: argparse.Namespace) -> str:
     """Ratio of the i.i.d. baseline to the exact diagonal expectation."""
 
     def row(n: int) -> Record:
-        if n % 2:
-            return {"n": n, "ratio": None}
         return {"n": n, "ratio": estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
 
     return _render(args, _map_rows(row, args.n))
@@ -261,7 +244,7 @@ def check_strip_quadrature(ns: Sequence[int], grid: int, tol: float) -> list[Rec
     for n in ns:
         table = exactform.strip_integral_table(n)
         quads = qgeometry.mean_square_overlap(partition.generating_set(n), grid)
-        worst = max(abs(closed - quad) for closed, quad in zip(table.values, quads))
+        worst = max(abs(closed - quad) for closed, quad in zip(table, quads))
         records.append(_record(
             f"strip-quadrature n={n}", worst <= tol, f"max |closed - quadrature| = {fmt(worst)}"
         ))

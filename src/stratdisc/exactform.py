@@ -1,26 +1,23 @@
 """Closed-form expected squared L2 discrepancy of the diagonal partition.
 
-For even N the expectation decomposes as
+For every N >= 2 the expectation decomposes as
 
     E[L2^2] = 1/(4N) - (1/N^2) * sum_{i=1}^N Q_i,      Q_i = integral of q_i^2
 
-and each strip integral Q_i has an explicit elementary form.  Four regimes
+and each strip integral Q_i has an explicit elementary form.  Five regimes
 occur: the first strip (the triangle at the origin), strips below the
-anti-diagonal (2 <= i <= N/2), strips above it (N/2 < i < N), and the last
-strip, which contributes exactly 1/(15N).  The two middle regimes are
-printed as cubics whose terms of size N^3 cancel to an O(1) result; here they
-are evaluated, vectorised over i, in equal rationalised forms free of that
+anti-diagonal (2 <= i <= N/2), for odd N the middle strip that straddles it
+(i = (N+1)/2), strips above it ((N+3)/2 <= i < N), and the last strip,
+which contributes exactly 1/(15N).  The lower and upper regimes are printed
+as cubics whose terms of size N^3 cancel to an O(1) result, and the middle
+one as N^2 (1 - a)^2 times a quartic in a = sqrt((N-1)/N); here they are
+evaluated, vectorised over i, in equal rationalised forms free of that
 cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
-
-Odd N is rejected throughout: the strip boundaries exist (the partition
-module handles them), but no closed form is available here for the middle
-strip that straddles the anti-diagonal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +29,13 @@ _SQRT2 = math.sqrt(2.0)
 _BLOCK = 2**16
 
 
-@dataclass(frozen=True, eq=False)
-class StripIntegralTable:
-    """The strip integrals Q_1..Q_N for one even N, as a read-only float64 array.
-
-    A float64 array passed in is taken over, not copied, and made read-only.
-    """
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.n,):
-            raise ValueError("table length must equal n")
-        if values.min() < 0.0:
-            raise ValueError("strip integrals cannot be negative")
-        last = 1.0 / (15.0 * self.n)
-        if not math.isclose(values[-1], last, rel_tol=1e-12):
-            raise ValueError(f"last strip integral must be 1/(15n), got {values[-1]}")
-
-
-def _require_even(n: int, smallest: int) -> None:
-    if n < smallest or n % 2:
-        raise ValueError(f"closed forms require even n >= {smallest}, got n={n}")
+def _require_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"closed forms require n >= 2, got n={n}")
 
 
 def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
     """i as float64 (scalar or array), checked once against lo <= i <= hi."""
-    _require_even(n, 4)
     idx = np.asarray(i, dtype=np.float64)
     if idx.min() < lo or idx.max() > hi:
         bad = idx.min() if idx.min() < lo else idx.max()
@@ -72,13 +45,13 @@ def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -
 
 def strip_integral_first(n: int) -> float:
     """Q_1 = 1 - 14*sqrt(2)/(15*sqrt(N)) + 2/(5N)."""
-    _require_even(n, 2)
+    _require_n(n)
     return 1.0 - 14.0 * _SQRT2 / (15.0 * math.sqrt(n)) + 2.0 / (5.0 * n)
 
 
 def strip_integral_last(n: int) -> float:
     """Q_N = 1/(15N), the strip at the far corner."""
-    _require_even(n, 2)
+    _require_n(n)
     return 1.0 / (15.0 * n)
 
 
@@ -100,46 +73,58 @@ def strip_integral_lower(n: int, i: int | np.ndarray) -> float | np.ndarray:
     ) / (15.0 * n)
 
 
+def strip_integral_middle(n: int) -> float:
+    """Q_i of the strip that straddles the anti-diagonal, i = (N+1)/2, for odd N >= 3.
+
+    The strip lies between a = sqrt((N-1)/N) and 2 - a, and the printed form
+    N^2 (1-a)^2 (19 + 50a - 24a^2 + 62a^3 - 47a^4)/180 takes N(1-a) = 1/(1+a).
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"the middle strip needs odd n >= 3, got n={n}")
+    a = math.sqrt((n - 1) / n)
+    return (19.0 + a * (50.0 + a * (-24.0 + a * (62.0 - 47.0 * a)))) / (180.0 * (1.0 + a) ** 2)
+
+
 def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
-    """Q_i for strips above the anti-diagonal, N/2 < i < N; i scalar or array.
+    """Q_i for strips above the anti-diagonal, (N+3)/2 <= i < N; i scalar or array.
 
     With u = N - i and s = sqrt(u(u+1)), the printed cubic equals
     15N*Q_i = 3u + 1 - 2u(s - u)^2, and s - u = u/(s + u).
     """
-    u = n - _strip_indices(n, i, n // 2 + 1, n - 1, "upper")
+    u = n - _strip_indices(n, i, (n + 3) // 2, n - 1, "upper")
     w = np.sqrt(u * (u + 1.0)) + u
     return (3.0 * u + 1.0 - 2.0 * u * u * u / (w * w)) / (15.0 * n)
 
 
-def strip_integral_table(n: int) -> StripIntegralTable:
-    """All strip integrals for even n >= 4, in strip order.
+def strip_integral_table(n: int) -> np.ndarray:
+    """All strip integrals Q_1..Q_N for n >= 2, in strip order, as a read-only float64 array.
 
-    The table is allocated once and each regime is evaluated into it in
-    blocks of _BLOCK strips, so the regimes' temporaries stay a few MiB at
-    any n.  Both regime formulas are elementwise, so every value is bitwise
-    that of one call on the regime's whole index range.
+    The table is allocated once and the lower and upper regimes are evaluated
+    into it in blocks of _BLOCK strips, so their temporaries stay a few MiB
+    at any n.  Both regime formulas are elementwise, so every value is
+    bitwise that of one call on the regime's whole index range.
     """
-    _require_even(n, 4)
+    _require_n(n)
     values = np.empty(n)
     values[0] = strip_integral_first(n)
-    for regime, lo, hi in ((strip_integral_lower, 2, n // 2 + 1), (strip_integral_upper, n // 2 + 1, n)):
+    for regime, lo, hi in ((strip_integral_lower, 2, n // 2 + 1), (strip_integral_upper, (n + 3) // 2, n)):
         for a in range(lo, hi, _BLOCK):
             b = min(a + _BLOCK, hi)
             values[a - 1:b - 1] = regime(n, np.arange(a, b))
+    if n % 2:
+        values[n // 2] = strip_integral_middle(n)
     values[-1] = strip_integral_last(n)
-    return StripIntegralTable(n=n, values=values)
+    values.setflags(write=False)
+    return values
 
 
 def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
-    """E[L2^2] of the diagonal partition, exactly, for even n >= 2.
+    """E[L2^2] of the diagonal partition, exactly, for n >= 2.
 
-    n = 2 has only the first and last strips; larger n uses the full table.
+    The table is summed through a memoryview: fsum then reads Python floats,
+    the same values with the same result, faster than numpy scalars.
     """
-    _require_even(n, 2)
-    if n == 2:
-        total = strip_integral_first(2) + strip_integral_last(2)
-    else:
-        total = math.fsum(strip_integral_table(n).values)
+    total = math.fsum(memoryview(strip_integral_table(n)))
     value = 1.0 / (4.0 * n) - total / (n * n)
     return DiscrepancyEstimate(value=value, method=Method.EXACT, meta={"n": n})
 

@@ -322,11 +322,12 @@ def power_sqrt_sum_by_generator(n: int, k: float) -> float:
 
 
 def strip_integral_printed(n: int, i: int) -> mpf:
-    """Q_i of the even-n diagonal partition from the printed formulas, at 50 digits.
+    """Q_i of the diagonal partition from the printed formulas, at 50 digits.
 
-    The four regimes as printed: the first strip, the lower and upper cubics
-    (whose terms of size n^3 cancel, harmless at this precision), and the
-    last strip 1/(15n).
+    The five regimes as printed: the first strip, the lower and upper cubics
+    (whose terms of size n^3 cancel, harmless at this precision), for odd n
+    the middle strip N^2 (1-a)^2 (19 + 50a - 24a^2 + 62a^3 - 47a^4)/180 with
+    a = sqrt((N-1)/N), and the last strip 1/(15n).
     """
     with mp.workdps(50):
         n, i = mpf(n), mpf(i)
@@ -334,6 +335,9 @@ def strip_integral_printed(n: int, i: int) -> mpf:
             return 1 - 14 * sqrt(2) / (15 * sqrt(n)) + 2 / (5 * n)
         if i == n:
             return 1 / (15 * n)
+        if 2 * i == n + 1:
+            a = sqrt((n - 1) / n)
+            return n**2 * (1 - a) ** 2 * (19 + 50 * a - 24 * a**2 + 62 * a**3 - 47 * a**4) / 180
         if i <= n / 2:
             a = sqrt(2 * n) * sqrt(i - 1)
             b = sqrt((i - 1) * i)
@@ -356,7 +360,7 @@ def strip_integral_printed(n: int, i: int) -> mpf:
 
 
 def expected_l2_sq_printed(n: int) -> mpf:
-    """E[L2^2] = 1/(4n) - sum_i Q_i / n^2 for even n, at 50 digits."""
+    """E[L2^2] = 1/(4n) - sum_i Q_i / n^2 for n >= 2, at 50 digits."""
     with mp.workdps(50):
         total = mp.fsum(strip_integral_printed(n, i) for i in range(1, n + 1))
         return 1 / mpf(4 * n) - total / mpf(n) ** 2
@@ -371,6 +375,22 @@ EXACT_HIGH_PRECISION = {
     4: 0.020353234628542648,
     6: 0.012701923511028121,
     16: 0.004442186659296323,
+}
+
+# Q_mid, the integral of q_i^2 over the middle strip i = (n+1)/2 of odd n,
+# integrated exactly: on each cell of the square cut by the kinks of the
+# clipped areas (x + y = a, x + y = 2 - a and x = a, y = a, with
+# a = sqrt((n-1)/n)) q_i^2 is one polynomial, integrated symbolically with
+# sympy, then rounded to 25 significant digits.
+MIDDLE_STRIP_INTEGRAL = {
+    3: "0.09543823109099507805519380",
+    5: "0.09103020686386448815423404",
+    7: "0.08896252874856001984457392",
+    9: "0.08776800455932463037070037",
+    15: "0.08604121413514594667014229",
+    33: "0.08458156851275711454230767",
+    65: "0.08397065508730164841990586",
+    1025: "0.08337396886628695444484685",
 }
 
 # Printed reference values for the expected squared discrepancy (quasi-Monte

@@ -8,17 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from stratdisc import asymptotics, cli, estimators, exactform, expected_l2_sq_exact, generating_set
 
+from oracles import expected_l2_sq_printed
+
 
 DATA = Path(__file__).parent / "data"
-ODD_NOTE = (
-    "note: the exact closed form needs even n; odd rows carry a marker. "
-    "For large n the odd-n expectation approaches the same 5/(72n) behavior.\n"
-)
-# pinned outputs whose n list holds an odd n: stderr is the note, printed once
-NOTED_PINS = {"table_n3_4_6_m500.json", "ratio_n3_4_16.json"}
 
 
 def run_main(args, capsys):
@@ -53,13 +50,13 @@ class TestTableCommand:
         assert first[0] == "4"
         assert float(first[1]) == pytest.approx(expected_l2_sq_exact(4).value, rel=1e-11)
 
-    def test_odd_n_marker_and_note(self, capsys):
-        code, out, err = run_main(["table", "--n", "5", "--m-nodes", "500"], capsys)
-        assert code == 0
-        row = out.strip().split("\n")[1].split(",")
-        assert row[1] == "error:odd-n"
-        assert float(row[2]) > 0.0  # qmc column still present
-        assert "even n" in err
+    def test_odd_n_exact_column(self, capsys):
+        code, out, err = run_main(["table", "--n", "3,5,7", "--m-nodes", "500"], capsys)
+        assert (code, err) == (0, "")
+        for line, n in zip(out.strip().split("\n")[1:], (3, 5, 7)):
+            row = line.split(",")
+            assert row[1] == cli.fmt(expected_l2_sq_exact(n).value)
+            assert float(row[2]) > 0.0  # qmc column still present
 
     def test_json_schema(self, capsys):
         code, out, _ = run_main(["table", "--n", "4", "--m-nodes", "500", "--format", "json"], capsys)
@@ -69,9 +66,9 @@ class TestTableCommand:
         assert set(row) == {"n", "exact", "qmc", "asymptotic", "random", "vertical"}
         assert row["n"] == 4
 
-    def test_json_odd_n_is_null(self, capsys):
+    def test_json_odd_n_is_a_number(self, capsys):
         _, out, _ = run_main(["table", "--n", "3", "--m-nodes", "500", "--format", "json"], capsys)
-        assert json.loads(out)["rows"][0]["exact"] is None
+        assert json.loads(out)["rows"][0]["exact"] == 0.0290077432096
 
     def test_n2_exact_close_to_qmc(self, capsys):
         _, out, _ = run_main(["table", "--n", "2"], capsys)
@@ -95,9 +92,10 @@ class TestRatioCommand:
         assert float(lines[1].split(",")[1]) == pytest.approx(1.705981, abs=1e-5)
         assert float(lines[2].split(",")[1]) == pytest.approx(1.997909, abs=1e-5)
 
-    def test_odd_marker(self, capsys):
-        _, out, _ = run_main(["ratio", "--n", "7"], capsys)
-        assert out.strip().split("\n")[1] == "7,error:odd-n"
+    def test_odd_n_value(self, capsys):
+        code, out, err = run_main(["ratio", "--n", "7"], capsys)
+        assert (code, err) == (0, "")
+        assert out.strip().split("\n")[1] == "7,1.85534290479"
 
     def test_json(self, capsys):
         _, out, _ = run_main(["ratio", "--n", "4", "--format", "json"], capsys)
@@ -111,6 +109,22 @@ class TestRatioCommand:
         assert [n for n, _ in rows] == ["65536", "131072", "262144"]
         assert all(1.99 < float(v) < 2.0 for _, v in rows)
 
+    def test_large_odd_n_stays_below_two(self, capsys):
+        code, out, err = run_main(["ratio", "--n", "65537,1048577"], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [n for n, _ in rows] == ["65537", "1048577"]
+        assert all(1.99 < float(v) < 2.0 for _, v in rows)
+
+    def test_odd_ladder_pin_matches_oracle(self):
+        # each pinned ratio is the 12-digit rounding of 5/(36n) over the
+        # 50-digit printed expectation (checked once up to n = 1048577)
+        rows = [line.split(",") for line in (DATA / "ratio_odd_ladder.csv").read_text().split("\n")[1:] if line]
+        for n, pinned in ((int(n), v) for n, v in rows if int(n) <= 1025):
+            with mp.workdps(50):
+                ratio = mpf(5) / (36 * n) / expected_l2_sq_printed(n)
+            assert pinned == cli.fmt(float(mp.nstr(ratio, 12))), n
+
     @pytest.mark.parametrize(
         "argv", [["ratio", "--n", "4"], ["table", "--n", "4", "--m-nodes", "500"]], ids=["ratio", "table"]
     )
@@ -122,7 +136,7 @@ class TestRatioCommand:
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert "error: strip table broke" in err
-        assert "error:odd-n" not in out
+        assert out == ""
 
 
 class TestSampleCommand:
@@ -388,12 +402,13 @@ class TestPinnedOutput:
             (["mc", "--n", "4", "--replicates", "100", "--seed", "2", "--format", "json"], "mc_n4_r100_s2.json"),
             (["verify", "--n", "4,16", "--format", "json"], "verify_n4_16.json"),
             (["mc", "--n", "256", "--replicates", "200", "--seed", "7"], "mc_n256_r200_s7.csv"),
+            (["ratio", "--n", "3,5,7,9,15,33,65,1025,65537,1048577"], "ratio_odd_ladder.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):
         code, out, err = run_main(args, capsys)
         assert code == 0
-        assert err == (ODD_NOTE if name in NOTED_PINS else "")
+        assert err == ""
         assert out.encode() == (DATA / name).read_bytes()
 
 

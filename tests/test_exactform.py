@@ -8,10 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratdisc import exactform
+from stratdisc import cli, exactform
 from stratdisc import (
     Method,
-    StripIntegralTable,
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
     generating_set,
@@ -21,9 +20,10 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
+from stratdisc.exactform import strip_integral_middle
 from stratdisc.qgeometry import mean_square_overlap
 
-from oracles import EXACT_HIGH_PRECISION, expected_l2_sq_printed, strip_integral_printed
+from oracles import EXACT_HIGH_PRECISION, MIDDLE_STRIP_INTEGRAL, expected_l2_sq_printed, strip_integral_printed
 
 
 class TestStripIntegrals:
@@ -43,21 +43,22 @@ class TestStripIntegrals:
         quads = mean_square_overlap(gs, grid=1000)
         for i in range(1, n + 1):
             quad = quads[i - 1]
-            assert table.values[i - 1] == pytest.approx(quad, abs=1e-6)
+            assert table[i - 1] == pytest.approx(quad, abs=1e-6)
 
     def test_table_layout(self):
         table = strip_integral_table(8)
-        assert table.n == 8
-        assert len(table.values) == 8
-        assert table.values[0] == strip_integral_first(8)
-        assert table.values[1] == strip_integral_lower(8, 2)
-        assert table.values[4] == strip_integral_upper(8, 5)
-        assert table.values[-1] == strip_integral_last(8)
+        assert table.shape == (8,)
+        assert table.dtype == np.float64
+        assert table[0] == strip_integral_first(8)
+        assert table[1] == strip_integral_lower(8, 2)
+        assert table[4] == strip_integral_upper(8, 5)
+        assert table[-1] == strip_integral_last(8)
 
     def test_integrals_decrease_along_strips(self):
         # the box [0,x]x[0,y] reaches early strips far more often
-        table = strip_integral_table(16)
-        assert all(a > b for a, b in zip(table.values, table.values[1:]))
+        for n in (15, 16):
+            table = strip_integral_table(n)
+            assert all(a > b for a, b in zip(table, table[1:]))
 
     def test_index_ranges_enforced(self):
         with pytest.raises(ValueError):
@@ -68,29 +69,55 @@ class TestStripIntegrals:
             strip_integral_upper(8, 4)
         with pytest.raises(ValueError):
             strip_integral_upper(8, 8)
+        # odd n: the middle strip (n+1)/2 = 5 belongs to neither regime
+        assert strip_integral_lower(9, 4) > strip_integral_upper(9, 6) > 0.0
+        with pytest.raises(ValueError):
+            strip_integral_lower(9, 5)
+        with pytest.raises(ValueError):
+            strip_integral_upper(9, 5)
+        with pytest.raises(ValueError):
+            strip_integral_upper(9, 9)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_odd_n_rejected(self, n):
-        with pytest.raises(ValueError):
-            strip_integral_table(n)
-        with pytest.raises(ValueError):
-            expected_l2_sq_exact(n)
+    def test_odd_n_table_holds_the_middle_strip(self, n):
+        table = strip_integral_table(n)
+        assert table.shape == (n,)
+        assert table[n // 2] == strip_integral_middle(n)
+        for i in range(2, n):
+            if 2 * i != n + 1:
+                regime = strip_integral_lower if i <= n // 2 else strip_integral_upper
+                assert table[i - 1] == regime(n, i)
+
+    def test_middle_strip_needs_odd_n(self):
+        for n in (0, 1, 2, 4, 64):
+            with pytest.raises(ValueError):
+                strip_integral_middle(n)
+
+    @pytest.mark.parametrize("n", sorted(MIDDLE_STRIP_INTEGRAL))
+    def test_middle_strip_matches_exact_integral(self, n):
+        want = float(MIDDLE_STRIP_INTEGRAL[n])
+        assert strip_integral_middle(n) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_strip_quadrature_check_passes_at_odd_n(self):
+        records = cli.check_strip_quadrature((3, 5, 7, 9), grid=2000, tol=1e-7)
+        assert all(r["passed"] for r in records), records
 
     def test_table_validation(self):
+        # no entry is negative and the last is 1/(15n), for odd and even n
+        for n in (2, 3, 4, 5, 9, 64, 65, 1024, 1025, 2**16 + 1):
+            table = strip_integral_table(n)
+            assert table.min() >= 0.0
+            assert table[-1] == 1.0 / (15.0 * n)
         with pytest.raises(ValueError):
-            StripIntegralTable(n=3, values=(0.1, 0.2))
-        with pytest.raises(ValueError):
-            StripIntegralTable(n=2, values=(-0.1, 1.0 / 30.0))
-        with pytest.raises(ValueError):
-            StripIntegralTable(n=2, values=(0.1, 0.5))
+            strip_integral_table(1)
 
 
 class TestPrecisionContract:
     """The rationalised regimes against the printed formulas in 50-digit arithmetic."""
 
-    @pytest.mark.parametrize("n", range(4, 65, 2))
+    @pytest.mark.parametrize("n", [*range(4, 65, 2), *range(3, 66, 2)])
     def test_every_table_entry_small_n(self, n):
-        values = strip_integral_table(n).values
+        values = strip_integral_table(n)
         for i in range(1, n + 1):
             assert values[i - 1] == pytest.approx(float(strip_integral_printed(n, i)), rel=1e-13, abs=0)
 
@@ -104,14 +131,19 @@ class TestPrecisionContract:
             want = np.array([float(strip_integral_printed(n, int(i))) for i in idx])
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("n", [255, 1025, 4097])
+    def test_every_table_entry_large_odd_n(self, n):
+        want = np.array([float(strip_integral_printed(n, i)) for i in range(1, n + 1)])
+        np.testing.assert_allclose(strip_integral_table(n), want, rtol=1e-13, atol=0)
+
     def test_table_is_the_regime_calls_at_large_n(self):
         n = 4096
-        values = strip_integral_table(n).values
+        values = strip_integral_table(n)
         assert np.array_equal(values[1 : n // 2], strip_integral_lower(n, np.arange(2, n // 2 + 1)))
         assert np.array_equal(values[n // 2 : -1], strip_integral_upper(n, np.arange(n // 2 + 1, n)))
         assert values[n // 2] == strip_integral_upper(n, n // 2 + 1)
 
-    @pytest.mark.parametrize("n", [*range(2, 65, 2), 256, 1024, 4096])
+    @pytest.mark.parametrize("n", [*range(2, 65, 2), 256, 1024, 4096, *range(3, 66, 2), 255, 1025, 4097])
     def test_expectation(self, n):
         want = float(expected_l2_sq_printed(n))
         assert expected_l2_sq_exact(n).value == pytest.approx(want, rel=1e-14, abs=0)
@@ -124,7 +156,7 @@ class TestPrecisionContract:
 
     def test_table_values_are_read_only(self):
         with pytest.raises(ValueError):
-            strip_integral_table(8).values[0] = 0.0
+            strip_integral_table(8)[0] = 0.0
 
 
 class TestBlockedTable:
@@ -132,14 +164,18 @@ class TestBlockedTable:
 
     @staticmethod
     def assert_equals_unblocked(n):
-        values = strip_integral_table(n).values
+        values = strip_integral_table(n)
         lower = strip_integral_lower(n, np.arange(2, n // 2 + 1))
-        upper = strip_integral_upper(n, np.arange(n // 2 + 1, n))
-        want = np.concatenate(([strip_integral_first(n)], lower, upper, [strip_integral_last(n)]))
+        middle = [strip_integral_middle(n)] if n % 2 else []
+        upper = strip_integral_upper(n, np.arange((n + 3) // 2, n))
+        want = np.concatenate(([strip_integral_first(n)], lower, middle, upper, [strip_integral_last(n)]))
         assert values.tobytes() == want.tobytes()
 
     def test_large_n(self):
         self.assert_equals_unblocked(2**20)
+
+    def test_large_odd_n(self):
+        self.assert_equals_unblocked(2**20 + 1)
 
     @pytest.mark.parametrize("d", [-2, 0, 2])
     def test_regime_lengths_around_a_block(self, d):
@@ -176,14 +212,18 @@ class TestExactExpectation:
         assert est.std_error is None
 
     def test_assembled_from_table(self):
-        n = 12
-        total = math.fsum(strip_integral_table(n).values)
-        want = 1.0 / (4.0 * n) - total / (n * n)
-        assert expected_l2_sq_exact(n).value == want
+        for n in (2, 3, 12, 13):
+            total = math.fsum(strip_integral_table(n).tolist())
+            want = 1.0 / (4.0 * n) - total / (n * n)
+            assert expected_l2_sq_exact(n).value == want
 
     def test_decreasing_in_n(self):
-        values = [expected_l2_sq_exact(n).value for n in range(2, 65, 2)]
+        values = [expected_l2_sq_exact(n).value for n in range(2, 65)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_agrees_with_qmc_at_odd_n(self, halton_nodes):
+        records = cli.check_cross_method(halton_nodes, range(3, 66, 2), tol=1e-3)
+        assert all(r["passed"] for r in records), records
 
 
 class TestAsymptotic:

@@ -239,7 +239,7 @@ class TestMeanSquareOverlap:
         quads = mean_square_overlap(gs, grid=1000)
         for i in range(1, 5):
             quad = quads[i - 1]
-            assert quad == pytest.approx(table.values[i - 1], abs=1e-6)
+            assert quad == pytest.approx(table[i - 1], abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
     @pytest.mark.parametrize("grid", [10, 1000])
