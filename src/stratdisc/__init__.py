@@ -5,13 +5,11 @@ discrepancy."""
 from .asymptotics import (
     ApproximantOrderReport,
     ComponentSums,
-    SumCheckReport,
     component_sums,
     cubic_component_closed_form,
     estimate_limit_offset,
     fit_error_order,
     interior_strip_sum,
-    interior_sum_check,
     paired_strip_integral,
     power_sqrt_order_report,
     power_sqrt_sum,
@@ -66,7 +64,6 @@ __all__ = [
     "HaltonConfig",
     "Method",
     "PointSet",
-    "SumCheckReport",
     "component_sums",
     "cubic_component_closed_form",
     "estimate_limit_offset",
@@ -78,7 +75,6 @@ __all__ = [
     "generating_set",
     "halton",
     "interior_strip_sum",
-    "interior_sum_check",
     "intersection_area_grid",
     "l2_discrepancy_sq_batch",
     "overlap_vector",

@@ -13,7 +13,9 @@ long summation identities:
     separately and collapse to 13N/72 + O(sqrt(N)).
 
 Everything is checked by direct compensated summation; the component sums,
-whose terms of size N^3 cancel, are summed in 40-digit decimal arithmetic.
+whose terms of size N^3 cancel, are summed exactly in integers, with each
+square root taken as a fixed-point integer floor, so that every sum is
+within 2^-64 of its exact value before it is rounded once to float.
 The sqrt-sum approximants are transcribed verbatim; direct summation shows
 the k = 1/2 and k = 1 variants differ from the true sums by a small
 n-independent constant (about 0.0375 and 0.100 respectively) on top of the
@@ -34,7 +36,8 @@ from .exactform import strip_integral_table
 
 _SQRT2 = math.sqrt(2.0)
 
-# Largest n accepted for direct summation; keeps every check under a second.
+# Largest n accepted for direct summation; `verify --n 1048576` takes about
+# 2.1 s on a 2-vCPU box, nearly all of it in component_sums.
 MAX_DIRECT_N = 2**20
 
 # zeta(-k) for the supported exponents.  The non-integer values were
@@ -50,21 +53,6 @@ ZETA_NEG = {
 }
 
 DEFAULT_FIT_NS = tuple(2**j for j in range(6, 15))
-
-
-@dataclass(frozen=True)
-class SumCheckReport:
-    """A direct sum, its closed-form counterpart, and the claimed error order."""
-
-    n: int
-    direct: float
-    closed_form: float
-    abs_error: float
-    claimed_order: float
-
-    def __post_init__(self) -> None:
-        if not math.isclose(self.abs_error, abs(self.direct - self.closed_form), rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("abs_error must equal |direct - closed_form|")
 
 
 @dataclass(frozen=True)
@@ -189,10 +177,10 @@ def paired_strip_integral(n: int, i: int) -> float:
 class ComponentSums:
     """The four component sums of sum_i g(i), split by power of i.
 
-    Each field is the 40-digit sum of its piece, rounded once to float.
-    Iterating yields the four pieces.  Their terms of size N^3 cancel in the
-    total, so a float sum of the rounded pieces is off by about N^3 eps;
-    `total` is the four added at 40 digits and then rounded once.
+    Each field is its piece, within 2^-64 of the exact sum, rounded once to
+    float.  Iterating yields the four pieces.  Their terms of size N^3
+    cancel in the total, so a float sum of the rounded pieces is off by
+    about N^3 eps; `total` is the four added exactly and then rounded once.
     """
 
     cubic: float
@@ -211,30 +199,37 @@ def component_sums(n: int) -> ComponentSums:
     Their total equals the interior strip-integral sum sum_{i=2}^{N-1} Q_i.
     Every piece carries the factor 1/(15N), and sqrt(2) N s_lo, N s_lo s_hi
     and sqrt(2) N s_hi are the square roots of the integers 2N(i-1), (i-1)i
-    and 2Ni.  The numerators are summed term by term in 40-digit decimal
-    arithmetic, the cubic one as an exact integer, and each is divided by
-    15N once.
+    and 2Ni.  Each root is taken as the integer isqrt(R << 2p), its floor
+    in units of 2^-p, so the numerators are exact integer sums.  Their
+    coefficients add up to less than 15N * N^2 in magnitude, so the floors
+    shift every piece and the total by less than N^2 2^-p, which is below
+    2^-64 for p = 2 bit_length(N) + 64.  Each field is then one integer
+    division, which Python rounds once and correctly.
     """
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got n={n}")
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 40
-        cubic = 0
-        quadratic = linear = constant = Decimal(0)
-        a = Decimal(2 * n).sqrt()  # sqrt(2N(i-1)) at i = 2
-        for i in range(2, n // 2 + 1):
-            b = Decimal((i - 1) * i).sqrt()
-            c = Decimal(2 * n * i).sqrt()
-            cubic -= 8 * i**3
-            quadratic += i**2 * (-16 * a + 8 * b + 16 * c + 20)
-            linear += i * (32 * a - 16 * b - 40 * c)
-            constant += -16 * a + 8 * b + 10 * c + (15 * n - 5)
-            a = c
-        scale = Decimal(15 * n)
-        pieces = [Decimal(cubic) / scale, quadratic / scale, linear / scale, constant / scale]
-        return ComponentSums(*(float(p) for p in pieces), total=float(sum(pieces)))
+    p = 2 * n.bit_length() + 64
+    shift = 2 * p
+    cubic = quadratic = linear = constant = 0
+    twenty = 20 << p
+    offset = (15 * n - 5) << p
+    a = math.isqrt(2 * n << shift)  # sqrt(2N(i-1)) at i = 2
+    for i in range(2, n // 2 + 1):
+        b = math.isqrt((i - 1) * i << shift)
+        c = math.isqrt(2 * n * i << shift)
+        cubic -= 8 * i**3
+        quadratic += i**2 * (-16 * a + 8 * b + 16 * c + twenty)
+        linear += i * (32 * a - 16 * b - 40 * c)
+        constant += -16 * a + 8 * b + 10 * c + offset
+        a = c
+    scale = 15 * n << p
+    return ComponentSums(
+        cubic / (15 * n),
+        quadratic / scale,
+        linear / scale,
+        constant / scale,
+        total=((cubic << p) + quadratic + linear + constant) / scale,
+    )
 
 
 def cubic_component_closed_form(n: int) -> float:
@@ -251,19 +246,6 @@ def cubic_component_closed_form(n: int) -> float:
 def interior_strip_sum(n: int) -> float:
     """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry."""
     return math.fsum(memoryview(strip_integral_table(n))[1:-1])
-
-
-def interior_sum_check(n: int) -> SumCheckReport:
-    """Compare the interior strip sum against its collapsed value 13N/72."""
-    direct = interior_strip_sum(n)
-    closed = 13.0 * n / 72.0
-    return SumCheckReport(
-        n=n,
-        direct=direct,
-        closed_form=closed,
-        abs_error=abs(direct - closed),
-        claimed_order=0.5,
-    )
 
 
 def fit_error_order(ns: Sequence[int], errors: Sequence[float]) -> float:

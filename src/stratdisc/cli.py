@@ -229,7 +229,7 @@ def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -
 
 def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
     """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth times the last."""
-    normalized = [asymptotics.interior_sum_check(n).abs_error / math.sqrt(n) for n in ns]
+    normalized = [abs(asymptotics.interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
     ok = all(later <= growth * earlier for earlier, later in zip(normalized, normalized[1:]))
     return [_record(
         "collapse-order",

@@ -37,7 +37,7 @@ def _require_n(n: int) -> None:
 def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
     """i as float64 (scalar or array), checked once against lo <= i <= hi."""
     idx = np.asarray(i, dtype=np.float64)
-    if idx.min() < lo or idx.max() > hi:
+    if idx.size and (idx.min() < lo or idx.max() > hi):
         bad = idx.min() if idx.min() < lo else idx.max()
         raise ValueError(f"{regime} strips are {lo} <= i <= {hi} for n={n}, got i={bad:g}")
     return idx

@@ -8,23 +8,25 @@ printed polynomial forms in 50-digit arithmetic.  A few keep an earlier form
 of a library routine (the clipped-area kernel with a fresh array per pass,
 the per-strip overlap fraction and quadrature, the full-histogram brute
 force, the per-n power sums, the per-cell SeedSequence draw, the MC moments
-summed from a list), which the library must reproduce bit for bit.  The
-O(n^2) min-form and max-form Warnock kernels, which the sort-once kernel
-replaced, must agree with each other bit for bit.  The cell lookup, cell
-areas and the jittered-grid closed form, which no library routine needs,
-live here too.  None of this code is imported by the package.
+summed from a list, the component sums in 40-digit decimal arithmetic),
+which the library must reproduce bit for bit.  The O(n^2) min-form and
+max-form Warnock kernels, which the sort-once kernel replaced, must agree
+with each other bit for bit.  The cell lookup, cell areas and the
+jittered-grid closed form, which no library routine needs, live here too.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
 from stratdisc import estimators
+from stratdisc.asymptotics import ComponentSums
 from stratdisc.lowdisc import l2_discrepancy_sq_batch
 from stratdisc.partition import sample_partition
 from stratdisc.qgeometry import intersection_area_grid
@@ -319,6 +321,31 @@ def power_sum_by_generator(n: int, k: float) -> float:
 def power_sqrt_sum_by_generator(n: int, k: float) -> float:
     """Compensated sum of i^k sqrt(i-1) for i = 2 .. n/2, over its own terms."""
     return math.fsum(i**k * math.sqrt(i - 1.0) for i in range(2, n // 2 + 1))
+
+
+def component_sums_by_decimal(n: int) -> ComponentSums:
+    """The four component sums of sum_i g(i) in 40-digit decimal arithmetic.
+
+    The earlier form of asymptotics.component_sums: each square root is
+    taken and each term summed at 40 digits, the cubic numerator as an exact
+    integer, and each piece is divided by 15N once.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cubic = 0
+        quadratic = linear = constant = Decimal(0)
+        a = Decimal(2 * n).sqrt()  # sqrt(2N(i-1)) at i = 2
+        for i in range(2, n // 2 + 1):
+            b = Decimal((i - 1) * i).sqrt()
+            c = Decimal(2 * n * i).sqrt()
+            cubic -= 8 * i**3
+            quadratic += i**2 * (-16 * a + 8 * b + 16 * c + 20)
+            linear += i * (32 * a - 16 * b - 40 * c)
+            constant += -16 * a + 8 * b + 10 * c + (15 * n - 5)
+            a = c
+        scale = Decimal(15 * n)
+        pieces = [Decimal(cubic) / scale, quadratic / scale, linear / scale, constant / scale]
+        return ComponentSums(*(float(p) for p in pieces), total=float(sum(pieces)))
 
 
 def strip_integral_printed(n: int, i: int) -> mpf:

@@ -7,13 +7,11 @@ import math
 import pytest
 
 from stratdisc import (
-    SumCheckReport,
     component_sums,
     cubic_component_closed_form,
     estimate_limit_offset,
     fit_error_order,
     interior_strip_sum,
-    interior_sum_check,
     paired_strip_integral,
     power_sqrt_order_report,
     power_sqrt_sum,
@@ -26,7 +24,13 @@ from stratdisc import (
 )
 from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, power_sqrt_claimed_order
 
-from oracles import power_by_loop, power_sqrt_by_loop, power_sqrt_sum_by_generator, power_sum_by_generator
+from oracles import (
+    component_sums_by_decimal,
+    power_by_loop,
+    power_sqrt_by_loop,
+    power_sqrt_sum_by_generator,
+    power_sum_by_generator,
+)
 
 
 class TestDirectSums:
@@ -199,10 +203,16 @@ class TestComponentSums:
                 cubic_component_closed_form(n), abs=1e-9
             )
 
+    @pytest.mark.parametrize("n", [*range(4, 513, 2), 4096, 65536])
+    def test_matches_decimal_sums(self, n):
+        # the integer sums round to the same float as the 40-digit ones,
+        # field for field
+        assert component_sums(n) == component_sums_by_decimal(n)
+
     @pytest.mark.parametrize("n", [4096, 65536])
     def test_components_at_large_n(self, n):
-        # float sums of the pieces lose about n^3 eps; the 40-digit total
-        # and the correctly rounded cubic hold the verify bounds
+        # float sums of the pieces lose about n^3 eps; the exact total and
+        # the correctly rounded cubic hold the verify bounds
         comps = component_sums(n)
         assert abs(comps.total - interior_strip_sum(n)) <= 1e-8
         assert abs(comps.cubic - cubic_component_closed_form(n)) <= 1e-9
@@ -233,20 +243,10 @@ class TestComponentSums:
 
 
 class TestCollapse:
-    def test_report_structure(self):
-        report = interior_sum_check(64)
-        assert report.n == 64
-        assert report.closed_form == pytest.approx(13.0 * 64.0 / 72.0)
-        assert report.claimed_order == 0.5
-        assert report.abs_error == abs(report.direct - report.closed_form)
-
     def test_error_grows_no_faster_than_sqrt_n(self):
-        normalized = [interior_sum_check(n).abs_error / math.sqrt(n) for n in (256, 512, 1024, 2048, 4096)]
+        ns = (256, 512, 1024, 2048, 4096)
+        normalized = [abs(interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
         assert all(b <= 2.0 * a for a, b in zip(normalized, normalized[1:]))
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            SumCheckReport(n=4, direct=1.0, closed_form=0.5, abs_error=0.1, claimed_order=0.5)
 
 
 class TestFitHelpers:

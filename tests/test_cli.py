@@ -403,6 +403,7 @@ class TestPinnedOutput:
             (["verify", "--n", "4,16", "--format", "json"], "verify_n4_16.json"),
             (["mc", "--n", "256", "--replicates", "200", "--seed", "7"], "mc_n256_r200_s7.csv"),
             (["ratio", "--n", "3,5,7,9,15,33,65,1025,65537,1048577"], "ratio_odd_ladder.csv"),
+            (["verify", "--n", "4096,65536"], "verify_n4096_65536.txt"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

@@ -93,6 +93,13 @@ class TestStripIntegrals:
             with pytest.raises(ValueError):
                 strip_integral_middle(n)
 
+    @pytest.mark.parametrize("regime", [strip_integral_lower, strip_integral_upper])
+    @pytest.mark.parametrize("n, start", [(3, 2), (64, 0)])
+    def test_empty_index_array_gives_empty_array(self, regime, n, start):
+        values = regime(n, np.arange(start, start))
+        assert values.dtype == np.float64
+        assert values.shape == (0,)
+
     @pytest.mark.parametrize("n", sorted(MIDDLE_STRIP_INTEGRAL))
     def test_middle_strip_matches_exact_integral(self, n):
         want = float(MIDDLE_STRIP_INTEGRAL[n])
