@@ -10,11 +10,10 @@ the thread count.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,6 +51,10 @@ def _map_rows(fn: Callable[[int], Any], items: Sequence[int]) -> list[Any]:
     cap = thread_cap()
     if cap <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: it pulls in threading, queue and logging, which a
+    # single-threaded run never uses
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -73,6 +76,8 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
         else:
             rows.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in record.values()))
     if args.format == "json":
+        import json
+
         return json.dumps(envelope(rows), indent=2) + "\n"
     return "\n".join([header, *rows]) + "\n"
 
@@ -209,15 +214,18 @@ def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
     return records
 
 
-def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -> list[Record]:
+def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float,
+                     interior_sum: Callable[[int], float] | None = None) -> list[Record]:
     """The cubic component against its closed form, and the component total
-    against the interior strip sum, worst over ns."""
+    against the interior strip sum, worst over ns.  interior_sum, when given,
+    stands in for asymptotics.interior_strip_sum."""
+    interior_sum = interior_sum or asymptotics.interior_strip_sum
     worst_cubic = 0.0
     worst_total = 0.0
     for n in ns:
         comps = asymptotics.component_sums(n)
         worst_cubic = max(worst_cubic, abs(comps.cubic - asymptotics.cubic_component_closed_form(n)))
-        worst_total = max(worst_total, abs(comps.total - asymptotics.interior_strip_sum(n)))
+        worst_total = max(worst_total, abs(comps.total - interior_sum(n)))
     label = ",".join(map(str, ns))
     return [
         _record(f"component-cubic-closed n={{{label}}}", worst_cubic <= cubic_tol,
@@ -227,9 +235,13 @@ def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -
     ]
 
 
-def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
-    """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth times the last."""
-    normalized = [abs(asymptotics.interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
+def check_collapse(ns: Sequence[int], growth: float,
+                   interior_sum: Callable[[int], float] | None = None) -> list[Record]:
+    """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth
+    times the last.  interior_sum, when given, stands in for
+    asymptotics.interior_strip_sum."""
+    interior_sum = interior_sum or asymptotics.interior_strip_sum
+    normalized = [abs(interior_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
     ok = all(later <= growth * earlier for earlier, later in zip(normalized, normalized[1:]))
     return [_record(
         "collapse-order",
@@ -306,13 +318,16 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
 def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     # sorted and deduplicated: the collapse check compares neighbouring n
     ns = tuple(sorted(set(args.n or ())))
+    # the component and collapse checks share one interior strip sum per n
+    interior_sum = functools.cache(asymptotics.interior_strip_sum)
     rng = np.random.default_rng(20240817)
     checks = [
         *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
         *check_harmonic(asymptotics.DEFAULT_FIT_NS, rel_tol=1e-12),
         *check_pair_identity((8, 16, 64), tol=1e-10),
-        *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
-        *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
+        *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8,
+                          interior_sum=interior_sum),
+        *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0, interior_sum=interior_sum),
         *check_strip_quadrature((4, 8), grid=1000, tol=1e-4),
         *check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01),
         *check_worked_example(tol=5e-4),
@@ -323,6 +338,8 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     all_passed = all(r["passed"] for r in checks)
 
     if args.format == "json":
+        import json
+
         text = json.dumps({"checks": checks, "passed": all_passed}, indent=2) + "\n"
     else:
         lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in checks]

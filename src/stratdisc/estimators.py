@@ -23,7 +23,7 @@ import numpy as np
 
 from .lowdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
 from .partition import generating_set, sample_partition
-from .qgeometry import intersection_area_grid
+from .qgeometry import _clip_area
 
 # Points per block of the streamed MC loop: one block of replicates is
 # sampled, scored by one Warnock kernel call and dropped before the next, so
@@ -68,6 +68,8 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     exact zeros, which are skipped.  Each node so gets the same nonzero
     additions in the same order as in the per-strip loop, and fsum does not
     depend on node order, so the value is bitwise that of the per-strip loop.
+    Each cut applies qgeometry's clipped-area formula in place to the nodes
+    past it, in buffers reused from cut to cut.
     A total below zero can only be rounding residue and is returned as 0.0.
     Defaults to Halton bases (2, 3) with 40000 nodes; node sets already
     sorted by x + y sort fastest.
@@ -79,30 +81,34 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     if nodes.n < 1:
         raise ValueError("node set must be nonempty")
     gs = generating_set(n)
-    x = nodes.points[:, 0]
-    y = nodes.points[:, 1]
-    s = x + y
+    s = nodes.points[:, 0] + nodes.points[:, 1]
     order = np.argsort(s)
-    # starts[i - 1]: the first sorted node with x + y > r_i
-    starts = np.searchsorted(s, gs.breakpoints, side="right", sorter=order).tolist()
-    del s
-    x, y = x[order], y[order]
+    s, x, y = s[order], nodes.points[order, 0], nodes.points[order, 1]
     del order
-    v_prev = x * y
-    acc = np.zeros_like(x)
+    # starts[i - 1]: the first sorted node with s > r_i
+    starts = np.searchsorted(s, gs.breakpoints, side="right").tolist()
+    # V(r_{i-1}) and V(r_i) alternate between two node-indexed buffers;
+    # scratch holds the edge terms and then 1 - q
+    v_prev, v_i, scratch = np.multiply(x, y), np.empty_like(s), np.empty_like(s)
+    acc = np.zeros_like(s)
     lo = 0
-    for r, hi in zip(gs.breakpoints, starts):
-        v_i = intersection_area_grid(r, x[hi:], y[hi:])
+    # the last cut, r_N = 2, is past every node: V(r_N) = 0 on all of them
+    for r, hi in zip((*gs.breakpoints, 2.0), (*starts, nodes.n)):
+        # past hi, s > r, so relu(x + y - r) is s - r as the kernel rounds it;
+        # for r >= 1 the edge terms relu(x - r)^2 and relu(y - r)^2 are exact
+        # zeros, as a PointSet has x, y <= 1, and are left out
+        g, t = v_i[hi:], scratch[hi:]
+        np.subtract(s[hi:], r, out=g)
+        _clip_area(g, r, ((x[hi:], t), (y[hi:], t)) if r < 1.0 else ())
         # nodes in [lo, hi) have V(r_i) = 0: their q is N V(r_{i-1})
-        v_prev[hi - lo:] -= v_i
-        # q = N (V(r_{i-1}) - V(r_i)) and q(1 - q), in v_prev's own buffer
-        v_prev *= n
-        v_prev *= 1.0 - v_prev
-        acc[lo:] += v_prev
-        v_prev, lo = v_i, hi
-    v_prev *= n  # cell N: V(r_N) = 0 for every node
-    v_prev *= 1.0 - v_prev
-    acc[lo:] += v_prev
+        q, t = v_prev[lo:], scratch[lo:]
+        q[hi - lo:] -= g
+        # q = N (V(r_{i-1}) - V(r_i)) and q(1 - q), in V(r_{i-1})'s buffer
+        q *= n
+        np.subtract(1.0, q, out=t)
+        q *= t
+        acc[lo:] += q
+        v_prev, v_i, lo = v_i, v_prev, hi
     # a node at or near (1, 1) has q = 1 in exact arithmetic, and rounding
     # can leave q(1 - q) a few ulps below zero; only the total is floored,
     # so every nonnegative value keeps its bits

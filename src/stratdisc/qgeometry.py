@@ -55,18 +55,28 @@ def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: floa
     g = np.add(x, y, out=np.empty(np.broadcast_shapes(np.shape(r), np.shape(x), np.shape(y))))
     g -= r
     np.maximum(g, 0.0, out=g)
+    bx = np.empty(np.broadcast_shapes(np.shape(x), np.shape(r)))
+    by_shape = np.broadcast_shapes(np.shape(y), np.shape(r))
+    _clip_area(g, r, ((x, bx), (y, bx if bx.shape == by_shape else np.empty(by_shape))))
+    return g[()]
+
+
+def _clip_area(g: np.ndarray, r: float | np.ndarray,
+               edges: tuple[tuple[float | np.ndarray, np.ndarray], ...]) -> None:
+    """The clipped-area formula, in place: g = relu(x + y - r) in, the area out.
+
+    Squares g, subtracts relu(side - r)^2 for each (side, scratch) pair in
+    edges, computed in scratch, and halves.  An edge with side <= r
+    everywhere subtracts exact zeros, so a caller that knows this may leave
+    it out and get the same bits.
+    """
     g *= g
-    t = None
-    for side in (x, y):
-        shape = np.broadcast_shapes(np.shape(side), np.shape(r))
-        if t is None or t.shape != shape:
-            t = np.empty(shape)
+    for side, t in edges:
         np.subtract(side, r, out=t)
         np.maximum(t, 0.0, out=t)
         t *= t
         g -= t
     g *= 0.5
-    return g[()]
 
 
 def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:

@@ -232,6 +232,21 @@ class TestVerifyCommand:
         assert run_main(["verify", "--n", raw], capsys) == run_main(["verify", "--n", canonical], capsys)
         assert run_main(["verify", "--n", raw], capsys)[0] == 0
 
+    def test_each_interior_sum_is_summed_once(self, capsys, monkeypatch):
+        # the component and collapse checks share one interior strip sum per n
+        calls = []
+        interior = asymptotics.interior_strip_sum
+
+        def counting(n):
+            calls.append(n)
+            return interior(n)
+
+        monkeypatch.setattr(asymptotics, "interior_strip_sum", counting)
+        code, out, _ = run_main(["verify", "--n", "4096,65536"], capsys)
+        assert code == 0
+        assert sorted(calls) == [4096, 65536]
+        assert out.encode() == (DATA / "verify_n4096_65536.txt").read_bytes()
+
     def test_n_override_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "5"])
@@ -419,3 +434,14 @@ def test_cli_import_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_table_run_leaves_thread_pool_and_json_unloaded():
+    # a single-threaded CSV run needs neither; they are imported where used
+    code = (
+        "import sys, stratdisc.cli; stratdisc.cli.main(['table', '--n', '4']); "
+        "print([m for m in ('concurrent.futures', 'json') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -86,6 +86,10 @@ class TestQmcEstimator:
         assert est.method is Method.QMC
         assert est.meta == {"n": 4, "m_nodes": 40000}
         assert est.value == pytest.approx(0.0203506, abs=1e-6)
+        # the node set of `stratdisc table`, bit for bit against recomputing every strip
+        nodes = halton(HaltonConfig())
+        for n in (4, 64, 128):
+            assert expected_l2_sq_qmc(n).value == _per_strip_value(n, nodes)
 
     def test_close_to_exact(self, halton_nodes):
         for n in (2, 4, 10, 32):
@@ -108,10 +112,11 @@ class TestQmcEstimator:
             value = math.fsum(acc.tolist()) / (nodes.n * n * n)
             assert expected_l2_sq_qmc(n, nodes).value == value
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64, 128, 129])
     def test_edge_nodes_equal_per_strip_loop(self, n):
         # nodes exactly on a cut, on the axes, at the corners, and repeated:
-        # skipping the nodes that do not reach a cut must change no bit
+        # skipping the nodes that do not reach a cut, and the edge terms at
+        # cuts r >= 1 (r = 1 itself for even n), must change no bit
         nodes = PointSet(np.vstack([halton(HaltonConfig(count=300)).points, _cut_nodes(n), _boundary_nodes()]))
         nodes = PointSet(np.vstack([nodes.points, nodes.points[::7]]))
         assert expected_l2_sq_qmc(n, nodes).value == _per_strip_value(n, nodes)
@@ -129,14 +134,14 @@ class TestQmcEstimator:
 
     def test_kernel_sees_only_nodes_past_each_cut(self, halton_nodes, monkeypatch):
         elements = 0
-        kernel = estimators.intersection_area_grid
+        clip = estimators._clip_area
 
-        def counting(r, x, y):
+        def counting(g, r, edges):
             nonlocal elements
-            elements += np.broadcast(x, y).size
-            return kernel(r, x, y)
+            elements += g.size
+            return clip(g, r, edges)
 
-        monkeypatch.setattr(estimators, "intersection_area_grid", counting)
+        monkeypatch.setattr(estimators, "_clip_area", counting)
         n, m = 64, halton_nodes.n
         expected_l2_sq_qmc(n, halton_nodes)
         s = halton_nodes.points[:, 0] + halton_nodes.points[:, 1]
