@@ -55,7 +55,8 @@ class PointSet:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array of points, got shape {pts.shape}")
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        # NaN fails every comparison, so only this form of the test refuses it
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
             raise ValueError("points must lie in the closed unit square")
         object.__setattr__(self, "points", pts)
 

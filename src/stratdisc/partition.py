@@ -15,18 +15,8 @@ is uniform on the strip's share fixes the chord x+y = s, and given s the
 point is uniform on that chord, so no draw is rejected.  Each cell draws
 from its own RNG stream derived from (seed, cell index), so results do not
 depend on the order in which cells are visited or on how many samples are
-requested.
-
-Cell i's stream is numpy's PCG64 seeded by
-SeedSequence(entropy=seed, spawn_key=(stream, i)).  Building one
-SeedSequence per cell costs tens of microseconds, so the seed words of every
-cell are computed in one pass of SeedSequence's uint32 hash on numpy arrays,
-one lane per cell, and handed to PCG64 as they are; the streams are the
-SeedSequence ones bit for bit.  A sample row uses two 64-bit outputs of its
-cell's stream, so the samplers take a row offset `start` and advance each
-stream past the earlier rows: rows start .. start+count-1 of a draw equal
-those rows of a longer draw from row 0, and a long run can be drawn in
-blocks.
+requested.  The streams are numpy's PCG64, computed without numpy.random by
+the streams module, which is loaded on the first draw.
 """
 
 from __future__ import annotations
@@ -39,13 +29,6 @@ import numpy as np
 _STREAM_DIAGONAL = 0
 _STREAM_VERTICAL = 1
 _STREAM_JITTERED = 2
-
-# numpy's SeedSequence: pool size and the constants of its uint32 hash
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -101,87 +84,16 @@ def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
     return np.where(2.0 * m <= n, np.sqrt(2.0 * m / n), 2.0 - np.sqrt(2.0 * (n - m) / n))
 
 
-def _seed_words(seed: int, stream: int, n: int) -> np.ndarray:
-    """Seed words of cells 1..n, shape (n, 4) uint64.
-
-    Row i-1 is SeedSequence(entropy=seed, spawn_key=(stream, i))
-    .generate_state(4, np.uint64), the words PCG64 seeds itself from.  The
-    SeedSequence hash runs here on uint32 arrays with one lane per cell; only
-    the last entropy word, the cell index, differs between lanes.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if n > _MASK32:
-        raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
-    # 32-bit words of the seed, least significant first, zero-padded to the
-    # pool size as SeedSequence pads them when a spawn key follows
-    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words)) + [stream]
-    lanes = np.arange(1, n + 1, dtype=np.uint32)
-    entropy = [np.full_like(lanes, w) for w in words] + [lanes]
-
-    def hasher(hash_const: int, mult: int):
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
-            hash_const = hash_const * mult & _MASK32
-            value *= np.uint32(hash_const)
-            return value ^ (value >> np.uint32(16))
-
-        return hashmix
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hashmix = hasher(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)], axis=1)
-    return state.view(np.uint64)
-
-
 def _cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms on [0,1) for rows start..start+count-1 of n cells, shape (count, n, 2).
 
-    Cell i (1-based) reads its own generator, PCG64 seeded as by
-    SeedSequence(seed, spawn_key=(stream, i)); stream tags keep partition
-    kinds apart.  Row r of a cell is outputs 2r and 2r+1 of its stream, so
-    it depends on neither count nor start.
+    Cell i (1-based) reads stream `stream` of streams.cell_uniforms; the
+    stream tags keep partition kinds apart.
     """
-    # numpy.random is imported here, not at module level, so that the CLI
-    # commands that never sample do not load it
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+    # imported here, so that the commands that never sample do not load it
+    from .streams import cell_uniforms
 
-    class SeedWords(ISeedSequence):
-        """Precomputed seed words, handed to PCG64 in place of a SeedSequence."""
-
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("seed words are held for PCG64's four uint64 words only")
-            return self.words
-
-    if start < 0:
-        raise ValueError(f"row offset must be non-negative, got {start}")
-    seed_words = _seed_words(seed, stream, n)
-    u = np.empty((count, n, 2))
-    for i, words in enumerate(seed_words):
-        bit_generator = PCG64(SeedWords(words))
-        if start:
-            bit_generator.advance(2 * start)
-        u[:, i] = Generator(bit_generator).random((count, 2))
-    return u
+    return cell_uniforms(seed, stream, n, count, start)
 
 
 def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int = 0) -> np.ndarray:

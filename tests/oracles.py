@@ -7,8 +7,9 @@ inverses by exact rational digit reversal, the strip integrals from their
 printed polynomial forms in 50-digit arithmetic.  A few keep an earlier form
 of a library routine (the clipped-area kernel with a fresh array per pass,
 the per-strip overlap fraction and quadrature, the full-histogram brute
-force, the per-n power sums, the per-cell SeedSequence draw, the MC moments
-summed from a list, the component sums in 40-digit decimal arithmetic),
+force, the per-n power sums, the per-cell draw by numpy's own SeedSequence
+and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
+from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
 max-form Warnock kernels, which the sort-once kernel replaced, must agree
 with each other bit for bit.  The cell lookup, cell areas and the
@@ -125,6 +126,18 @@ def cell_uniforms_by_seed_sequence(seed: int, stream: int, i: int, count: int, s
     """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream, i))
     return np.random.default_rng(seq).random((start + count, 2))[start:]
+
+
+def cell_uniforms_by_advance(seed: int, stream: int, i: int, count: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+count-1 of cell i's uniforms, shape (count, 2).
+
+    numpy's own generator: a SeedSequence, PCG64 advanced past the 2·start
+    outputs of the earlier rows, and Generator.random, so a large start
+    costs nothing.
+    """
+    bit_generator = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream, i)))
+    bit_generator.advance(2 * start)
+    return np.random.Generator(bit_generator).random((count, 2))
 
 
 def warnock_batch_min_form(points: np.ndarray) -> np.ndarray:

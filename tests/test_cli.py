@@ -419,6 +419,8 @@ class TestPinnedOutput:
             (["mc", "--n", "256", "--replicates", "200", "--seed", "7"], "mc_n256_r200_s7.csv"),
             (["ratio", "--n", "3,5,7,9,15,33,65,1025,65537,1048577"], "ratio_odd_ladder.csv"),
             (["verify", "--n", "4096,65536"], "verify_n4096_65536.txt"),
+            (["sample", "--n", "1024", "--seed", "9"], "sample_n1024_s9.csv"),
+            (["mc", "--n", "1024", "--replicates", "40", "--seed", "3"], "mc_n1024_r40_s3.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):
@@ -429,18 +431,31 @@ class TestPinnedOutput:
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # only sampling loads numpy.random; every other command starts without it
+    # only `verify` loads numpy.random, for its brute-force check sets
     code = "import sys, stratdisc.cli; print('numpy.random' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
 
+def test_sampling_runs_leave_numpy_random_unloaded():
+    # the per-cell PCG64 streams are computed by stratdisc.streams in numpy
+    code = (
+        "import sys, stratdisc.cli; stratdisc.cli.main(['sample', '--n', '16']); "
+        "stratdisc.cli.main(['mc', '--n', '16', '--replicates', '20']); "
+        "print('numpy.random' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_table_run_leaves_thread_pool_and_json_unloaded():
-    # a single-threaded CSV run needs neither; they are imported where used
+    # a single-threaded CSV run needs neither, nor the samplers' streams;
+    # each is imported where used
     code = (
         "import sys, stratdisc.cli; stratdisc.cli.main(['table', '--n', '4']); "
-        "print([m for m in ('concurrent.futures', 'json') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'json', 'stratdisc.streams') if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

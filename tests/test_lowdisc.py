@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,14 @@ class TestPointSet:
     def test_rejects_bad_shapes_and_ranges(self, bad):
         with pytest.raises(ValueError):
             PointSet(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_rejects_non_finite_coordinates(self, bad, at):
+        pts = np.array([[0.5, 0.5], [0.2, 0.3]])
+        pts[at] = bad
+        with pytest.raises(ValueError, match="closed unit square"):
+            PointSet(pts)
 
 
 def l2_one(points):

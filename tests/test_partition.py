@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratdisc import partition
+from stratdisc import partition, streams
 from stratdisc import (
     GeneratingSet,
     generating_set,
@@ -20,7 +20,7 @@ from stratdisc import (
     sample_vertical_batch,
 )
 
-from oracles import cell_area, cell_of, cell_uniforms_by_seed_sequence
+from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_by_seed_sequence
 
 
 class TestGeneratingSet:
@@ -291,12 +291,40 @@ class TestSeedWords:
             want = cell_uniforms_by_seed_sequence(seed, stream, i, 3, start)
             assert u[:, i - 1].tobytes() == want.tobytes(), i
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2, 4096])
+    @pytest.mark.parametrize("start", [0, 1, 2**40 + 3])
+    @pytest.mark.parametrize("edge", ["one", "tile-1", "tile", "tile+1", "3tile+5"])
+    def test_streams_across_tile_edges_and_far_offsets(self, n, start, edge):
+        # a tile of the (output, cell) grid holds `tile` sample rows at this n
+        tile = max(2, streams._TILE // n & ~1) // 2
+        count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "3tile+5": 3 * tile + 5}[edge]
+        u = partition._cell_uniforms(7, 2, n, count, start)
+        assert u.shape == (count, n, 2)
+        for i in sorted({1, n // 2 + 1, n}):
+            want = cell_uniforms_by_advance(7, 2, i, count, start)
+            assert u[:, i - 1].tobytes() == want.tobytes(), i
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tile", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n, count, start", [(1, 5, 0), (2, 5, 1), (7, 3, 2**40 + 3), (9, 4, 1), (16, 1, 0)])
+    def test_small_tiles_split_rows_and_cells(self, tile, n, count, start, monkeypatch):
+        # tiles of a few outputs and cells cross both tile edges many times
+        monkeypatch.setattr(streams, "_TILE", tile)
+        u = partition._cell_uniforms(3, 0, n, count, start)
+        want = np.stack([cell_uniforms_by_advance(3, 0, i, count, start) for i in range(1, n + 1)], axis=1)
+        assert u.tobytes() == want.tobytes()
+
+    def test_empty_draws(self):
+        assert partition._cell_uniforms(1, 0, 4, 0).shape == (0, 4, 2)
+        assert partition._cell_uniforms(1, 0, 0, 3).shape == (3, 0, 2)
+
     def test_cell_index_past_32_bits_rejected(self):
         with pytest.raises(ValueError, match="32-bit"):
-            partition._seed_words(0, 0, 2**32)
+            streams._seed_words(0, 0, 2**32)
         with pytest.raises(ValueError, match="32-bit"):
             partition._cell_uniforms(0, 1, 2**32, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            partition._seed_words(-1, 0, 4)
+            streams._seed_words(-1, 0, 4)
