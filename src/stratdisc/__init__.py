@@ -44,10 +44,8 @@ from .lowdisc import (
 from .partition import (
     GeneratingSet,
     generating_set,
-    sample_jittered_batch,
     sample_partition,
     sample_stratified_batch,
-    sample_vertical_batch,
 )
 from .qgeometry import (
     intersection_area_grid,
@@ -86,10 +84,8 @@ __all__ = [
     "power_sum_approx",
     "random_baseline",
     "ratio_to_random",
-    "sample_jittered_batch",
     "sample_partition",
     "sample_stratified_batch",
-    "sample_vertical_batch",
     "strip_integral_first",
     "strip_integral_last",
     "strip_integral_lower",

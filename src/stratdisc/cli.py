@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mc":
             p.add_argument("--replicates", type=_checked(int, lambda r: r >= 2, "must be >= 2"), default=10000)
         p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "must be >= 0"), default=0)
-        p.add_argument("--partition", choices=("diagonal", "vertical", "jittered"), default="diagonal")
+        p.add_argument("--partition", choices=partition.PARTITIONS, default="diagonal")
         add_common(p, run)
 
     p_verify = sub.add_parser("verify", help="run the summation and cross-method checks")

@@ -74,26 +74,24 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     Defaults to Halton bases (2, 3) with 40000 nodes; node sets already
     sorted by x + y sort fastest.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 cells, got n={n}")
+    cuts = generating_set(n).cuts[1:]
     if nodes is None:
         nodes = halton(HaltonConfig())
     if nodes.n < 1:
         raise ValueError("node set must be nonempty")
-    gs = generating_set(n)
     s = nodes.points[:, 0] + nodes.points[:, 1]
     order = np.argsort(s)
     s, x, y = s[order], nodes.points[order, 0], nodes.points[order, 1]
     del order
-    # starts[i - 1]: the first sorted node with s > r_i
-    starts = np.searchsorted(s, gs.breakpoints, side="right").tolist()
+    # starts[i - 1]: the first sorted node with s > r_i; the last cut,
+    # r_N = 2, is past every node, so V(r_N) = 0 on all of them
+    starts = np.searchsorted(s, cuts, side="right").tolist()
     # V(r_{i-1}) and V(r_i) alternate between two node-indexed buffers;
     # scratch holds the edge terms and then 1 - q
     v_prev, v_i, scratch = np.multiply(x, y), np.empty_like(s), np.empty_like(s)
     acc = np.zeros_like(s)
     lo = 0
-    # the last cut, r_N = 2, is past every node: V(r_N) = 0 on all of them
-    for r, hi in zip((*gs.breakpoints, 2.0), (*starts, nodes.n)):
+    for r, hi in zip(cuts.tolist(), starts):
         # past hi, s > r, so relu(x + y - r) is s - r as the kernel rounds it;
         # for r >= 1 the edge terms relu(x - r)^2 and relu(y - r)^2 are exact
         # zeros, as a PointSet has x, y <= 1, and are left out

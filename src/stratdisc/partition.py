@@ -1,13 +1,14 @@
 """Equi-volume partitions of the unit square and stratified sampling.
 
-The diagonal partition cuts [0,1]^2 with N-1 lines orthogonal to the main
-diagonal, placed at offsets r_1 < ... < r_{N-1} (measured as x+y = r) chosen
-so that every strip has area exactly 1/N.  Below the anti-diagonal the region
-{x+y <= r} is a triangle of area r^2/2, which gives r_i = sqrt(2i/N) for
-i <= N/2; above it the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).
-The module also samples the two reference partitions used for comparison:
-vertical strips and the m x m jittered grid.  A sample lists its points in
-cell order, so no routine here needs a cell lookup.
+The diagonal partition cuts [0,1]^2 with lines orthogonal to the main
+diagonal, at offsets 0 = r_0 < r_1 < ... < r_N = 2 (measured as x+y = r)
+chosen so that every strip has area exactly 1/N; r_0 and r_N are the
+square's corners.  Below the anti-diagonal the region {x+y <= r} is a
+triangle of area r^2/2, which gives r_i = sqrt(2i/N) for i <= N/2; above it
+the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).  The module also
+samples the two reference partitions used for comparison, vertical strips
+and the m x m jittered grid, both as grids of equal boxes.  A sample lists
+its points in cell order, so no routine here needs a cell lookup.
 
 Sampling is one uniform point per cell.  The diagonal cells are sampled
 exactly by inverting the same area function: an offset s whose area below
@@ -30,48 +31,51 @@ _STREAM_DIAGONAL = 0
 _STREAM_VERTICAL = 1
 _STREAM_JITTERED = 2
 
+# the partition kinds sample_partition accepts
+PARTITIONS = ("diagonal", "vertical", "jittered")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class GeneratingSet:
-    """Breakpoints r_1 < ... < r_{N-1} of the diagonal partition.
+    """Cuts 0 = r_0 < r_1 < ... < r_N = 2 of the N-cell diagonal partition.
 
     Cell i is the strip {r_{i-1} <= x+y < r_i} intersected with the unit
-    square, with the conventions r_0 = 0 and r_N = 2.
+    square.  cuts is a read-only float64 copy of the given offsets.
     """
 
-    n: int
-    breakpoints: tuple[float, ...]
+    cuts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 cells, got n={self.n}")
-        if len(self.breakpoints) != self.n - 1:
-            raise ValueError("breakpoint count must be n - 1")
-        prev = 0.0
-        for r in self.breakpoints:
-            if not (prev < r < 2.0):
-                raise ValueError("breakpoints must be strictly increasing in (0, 2)")
-            prev = r
+        cuts = np.array(self.cuts, dtype=np.float64)
+        if cuts.ndim != 1 or cuts.size < 3:
+            raise ValueError(f"need at least 2 cells, got cuts of shape {cuts.shape}")
+        if not (cuts[0] == 0.0 and cuts[-1] == 2.0 and np.all(cuts[1:] > cuts[:-1])):
+            raise ValueError("cuts must increase strictly from 0 to 2")
+        cuts.flags.writeable = False
+        object.__setattr__(self, "cuts", cuts)
+
+    @property
+    def n(self) -> int:
+        return self.cuts.size - 1
 
     def boundary(self, i: int) -> float:
-        """Lower boundary offset r_i, extended by r_0 = 0 and r_N = 2."""
-        if i == 0:
-            return 0.0
-        if i == self.n:
-            return 2.0
-        return self.breakpoints[i - 1]
+        """Cut offset r_i, for 0 <= i <= N."""
+        if not 0 <= i <= self.n:
+            raise ValueError(f"cut index must be in 0..{self.n}, got {i}")
+        return float(self.cuts[i])
 
 
 def generating_set(n: int) -> GeneratingSet:
-    """Breakpoints of the N-cell equi-volume diagonal partition.
+    """Cuts of the N-cell equi-volume diagonal partition.
 
-    r_i is the offset below which the square has area i/N (_offset_below).
-    Both branches of that formula compute the same square root for mirrored
-    indices, so the symmetry r_i + r_{N-i} = 2 holds exactly in floating point.
+    r_i is the offset below which the square has area i/N (_offset_below),
+    which gives r_0 = 0 and r_N = 2 exactly.  Both branches of that formula
+    compute the same square root for mirrored indices, so the symmetry
+    r_i + r_{N-i} = 2 holds exactly in floating point.
     """
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
-    return GeneratingSet(n=n, breakpoints=tuple(_offset_below(np.arange(1, n), n).tolist()))
+    return GeneratingSet(_offset_below(np.arange(n + 1), n))
 
 
 def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
@@ -105,47 +109,39 @@ def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int
     """
     n = gs.n
     u = _cell_uniforms(seed, _STREAM_DIAGONAL, n, count, start)
-    cuts_hi = np.append(gs.breakpoints, 2.0)
-    s = np.minimum(_offset_below(np.arange(n) + u[..., 0], n), np.nextafter(cuts_hi, 0.0))
+    s = np.minimum(_offset_below(np.arange(n) + u[..., 0], n), np.nextafter(gs.cuts[1:], 0.0))
     lo = np.maximum(s - 1.0, 0.0)
     x = lo + (np.minimum(s, 1.0) - lo) * u[..., 1]
     return np.stack([x, s - x], axis=-1)
 
 
-def sample_vertical_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows start..start+count-1 of vertical-strip samples, shape (count, n, 2)."""
-    if n < 1:
-        raise ValueError(f"need at least 1 strip, got n={n}")
-    u = _cell_uniforms(seed, _STREAM_VERTICAL, n, count, start)
-    return np.stack([(np.arange(n) + u[..., 0]) / n, u[..., 1]], axis=-1)
+def _grid_batch(cols: int, rows: int, stream: int, count: int, seed: int, start: int) -> np.ndarray:
+    """Rows start..start+count-1 of samples of the cols x rows grid, shape (count, cols*rows, 2).
 
-
-def sample_jittered_batch(m: int, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows start..start+count-1 of m x m jittered-grid samples, shape (count, m*m, 2).
-
-    Cell k (1-based) covers [a/m, (a+1)/m] x [b/m, (b+1)/m] with
-    a, b = divmod(k-1, m): x-major enumeration.
+    Cell k (1-based) covers [a/cols, (a+1)/cols] x [b/rows, (b+1)/rows] with
+    a, b = divmod(k-1, rows): x-major enumeration.
     """
-    if m < 1:
-        raise ValueError(f"need at least a 1x1 grid, got m={m}")
-    a, b = np.divmod(np.arange(m * m), m)
-    u = _cell_uniforms(seed, _STREAM_JITTERED, m * m, count, start)
-    return np.stack([(a + u[..., 0]) / m, (b + u[..., 1]) / m], axis=-1)
+    a, b = np.divmod(np.arange(cols * rows), rows)
+    u = _cell_uniforms(seed, stream, cols * rows, count, start)
+    return np.stack([(a + u[..., 0]) / cols, (b + u[..., 1]) / rows], axis=-1)
 
 
 def sample_partition(kind: str, n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     """Rows start..start+count-1 of samples of the n-cell partition `kind`, shape (count, n, 2).
 
-    kind is "diagonal", "vertical" or "jittered"; the jittered grid needs a
-    square n.  Cells appear in index order along axis 1.
+    kind is one of PARTITIONS.  "vertical" is the n x 1 grid of strips and
+    "jittered" the m x m grid, which needs n = m*m.  Cells appear in index
+    order along axis 1.
     """
     if kind == "diagonal":
         return sample_stratified_batch(generating_set(n), count, seed, start)
+    if kind not in PARTITIONS:
+        raise ValueError(f"unknown partition kind: {kind!r}")
+    if n < 1:
+        raise ValueError(f"need at least 1 cell, got n={n}")
     if kind == "vertical":
-        return sample_vertical_batch(n, count, seed, start)
-    if kind == "jittered":
-        m = math.isqrt(n)
-        if m * m != n:
-            raise ValueError(f"jittered partition needs a square point count, got n={n}")
-        return sample_jittered_batch(m, count, seed, start)
-    raise ValueError(f"unknown partition kind: {kind!r}")
+        return _grid_batch(n, 1, _STREAM_VERTICAL, count, seed, start)
+    m = math.isqrt(n)
+    if m * m != n:
+        raise ValueError(f"jittered partition needs a square point count, got n={n}")
+    return _grid_batch(m, m, _STREAM_JITTERED, count, seed, start)

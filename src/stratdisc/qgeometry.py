@@ -91,7 +91,7 @@ def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarr
     xy = x * y
     v = np.empty(xy.shape[:-1] + (gs.n + 1,), dtype=np.float64)
     v[..., :1] = xy
-    v[..., 1:-1] = intersection_area_grid(np.asarray(gs.breakpoints), x, y)
+    v[..., 1:-1] = intersection_area_grid(gs.cuts[1:-1], x, y)
     v[..., -1] = 0.0
     return gs.n * (v[..., :-1] - v[..., 1:])
 
@@ -115,7 +115,7 @@ def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
     for a in range(0, grid, _CHUNK):
         x_col = mids[a:a + _CHUNK, np.newaxis]
         v_prev = x_col * y_row
-        for sums, r in zip(row_sums, gs.breakpoints):
+        for sums, r in zip(row_sums, gs.cuts[1:-1].tolist()):
             v_i = intersection_area_grid(r, x_col, y_row)
             # q = N (V(r_{i-1}) - V(r_i)), squared, in v_prev's own buffer
             v_prev -= v_i

@@ -58,7 +58,8 @@ def cell_of(gs, x: float, y: float) -> int:
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"point ({x}, {y}) outside the unit square")
-    return bisect_right(gs.breakpoints, x + y) + 1
+    # the interior cuts r_1 .. r_{N-1} at or below x + y, plus one
+    return bisect_right(gs.cuts, x + y, 1, gs.n)
 
 
 def cell_area(gs, i: int) -> float:

@@ -421,6 +421,7 @@ class TestPinnedOutput:
             (["verify", "--n", "4096,65536"], "verify_n4096_65536.txt"),
             (["sample", "--n", "1024", "--seed", "9"], "sample_n1024_s9.csv"),
             (["mc", "--n", "1024", "--replicates", "40", "--seed", "3"], "mc_n1024_r40_s3.csv"),
+            (["sample", "--n", "16", "--seed", "5", "--partition", "vertical"], "sample_n16_s5_vertical.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

@@ -44,7 +44,7 @@ def _per_strip_value(n, nodes):
 def _cut_nodes(n):
     """Nodes with x + y == r_i exactly in float64, several on every cut, and their neighbours."""
     points = []
-    for r in generating_set(n).breakpoints:
+    for r in generating_set(n).cuts[1:-1].tolist():
         on_cut = [
             (x, r - x)
             for x in (0.0, r / 2.0, 1.0, 0.1, 0.3, 0.7)
@@ -145,7 +145,7 @@ class TestQmcEstimator:
         n, m = 64, halton_nodes.n
         expected_l2_sq_qmc(n, halton_nodes)
         s = halton_nodes.points[:, 0] + halton_nodes.points[:, 1]
-        assert elements == sum(int(np.count_nonzero(s > r)) for r in generating_set(n).breakpoints)
+        assert elements == sum(int(np.count_nonzero(s > r)) for r in generating_set(n).cuts[1:-1])
         assert elements <= 0.55 * (n - 1) * m
 
     @pytest.mark.parametrize("n", range(2, 129))

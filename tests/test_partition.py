@@ -14,10 +14,8 @@ from stratdisc import (
     GeneratingSet,
     generating_set,
     overlap_vector,
-    sample_jittered_batch,
     sample_partition,
     sample_stratified_batch,
-    sample_vertical_batch,
 )
 
 from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_by_seed_sequence
@@ -26,25 +24,55 @@ from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_
 class TestGeneratingSet:
     def test_n4_breakpoints(self):
         gs = generating_set(4)
-        want = (math.sqrt(0.5), 1.0, 2.0 - math.sqrt(0.5))
-        assert gs.breakpoints == want
+        want = [0.0, math.sqrt(0.5), 1.0, 2.0 - math.sqrt(0.5), 2.0]
+        assert gs.cuts.tolist() == want
 
     def test_n6_breakpoints(self):
         gs = generating_set(6)
-        want = (
+        want = [
+            0.0,
             math.sqrt(1.0 / 3.0),
             math.sqrt(2.0 / 3.0),
             1.0,
             2.0 - math.sqrt(2.0 / 3.0),
             2.0 - math.sqrt(1.0 / 3.0),
-        )
-        assert gs.breakpoints == want
+            2.0,
+        ]
+        assert gs.cuts.tolist() == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 16, 33, 128])
     def test_mirror_symmetry_is_exact(self, n):
-        gs = generating_set(n)
+        cuts = generating_set(n).cuts
         for i in range(n + 1):
-            assert gs.boundary(i) + gs.boundary(n - i) == 2.0
+            assert cuts[i] + cuts[n - i] == 2.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 2**20])
+    def test_cut_endpoints_are_exact(self, n):
+        cuts = generating_set(n).cuts
+        assert cuts.shape == (n + 1,) and cuts.dtype == np.float64
+        assert cuts[0] == 0.0 and cuts[-1] == 2.0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 4097])
+    def test_cuts_are_the_offset_formula(self, n):
+        want = partition._offset_below(np.arange(n + 1), n)
+        assert generating_set(n).cuts.tobytes() == want.tobytes()
+
+    def test_cuts_are_read_only(self):
+        gs = generating_set(4)
+        with pytest.raises(ValueError, match="read-only"):
+            gs.cuts[1] = 0.5
+        # a hand-built set holds its own copy
+        given = generating_set(4).cuts.copy()
+        built = GeneratingSet(given)
+        given[1] = 0.5
+        assert built.cuts.tolist() == gs.cuts.tolist()
+        assert not built.cuts.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 5, 33])
+    def test_boundary_reads_the_cuts(self, n):
+        gs = generating_set(n)
+        assert gs.n == n
+        assert [gs.boundary(i) for i in range(n + 1)] == gs.cuts.tolist()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 100])
     def test_even_n_has_midpoint_one(self, n):
@@ -52,29 +80,42 @@ class TestGeneratingSet:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 99])
     def test_odd_n_skips_one(self, n):
-        assert 1.0 not in generating_set(n).breakpoints
+        assert 1.0 not in generating_set(n).cuts.tolist()
 
     def test_strictly_increasing(self):
-        gs = generating_set(50)
-        assert all(a < b for a, b in zip(gs.breakpoints, gs.breakpoints[1:]))
+        assert np.all(np.diff(generating_set(50).cuts) > 0.0)
 
     def test_boundary_extremes(self):
         gs = generating_set(5)
         assert gs.boundary(0) == 0.0
         assert gs.boundary(5) == 2.0
 
+    @pytest.mark.parametrize("i", [-1, -6, 6, 100])
+    def test_boundary_rejects_out_of_range_index(self, i):
+        with pytest.raises(ValueError, match="cut index must be in 0..5"):
+            generating_set(5).boundary(i)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_cells_rejected(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 cells"):
             generating_set(n)
 
-    def test_breakpoint_count_must_match(self):
-        with pytest.raises(ValueError):
-            GeneratingSet(n=4, breakpoints=(0.5, 1.0))
+    def test_too_few_cuts_rejected(self):
+        for cuts in ([], [0.0], [0.0, 2.0], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError, match="at least 2 cells"):
+                GeneratingSet(np.array(cuts))
 
     def test_breakpoints_must_increase(self):
-        with pytest.raises(ValueError):
-            GeneratingSet(n=3, breakpoints=(1.0, 0.5))
+        for cuts in ([0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, math.nan, 2.0]):
+            with pytest.raises(ValueError, match="increase strictly"):
+                GeneratingSet(np.array(cuts))
+
+    @pytest.mark.parametrize(
+        "cuts", [[0.1, 1.0, 2.0], [-0.5, 1.0, 2.0], [0.0, 1.0, 1.9], [0.0, 1.0, 2.5], [0.0, 1.0, math.inf]]
+    )
+    def test_wrong_endpoints_rejected(self, cuts):
+        with pytest.raises(ValueError, match="from 0 to 2"):
+            GeneratingSet(np.array(cuts))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 64])
     def test_cells_have_equal_area(self, n):
@@ -103,7 +144,7 @@ class TestCellOf:
     def test_boundary_points_round_up(self):
         # strips are closed below: a point exactly on r_i starts cell i+1
         gs = generating_set(4)
-        r1 = gs.breakpoints[0]
+        r1 = gs.cuts[1]
         x = y = r1 / 2.0
         if x + y == r1:
             assert cell_of(gs, x, y) == 2
@@ -211,7 +252,7 @@ class TestStratifiedSampler:
 
 class TestReferenceSamplers:
     def test_vertical_points_in_strips(self):
-        pts = sample_vertical_batch(8, 100, seed=4)
+        pts = sample_partition("vertical", 8, 100, seed=4)
         for i in range(1, 9):
             col = pts[:, i - 1, 0]
             assert np.all((col >= (i - 1) / 8.0) & (col < i / 8.0))
@@ -219,7 +260,7 @@ class TestReferenceSamplers:
 
     def test_jittered_points_in_subsquares(self):
         m = 3
-        pts = sample_jittered_batch(m, 50, seed=6)
+        pts = sample_partition("jittered", m * m, 50, seed=6)
         assert pts.shape == (50, 9, 2)
         for k in range(1, 10):
             a, b = divmod(k - 1, m)
@@ -227,13 +268,13 @@ class TestReferenceSamplers:
             assert np.all((pts[:, k - 1, 1] >= b / m) & (pts[:, k - 1, 1] < (b + 1) / m))
 
     def test_jittered_prefix_property(self):
-        one = sample_jittered_batch(3, 1, seed=14)
-        many = sample_jittered_batch(3, 20, seed=14)
+        one = sample_partition("jittered", 9, 1, seed=14)
+        many = sample_partition("jittered", 9, 20, seed=14)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_vertical_prefix_property(self):
-        one = sample_vertical_batch(6, 1, seed=14)
-        many = sample_vertical_batch(6, 20, seed=14)
+        one = sample_partition("vertical", 6, 1, seed=14)
+        many = sample_partition("vertical", 6, 20, seed=14)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_stream_separation(self):
@@ -246,13 +287,13 @@ class TestReferenceSamplers:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_vertical_rejects_bad_n(self, bad):
-        with pytest.raises(ValueError):
-            sample_vertical_batch(bad, 1, seed=0)
+        with pytest.raises(ValueError, match="at least 1 cell"):
+            sample_partition("vertical", bad, 1, seed=0)
 
-    @pytest.mark.parametrize("bad", [0, -2])
+    @pytest.mark.parametrize("bad", [0, -2, 8])
     def test_jittered_rejects_bad_m(self, bad):
-        with pytest.raises(ValueError):
-            sample_jittered_batch(bad, 1, seed=0)
+        with pytest.raises(ValueError, match="at least 1 cell|square point count"):
+            sample_partition("jittered", bad, 1, seed=0)
 
 
 class TestSamplePartition:
@@ -260,8 +301,14 @@ class TestSamplePartition:
         np.testing.assert_array_equal(
             sample_partition("diagonal", 6, 5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
         )
-        np.testing.assert_array_equal(sample_partition("vertical", 6, 5, seed=3), sample_vertical_batch(6, 5, seed=3))
-        np.testing.assert_array_equal(sample_partition("jittered", 9, 5, seed=3), sample_jittered_batch(3, 5, seed=3))
+        # vertical: the 6 x 1 grid on stream 1; jittered: the 3 x 3 grid on stream 2, x-major
+        u = partition._cell_uniforms(3, 1, 6, 5)
+        want = np.stack([(np.arange(6) + u[..., 0]) / 6, u[..., 1]], axis=-1)
+        assert sample_partition("vertical", 6, 5, seed=3).tobytes() == want.tobytes()
+        a, b = np.divmod(np.arange(9), 3)
+        u = partition._cell_uniforms(3, 2, 9, 5)
+        want = np.stack([(a + u[..., 0]) / 3, (b + u[..., 1]) / 3], axis=-1)
+        assert sample_partition("jittered", 9, 5, seed=3).tobytes() == want.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown partition kind"):

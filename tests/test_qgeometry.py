@@ -67,7 +67,7 @@ def assert_same_bits(got, want):
 
 def edge_coordinates(n):
     """0, 1, 1 - ulp, ties, cut midpoints and their neighbours one ulp apart."""
-    cuts = np.array(generating_set(n).breakpoints)
+    cuts = generating_set(n).cuts[1:-1]
     half = cuts / 2.0
     base = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, 0.5], half[half <= 1.0]])
     return np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, 1.0)]).clip(0.0, 1.0)
@@ -85,7 +85,7 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
     def test_adversarial_coordinates_every_shape(self, n):
-        cuts = np.array(generating_set(n).breakpoints)
+        cuts = generating_set(n).cuts[1:-1]
         c = edge_coordinates(n)
         x, y = np.meshgrid(c, c, indexing="ij")
         x, y = x.ravel(), y.ravel()
@@ -107,7 +107,7 @@ class TestKernelBits:
 
     def test_random_broadcast_stacks(self):
         rng = np.random.default_rng(8)
-        cuts = np.array(generating_set(33).breakpoints)
+        cuts = generating_set(33).cuts[1:-1]
         x, y = rng.random((2, 4, 50, 1))
         assert_same_bits(intersection_area_grid(cuts, x, y), intersection_area_by_temporaries(cuts, x, y))
         assert_same_bits(intersection_area_grid(cuts, x, 0.5), intersection_area_by_temporaries(cuts, x, 0.5))
@@ -201,7 +201,7 @@ class TestOverlapVector:
     def test_batch_equals_per_point_loop(self, n):
         # Halton points, the corners, points on every cut and one ulp off
         gs = generating_set(n)
-        cuts = np.array(gs.breakpoints) / 2.0
+        cuts = gs.cuts[1:-1] / 2.0
         x = np.concatenate([halton(HaltonConfig(count=200)).points[:, 0], [0.0, 1.0, 0.0, 1.0], cuts,
                             np.nextafter(cuts, 1.0)])
         y = np.concatenate([halton(HaltonConfig(count=200)).points[:, 1], [0.0, 1.0, 1.0, 0.0], cuts, cuts])
