@@ -19,7 +19,6 @@ from .asymptotics import (
 )
 from .estimators import (
     DiscrepancyEstimate,
-    Method,
     expected_l2_sq_mc,
     expected_l2_sq_qmc,
     random_baseline,
@@ -60,7 +59,6 @@ __all__ = [
     "DiscrepancyEstimate",
     "GeneratingSet",
     "HaltonConfig",
-    "Method",
     "PointSet",
     "component_sums",
     "cubic_component_closed_form",

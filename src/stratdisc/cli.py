@@ -1,10 +1,7 @@
 """Command-line interface: tables, ratio curves, samples, MC runs, verification.
 
 All output is plain CSV or JSON with floats printed to 12 significant
-digits, so identical invocations produce byte-identical bytes.  The
-`STRATDISC_THREADS` environment variable caps row-level parallelism for the
-table commands; results are collected in input order and do not depend on
-the thread count.
+digits, so identical invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -36,45 +33,27 @@ def _jnum(value: float) -> float:
     return float(fmt(value))
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("STRATDISC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"error: STRATDISC_THREADS must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _map_rows(fn: Callable[[int], Any], items: Sequence[int]) -> list[Any]:
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: it pulls in threading, queue and logging, which a
-    # single-threaded run never uses
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _render(args: argparse.Namespace, records: Iterable[Record],
             envelope: Callable[[list[Record]], Any] = lambda rows: {"rows": rows}) -> str:
-    """Records, all with the same keys, as CSV or as JSON inside envelope.
+    """Records, all with the same keys and the same value types, as CSV or as
+    JSON inside envelope.
 
-    CSV: the keys are the header and floats go through fmt.  JSON: floats
-    are rounded to the printed precision.  Records are consumed one at a
-    time, so a generator of them is never held whole.
+    CSV: the keys are the header, and one row template built from the first
+    record prints each float as fmt does ('%.12g') and any other value as
+    str does ('%s').  JSON: floats are rounded to the printed precision.
+    Records are consumed one at a time, so a generator of them is never held
+    whole.
     """
-    header = ""
+    header = template = ""
     rows: list[Any] = []
     for record in records:
-        header = header or ",".join(record)
         if args.format == "json":
             rows.append({key: _jnum(v) if isinstance(v, float) else v for key, v in record.items()})
-        else:
-            rows.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in record.values()))
+            continue
+        if not header:
+            header = ",".join(record)
+            template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in record.values())
+        rows.append(template % tuple(record.values()))
     if args.format == "json":
         import json
 
@@ -99,7 +78,7 @@ def cmd_table(args: argparse.Namespace) -> str:
             "vertical": estimators.vertical_baseline(n),
         }
 
-    return _render(args, _map_rows(row, args.n))
+    return _render(args, map(row, args.n))
 
 
 def cmd_ratio(args: argparse.Namespace) -> str:
@@ -108,7 +87,7 @@ def cmd_ratio(args: argparse.Namespace) -> str:
     def row(n: int) -> Record:
         return {"n": n, "ratio": estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
 
-    return _render(args, _map_rows(row, args.n))
+    return _render(args, map(row, args.n))
 
 
 def cmd_sample(args: argparse.Namespace) -> str:

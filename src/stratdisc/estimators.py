@@ -14,10 +14,8 @@ the comparison values the ratio statistics are built on.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +29,16 @@ from .qgeometry import _clip_area
 _BLOCK_POINTS = 2**15
 
 
-class Method(str, enum.Enum):
-    """How an expected-discrepancy value was obtained."""
-
-    EXACT = "exact"
-    QMC = "qmc"
-    MC = "mc"
-
-
 @dataclass(frozen=True)
 class DiscrepancyEstimate:
-    """A value of E[L2^2] with its method tag and, for MC, a standard error."""
+    """A value of E[L2^2] and, for MC, its standard error."""
 
     value: float
-    method: Method
     std_error: float | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.value < 0.0:
             raise ValueError(f"expected squared discrepancy cannot be negative: {self.value}")
-        if (self.std_error is not None) != (self.method is Method.MC):
-            raise ValueError("std_error must be present exactly for MC estimates")
 
 
 def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEstimate:
@@ -110,12 +96,7 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     # a node at or near (1, 1) has q = 1 in exact arithmetic, and rounding
     # can leave q(1 - q) a few ulps below zero; only the total is floored,
     # so every nonnegative value keeps its bits
-    value = max(math.fsum(memoryview(acc)) / (nodes.n * n * n), 0.0)
-    return DiscrepancyEstimate(
-        value=value,
-        method=Method.QMC,
-        meta={"n": n, "m_nodes": nodes.n},
-    )
+    return DiscrepancyEstimate(max(math.fsum(memoryview(acc)) / (nodes.n * n * n), 0.0))
 
 
 def expected_l2_sq_mc(
@@ -144,12 +125,7 @@ def expected_l2_sq_mc(
     # list of them and without holding one
     mean = math.fsum(memoryview(values)) / replicates
     variance = math.fsum((v - mean) ** 2 for v in memoryview(values)) / (replicates - 1)
-    return DiscrepancyEstimate(
-        value=mean,
-        method=Method.MC,
-        std_error=math.sqrt(variance / replicates),
-        meta={"n": n, "replicates": replicates, "seed": seed, "partition": partition},
-    )
+    return DiscrepancyEstimate(mean, math.sqrt(variance / replicates))
 
 
 def random_baseline(n: int) -> float:

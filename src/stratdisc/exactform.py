@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .estimators import DiscrepancyEstimate, Method
+from .estimators import DiscrepancyEstimate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -126,7 +126,7 @@ def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
     """
     total = math.fsum(memoryview(strip_integral_table(n)))
     value = 1.0 / (4.0 * n) - total / (n * n)
-    return DiscrepancyEstimate(value=value, method=Method.EXACT, meta={"n": n})
+    return DiscrepancyEstimate(value)
 
 
 def expected_l2_sq_asymptotic(n: int) -> float:

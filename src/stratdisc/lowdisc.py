@@ -15,7 +15,6 @@ an independent check; it never feeds production numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,20 +26,11 @@ _ROWS = 64
 
 @dataclass(frozen=True)
 class HaltonConfig:
-    """Node-set recipe: coprime bases, first index, and count."""
+    """Node-set recipe: the count of Halton (2, 3) nodes."""
 
-    bases: tuple[int, int] = (2, 3)
-    start_index: int = 1
     count: int = 40000
 
     def __post_init__(self) -> None:
-        b1, b2 = self.bases
-        if b1 < 2 or b2 < 2:
-            raise ValueError(f"bases must be >= 2, got {self.bases}")
-        if math.gcd(b1, b2) != 1:
-            raise ValueError(f"bases must be coprime, got {self.bases}")
-        if self.start_index < 1:
-            raise ValueError(f"start index must be >= 1, got {self.start_index}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
@@ -65,13 +55,13 @@ class PointSet:
         return self.points.shape[0]
 
 
-def _radical_inverse_block(base: int, start: int, count: int) -> np.ndarray:
-    """Van der Corput radical inverses of indices start..start+count-1.
+def _radical_inverse_block(base: int, count: int) -> np.ndarray:
+    """Van der Corput radical inverses of indices 1..count.
 
     The digit-reversed fraction of each index, with the digit loop
     vectorized; digits are accumulated least-significant first.
     """
-    k = np.arange(start, start + count, dtype=np.int64)
+    k = np.arange(1, count + 1, dtype=np.int64)
     inv = np.zeros(count, dtype=np.float64)
     f = 1.0
     while k.any():
@@ -82,10 +72,9 @@ def _radical_inverse_block(base: int, start: int, count: int) -> np.ndarray:
 
 
 def halton(config: HaltonConfig = HaltonConfig()) -> PointSet:
-    """Halton nodes h = start_index .. start_index + count - 1."""
-    b1, b2 = config.bases
-    x = _radical_inverse_block(b1, config.start_index, config.count)
-    y = _radical_inverse_block(b2, config.start_index, config.count)
+    """Halton nodes h = 1 .. count in bases 2 and 3."""
+    x = _radical_inverse_block(2, config.count)
+    y = _radical_inverse_block(3, config.count)
     return PointSet(np.column_stack([x, y]))
 
 

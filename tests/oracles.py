@@ -13,7 +13,9 @@ from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
 max-form Warnock kernels, which the sort-once kernel replaced, must agree
 with each other bit for bit.  The cell lookup, cell areas and the
-jittered-grid closed form, which no library routine needs, live here too.  None of this code is imported by the package.
+jittered-grid closed form, which no library routine needs, live here too, and
+so does the CLI's earlier per-value CSV rendering, which its row template
+must reproduce byte for byte.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
@@ -452,3 +454,12 @@ PRINTED_TABLE1 = {
     112: 0.000620,
     128: 0.000543,
 }
+
+
+def render_csv_by_join(records: list[dict]) -> str:
+    """CSV text as the CLI rendered it before its row template: each value of
+    each record formatted alone (floats to 12 significant digits, anything
+    else by str) and joined with commas, under a header of the first
+    record's keys."""
+    rows = [",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in r.values()) for r in records]
+    return "\n".join([",".join(records[0]), *rows]) + "\n"

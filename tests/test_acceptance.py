@@ -61,9 +61,8 @@ def criterion_8_checks():
     ]
 
 
-def test_criterion_1_table_reproduction(report, monkeypatch):
+def test_criterion_1_table_reproduction(report):
     """All 14 tabulated values reproduced within 1% by the table command."""
-    monkeypatch.delenv("STRATDISC_THREADS", raising=False)
     start = time.perf_counter()
     out = cli.cmd_table(cli.build_parser().parse_args(["table"]))
     elapsed = time.perf_counter() - start

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from stratdisc import asymptotics, cli, estimators, exactform, expected_l2_sq_exact, generating_set
 
-from oracles import expected_l2_sq_printed
+from oracles import expected_l2_sq_printed, render_csv_by_join
 
 
 DATA = Path(__file__).parent / "data"
@@ -24,19 +30,8 @@ def run_main(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_subprocess(args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    full_env.pop("STRATDISC_THREADS", None)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "stratdisc.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+def run_subprocess(args):
+    return subprocess.run([sys.executable, "-m", "stratdisc.cli", *args], capture_output=True, text=True)
 
 
 class TestTableCommand:
@@ -363,12 +358,6 @@ class TestDeterminism:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_thread_cap_does_not_change_output(self):
-        args = ["table", "--n", "4,6,8,10", "--m-nodes", "4000"]
-        serial = run_subprocess(args)
-        threaded = run_subprocess(args, env={"STRATDISC_THREADS": "4"})
-        assert serial.stdout == threaded.stdout
-
     def test_sample_byte_identical(self):
         args = ["sample", "--n", "8", "--seed", "77"]
         a = run_subprocess(args)
@@ -376,15 +365,35 @@ class TestDeterminism:
         assert a.stdout == b.stdout
         assert a.stdout.count("\n") == 9
 
-    def test_bad_thread_env_rejected(self):
-        result = run_subprocess(["table", "--n", "4"], env={"STRATDISC_THREADS": "many"})
-        assert result.returncode == 2
-        assert "STRATDISC_THREADS" in result.stderr
-
     def test_console_entry_point_runs(self):
         result = run_subprocess(["--help"])
         assert result.returncode == 0
         assert "table" in result.stdout
+
+
+class TestCsvRender:
+    """The CSV row template against the per-value format-and-join it replaced."""
+
+    CSV = argparse.Namespace(format="csv")
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"n": 4, "partition": "diagonal", "seed": 2**64 + 7}, {"n": 16, "partition": "vertical", "seed": 0}],
+            [{"x": -0.0, "y": 5e-324, "cell": 1}, {"x": 1e16, "y": 0.1 + 0.2, "cell": 2}],
+            [{"n": 2, "value": math.inf, "std_error": -math.inf}, {"n": 3, "value": math.nan, "std_error": 0.0}],
+            [{"x": np.float64(1.0) / 3.0, "y": np.float64(-0.0)}, {"x": np.float64(1e-310), "y": np.float64(2.5)}],
+        ],
+        ids=["ints-and-strs", "edge-floats", "non-finite", "numpy-floats"],
+    )
+    def test_matches_the_per_value_join(self, records):
+        assert cli._render(self.CSV, iter(records)) == render_csv_by_join(records)
+
+    @given(st.lists(st.tuples(st.floats(), st.integers(), st.floats(width=32)), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_random_floats_match_the_per_value_join(self, rows):
+        records = [{"a": a, "k": k, "b": b} for a, k, b in rows]
+        assert cli._render(self.CSV, records) == render_csv_by_join(records)
 
 
 class TestPinnedOutput:
@@ -430,6 +439,14 @@ class TestPinnedOutput:
         assert err == ""
         assert out.encode() == (DATA / name).read_bytes()
 
+    def test_large_sample_matches_pinned_digest(self, capsys):
+        # 2^20 points: 32 stream tiles and 38.7 MB of rendered rows, pinned as
+        # the `sha256sum` line of the output
+        code, out, err = run_main(["sample", "--n", "1048576", "--seed", "3"], capsys)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert f"{digest}  -\n" == (DATA / "sample_n1048576_s3.sha256").read_text()
+
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # only `verify` loads numpy.random, for its brute-force check sets
@@ -452,8 +469,8 @@ def test_sampling_runs_leave_numpy_random_unloaded():
 
 
 def test_table_run_leaves_thread_pool_and_json_unloaded():
-    # a single-threaded CSV run needs neither, nor the samplers' streams;
-    # each is imported where used
+    # a CSV table run needs no thread pool, no json and none of the
+    # samplers' streams; each is imported only where used
     code = (
         "import sys, stratdisc.cli; stratdisc.cli.main(['table', '--n', '4']); "
         "print([m for m in ('concurrent.futures', 'json', 'stratdisc.streams') if m in sys.modules])"

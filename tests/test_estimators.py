@@ -12,7 +12,6 @@ from stratdisc import estimators
 from stratdisc import (
     DiscrepancyEstimate,
     HaltonConfig,
-    Method,
     PointSet,
     expected_l2_sq_exact,
     expected_l2_sq_mc,
@@ -64,27 +63,20 @@ def _boundary_nodes():
 
 
 class TestDiscrepancyEstimate:
-    def test_std_error_only_for_mc(self):
-        DiscrepancyEstimate(value=0.1, method=Method.MC, std_error=0.01)
-        DiscrepancyEstimate(value=0.1, method=Method.EXACT)
-        with pytest.raises(ValueError):
-            DiscrepancyEstimate(value=0.1, method=Method.EXACT, std_error=0.01)
-        with pytest.raises(ValueError):
-            DiscrepancyEstimate(value=0.1, method=Method.MC)
+    def test_std_error_only_for_mc(self, halton_nodes):
+        est = expected_l2_sq_mc(4, 100, seed=5)
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
+        assert expected_l2_sq_exact(6).std_error is None
+        assert expected_l2_sq_qmc(4, halton_nodes).std_error is None
 
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError):
-            DiscrepancyEstimate(value=-0.1, method=Method.EXACT)
-
-    def test_method_values(self):
-        assert Method.QMC.value == "qmc"
+            DiscrepancyEstimate(value=-0.1)
 
 
 class TestQmcEstimator:
     def test_default_nodes_reproduce_reference_value(self):
         est = expected_l2_sq_qmc(4)
-        assert est.method is Method.QMC
-        assert est.meta == {"n": 4, "m_nodes": 40000}
         assert est.value == pytest.approx(0.0203506, abs=1e-6)
         # the node set of `stratdisc table`, bit for bit against recomputing every strip
         nodes = halton(HaltonConfig())
@@ -201,7 +193,6 @@ class TestMcEstimator:
 
     def test_chunking_invisible_in_result(self):
         est = expected_l2_sq_mc(4, 4100, seed=11)
-        assert est.meta["replicates"] == 4100
         assert est.std_error > 0.0
 
     def test_memory_bounded_at_large_n(self):
@@ -313,10 +304,6 @@ class TestMcEstimator:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_meta_fields(self):
-        est = expected_l2_sq_mc(4, 100, seed=5, partition="vertical")
-        assert est.meta == {"n": 4, "replicates": 100, "seed": 5, "partition": "vertical"}
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             expected_l2_sq_mc(4, 1, seed=0)
@@ -347,7 +334,7 @@ class TestBaselines:
         assert ratio_to_random(4, est) == pytest.approx(random_baseline(4) / est.value)
 
     def test_ratio_rejects_zero_estimate(self):
-        est = DiscrepancyEstimate(value=0.0, method=Method.EXACT)
+        est = DiscrepancyEstimate(value=0.0)
         with pytest.raises(ValueError):
             ratio_to_random(4, est)
 

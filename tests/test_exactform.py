@@ -10,7 +10,6 @@ import pytest
 
 from stratdisc import cli, exactform
 from stratdisc import (
-    Method,
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
     generating_set,
@@ -211,12 +210,6 @@ class TestExactExpectation:
     def test_matches_high_precision_oracle(self, n):
         got = expected_l2_sq_exact(n).value
         assert got == pytest.approx(EXACT_HIGH_PRECISION[n], rel=1e-12)
-
-    def test_method_and_meta(self):
-        est = expected_l2_sq_exact(6)
-        assert est.method is Method.EXACT
-        assert est.meta == {"n": 6}
-        assert est.std_error is None
 
     def test_assembled_from_table(self):
         for n in (2, 3, 12, 13):
