@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -210,6 +211,13 @@ class TestExactExpectation:
     def test_matches_high_precision_oracle(self, n):
         got = expected_l2_sq_exact(n).value
         assert got == pytest.approx(EXACT_HIGH_PRECISION[n], rel=1e-12)
+
+    def test_method_and_meta(self):
+        # the estimate carries no method tag or meta dict: only the value,
+        # and no standard error for the exact form
+        est = expected_l2_sq_exact(6)
+        assert dataclasses.asdict(est) == {"value": est.value, "std_error": None}
+        assert est.value == pytest.approx(EXACT_HIGH_PRECISION[6], rel=1e-12)
 
     def test_assembled_from_table(self):
         for n in (2, 3, 12, 13):
