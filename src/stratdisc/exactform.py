@@ -35,11 +35,20 @@ def _require_n(n: int) -> None:
 
 
 def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
-    """i as float64 (scalar or array), checked once against lo <= i <= hi."""
-    idx = np.asarray(i, dtype=np.float64)
+    """i as float64 (scalar or array), checked once to be integers with lo <= i <= hi.
+
+    An integer dtype is integral already, so only other input is compared
+    with its floor: the table's blocks of np.arange allocate nothing more.
+    """
+    given = np.asarray(i)
+    idx = given.astype(np.float64, copy=False)
     if idx.size and (idx.min() < lo or idx.max() > hi):
         bad = idx.min() if idx.min() < lo else idx.max()
         raise ValueError(f"{regime} strips are {lo} <= i <= {hi} for n={n}, got i={bad:g}")
+    if given.dtype.kind not in "iu":
+        fractional = idx != np.floor(idx)
+        if np.any(fractional):
+            raise ValueError(f"{regime} strip index must be an integer, got i={idx[fractional].flat[0]:g}")
     return idx
 
 

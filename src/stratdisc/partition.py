@@ -23,7 +23,8 @@ the streams module, which is loaded on the first draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,28 +36,31 @@ _STREAM_JITTERED = 2
 PARTITIONS = ("diagonal", "vertical", "jittered")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratingSet:
     """Cuts 0 = r_0 < r_1 < ... < r_N = 2 of the N-cell diagonal partition.
 
     Cell i is the strip {r_{i-1} <= x+y < r_i} intersected with the unit
-    square.  cuts is a read-only float64 copy of the given offsets.
+    square.  n alone fixes the partition: cuts is the read-only float64
+    array of r_i, the offset below which the square has area i/N
+    (_offset_below), so r_0 = 0 and r_N = 2 exactly.  Both branches of that
+    formula compute the same square root for mirrored indices, so the
+    symmetry r_i + r_{N-i} = 2 holds exactly in floating point.
     """
 
-    cuts: np.ndarray
+    n: int
+    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cuts = np.array(self.cuts, dtype=np.float64)
-        if cuts.ndim != 1 or cuts.size < 3:
-            raise ValueError(f"need at least 2 cells, got cuts of shape {cuts.shape}")
-        if not (cuts[0] == 0.0 and cuts[-1] == 2.0 and np.all(cuts[1:] > cuts[:-1])):
-            raise ValueError("cuts must increase strictly from 0 to 2")
+        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer()):
+            raise ValueError(f"n must be an integer, got n={self.n!r}")
+        n = int(self.n)
+        if n < 2:
+            raise ValueError(f"need at least 2 cells, got n={n}")
+        cuts = _offset_below(np.arange(n + 1), n)
         cuts.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cuts", cuts)
-
-    @property
-    def n(self) -> int:
-        return self.cuts.size - 1
 
     def boundary(self, i: int) -> float:
         """Cut offset r_i, for 0 <= i <= N."""
@@ -66,16 +70,8 @@ class GeneratingSet:
 
 
 def generating_set(n: int) -> GeneratingSet:
-    """Cuts of the N-cell equi-volume diagonal partition.
-
-    r_i is the offset below which the square has area i/N (_offset_below),
-    which gives r_0 = 0 and r_N = 2 exactly.  Both branches of that formula
-    compute the same square root for mirrored indices, so the symmetry
-    r_i + r_{N-i} = 2 holds exactly in floating point.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 cells, got n={n}")
-    return GeneratingSet(_offset_below(np.arange(n + 1), n))
+    """The N-cell equi-volume diagonal partition."""
+    return GeneratingSet(n)
 
 
 def _offset_below(m: np.ndarray, n: int) -> np.ndarray:

@@ -227,21 +227,6 @@ class TestVerifyCommand:
         assert run_main(["verify", "--n", raw], capsys) == run_main(["verify", "--n", canonical], capsys)
         assert run_main(["verify", "--n", raw], capsys)[0] == 0
 
-    def test_each_interior_sum_is_summed_once(self, capsys, monkeypatch):
-        # the component and collapse checks share one interior strip sum per n
-        calls = []
-        interior = asymptotics.interior_strip_sum
-
-        def counting(n):
-            calls.append(n)
-            return interior(n)
-
-        monkeypatch.setattr(asymptotics, "interior_strip_sum", counting)
-        code, out, _ = run_main(["verify", "--n", "4096,65536"], capsys)
-        assert code == 0
-        assert sorted(calls) == [4096, 65536]
-        assert out.encode() == (DATA / "verify_n4096_65536.txt").read_bytes()
-
     def test_n_override_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "5"])

@@ -78,6 +78,31 @@ class TestStripIntegrals:
         with pytest.raises(ValueError):
             strip_integral_upper(9, 9)
 
+    @pytest.mark.parametrize(
+        "regime, i",
+        [
+            (strip_integral_lower, 2.5),
+            (strip_integral_lower, np.float64(3.25)),
+            (strip_integral_lower, np.array([2.0, 3.5, 4.0])),
+            (strip_integral_lower, math.nan),
+            (strip_integral_upper, 6.5),
+            (strip_integral_upper, np.float64(5.75)),
+            (strip_integral_upper, np.array([5.0, 6.0, 6.5])),
+            (strip_integral_upper, np.array([5.0, math.nan])),
+        ],
+        ids=["lower-2.5", "lower-float64", "lower-array", "lower-nan",
+             "upper-6.5", "upper-float64", "upper-array", "upper-nan-array"],
+    )
+    def test_non_integral_index_rejected(self, regime, i):
+        # inside the regime's range, but between two strips
+        with pytest.raises(ValueError, match="must be an integer"):
+            regime(8, i)
+
+    @pytest.mark.parametrize("regime, i", [(strip_integral_lower, 3), (strip_integral_upper, 6)])
+    def test_integral_floats_accepted(self, regime, i):
+        assert regime(8, float(i)) == regime(8, i)
+        assert np.array_equal(regime(8, np.array([float(i)])), np.array([regime(8, i)]))
+
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_odd_n_table_holds_the_middle_strip(self, n):
         table = strip_integral_table(n)
