@@ -18,6 +18,7 @@ cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,9 +30,13 @@ _SQRT2 = math.sqrt(2.0)
 _BLOCK = 2**16
 
 
-def _require_n(n: int) -> None:
+def _require_n(n: int) -> int:
+    """n as an int, refused unless integral and >= 2; np.int64(4) and 4.0 pass as 4."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise ValueError(f"n must be an integer, got n={n!r}")
     if n < 2:
         raise ValueError(f"closed forms require n >= 2, got n={n}")
+    return int(n)
 
 
 def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
@@ -54,13 +59,13 @@ def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -
 
 def strip_integral_first(n: int) -> float:
     """Q_1 = 1 - 14*sqrt(2)/(15*sqrt(N)) + 2/(5N)."""
-    _require_n(n)
+    n = _require_n(n)
     return 1.0 - 14.0 * _SQRT2 / (15.0 * math.sqrt(n)) + 2.0 / (5.0 * n)
 
 
 def strip_integral_last(n: int) -> float:
     """Q_N = 1/(15N), the strip at the far corner."""
-    _require_n(n)
+    n = _require_n(n)
     return 1.0 / (15.0 * n)
 
 
@@ -72,6 +77,7 @@ def strip_integral_lower(n: int, i: int | np.ndarray) -> float | np.ndarray:
     + sqrt(2N) * (8iq/sigma^2 - (38i + 6pq - 16)/sigma), using q - p = 1/sigma
     and pq - (i - 1/2) = -1/(4(pq + i - 1/2)).
     """
+    n = _require_n(n)
     i = _strip_indices(n, i, 2, n // 2, "lower")
     m = i - 1.0
     p, q = np.sqrt(m), np.sqrt(i)
@@ -88,7 +94,8 @@ def strip_integral_middle(n: int) -> float:
     The strip lies between a = sqrt((N-1)/N) and 2 - a, and the printed form
     N^2 (1-a)^2 (19 + 50a - 24a^2 + 62a^3 - 47a^4)/180 takes N(1-a) = 1/(1+a).
     """
-    if n < 3 or n % 2 == 0:
+    n = _require_n(n)
+    if n % 2 == 0:
         raise ValueError(f"the middle strip needs odd n >= 3, got n={n}")
     a = math.sqrt((n - 1) / n)
     return (19.0 + a * (50.0 + a * (-24.0 + a * (62.0 - 47.0 * a)))) / (180.0 * (1.0 + a) ** 2)
@@ -100,6 +107,7 @@ def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
     With u = N - i and s = sqrt(u(u+1)), the printed cubic equals
     15N*Q_i = 3u + 1 - 2u(s - u)^2, and s - u = u/(s + u).
     """
+    n = _require_n(n)
     u = n - _strip_indices(n, i, (n + 3) // 2, n - 1, "upper")
     w = np.sqrt(u * (u + 1.0)) + u
     return (3.0 * u + 1.0 - 2.0 * u * u * u / (w * w)) / (15.0 * n)
@@ -113,7 +121,7 @@ def strip_integral_table(n: int) -> np.ndarray:
     at any n.  Both regime formulas are elementwise, so every value is
     bitwise that of one call on the regime's whole index range.
     """
-    _require_n(n)
+    n = _require_n(n)
     values = np.empty(n)
     values[0] = strip_integral_first(n)
     for regime, lo, hi in ((strip_integral_lower, 2, n // 2 + 1), (strip_integral_upper, (n + 3) // 2, n)):
@@ -133,6 +141,7 @@ def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
     The table is summed through a memoryview: fsum then reads Python floats,
     the same values with the same result, faster than numpy scalars.
     """
+    n = _require_n(n)
     total = math.fsum(memoryview(strip_integral_table(n)))
     value = 1.0 / (4.0 * n) - total / (n * n)
     return DiscrepancyEstimate(value)

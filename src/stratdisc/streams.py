@@ -13,6 +13,9 @@ the test oracle.  A sample row uses two 64-bit outputs of its cell's
 stream, so a draw takes a row offset `start` and jumps each stream past
 the earlier rows: rows start .. start+count-1 of a draw equal those rows
 of a longer draw from row 0, and a long run can be drawn in blocks.
+
+With an empty spawn key, the same pieces give stratdisc.rng's stand-in for
+numpy.random.default_rng(seed), which `verify` uses and the samplers do not.
 """
 
 from __future__ import annotations
@@ -47,21 +50,26 @@ def _check_spawn_key(seed: int, n: int) -> None:
         raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
 
 
-def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
+def _seed_words(seed: int, stream: int | None = None, n: int = 1, first: int = 1) -> np.ndarray:
     """Seed words of cells first..n, shape (n - first + 1, 4) uint64.
 
     Row i - first is SeedSequence(entropy=seed, spawn_key=(stream, i))
-    .generate_state(4, np.uint64), the words PCG64 seeds itself from.  The
+    .generate_state(4, np.uint64), the words PCG64 seeds itself from.  With
+    no stream the spawn key is empty and every row holds the words of
+    SeedSequence(seed), which numpy.random.default_rng(seed) seeds from.  The
     SeedSequence hash runs here on uint32 arrays with one lane per cell; only
     the last entropy word, the cell index, differs between lanes.
     """
     _check_spawn_key(seed, n)
     # 32-bit words of the seed, least significant first, zero-padded to the
-    # pool size as SeedSequence pads them when a spawn key follows
+    # pool size as SeedSequence pads them when a spawn key follows; with none,
+    # its hash of a short pool runs on zeros, the same words
     words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words)) + [stream]
+    words += [0] * (_POOL_SIZE - len(words))
     lanes = np.arange(first, n + 1, dtype=np.uint32)
-    entropy = [np.full_like(lanes, w) for w in words] + [lanes]
+    entropy = [np.full_like(lanes, w) for w in words]
+    if stream is not None:
+        entropy += [np.full_like(lanes, stream), lanes]
 
     def hasher(hash_const: int, mult: int):
         def hashmix(value: np.ndarray) -> np.ndarray:
@@ -145,6 +153,21 @@ def _mul_add(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     return words[0], words[1]
 
 
+def _xsl_rr(hi, lo, tmp, rot) -> None:
+    """PCG64's output function XSL-RR, in place: the 64-bit outputs of states (hi, lo) into lo.
+
+    The xor of the state's words, rotated right by hi >> 58.  tmp and rot
+    are scratch arrays of lo's shape; rot may be hi itself.
+    """
+    np.bitwise_xor(hi, lo, out=lo)
+    np.right_shift(hi, _58, out=rot)
+    np.subtract(_64, rot, out=tmp)
+    tmp &= _63  # a shift by 64 when rot = 0 is past the word
+    np.left_shift(lo, tmp, out=tmp)
+    lo >>= rot
+    lo |= tmp
+
+
 @lru_cache(maxsize=4)
 def _step_sums(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) words of C_0 .. C_{k-1} as (k, 1) columns, by doubling: C_{j+L} = M^L·C_j + C_L."""
@@ -183,9 +206,9 @@ def cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) ->
     2r and 2r+1 of its stream, so it depends on neither count nor start.
     Output t of every cell reads the state C_(t+2)·D + P of _cell_words, so
     the draw is one product of a per-output constant and a per-cell word,
-    taken in tiles of the (output, cell) grid that stay in cache.  The
-    output is PCG64's XSL-RR: the xor of the state's words rotated right by
-    hi >> 58, whose top 53 bits scale to [0, 1).
+    taken in tiles of the (output, cell) grid that stay in cache, and
+    PCG64's output function _xsl_rr turns it into 64 bits whose top 53 scale
+    to [0, 1).
     """
     _check_spawn_key(seed, n)
     if start < 0:
@@ -205,13 +228,8 @@ def cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) ->
             mult, plus = _lcg_jump(2 * start + k + 2)
             t = _mul_add(_halves(mult), (steps_hi[:len(hi)], steps_lo[:len(hi)]), _halves(plus))
             _mul_add128(t, (d_hi, d_lo), (p_hi, p_lo), hi, lo, tmp, rot)
-            np.bitwise_xor(hi, lo, out=lo)
-            np.right_shift(hi, _58, out=rot)
-            np.subtract(_64, rot, out=tmp)
-            tmp &= _63  # a shift by 64 when rot = 0 is past the word
-            np.left_shift(lo, tmp, out=tmp)
-            lo >>= rot
-            lo |= tmp
+            _xsl_rr(hi, lo, tmp, rot)
             lo >>= _11
             np.multiply(lo.reshape(out.shape), 2.0**-53, out=out)
     return u
+

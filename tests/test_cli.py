@@ -416,6 +416,7 @@ class TestPinnedOutput:
             (["sample", "--n", "1024", "--seed", "9"], "sample_n1024_s9.csv"),
             (["mc", "--n", "1024", "--replicates", "40", "--seed", "3"], "mc_n1024_r40_s3.csv"),
             (["sample", "--n", "16", "--seed", "5", "--partition", "vertical"], "sample_n16_s5_vertical.csv"),
+            (["verify", "--n", "256,4"], "verify_n256_4.txt"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):
@@ -434,7 +435,7 @@ class TestPinnedOutput:
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # only `verify` loads numpy.random, for its brute-force check sets
+    # no command loads numpy.random; importing the CLI must not either
     code = "import sys, stratdisc.cli; print('numpy.random' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -442,15 +443,25 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_sampling_runs_leave_numpy_random_unloaded():
-    # the per-cell PCG64 streams are computed by stratdisc.streams in numpy
+    # the per-cell PCG64 streams are computed by stratdisc.streams in numpy;
+    # verify's generator in stratdisc.rng is not loaded either
     code = (
         "import sys, stratdisc.cli; stratdisc.cli.main(['sample', '--n', '16']); "
         "stratdisc.cli.main(['mc', '--n', '16', '--replicates', '20']); "
-        "print('numpy.random' in sys.modules)"
+        "print([m for m in ('numpy.random', 'stratdisc.rng') if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_run_leaves_numpy_random_unloaded():
+    # the brute-force check sets come from stratdisc.rng.Generator, numpy's
+    # draws computed without numpy.random
+    code = "import sys, stratdisc.cli; stratdisc.cli.main(['verify']); print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["24/24 checks passed", "False"]
 
 
 def test_table_run_leaves_thread_pool_and_json_unloaded():

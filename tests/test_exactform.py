@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stratdisc import cli, exactform
+from stratdisc.asymptotics import interior_strip_sum
 from stratdisc import (
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
@@ -112,6 +113,33 @@ class TestStripIntegrals:
             if 2 * i != n + 1:
                 regime = strip_integral_lower if i <= n // 2 else strip_integral_upper
                 assert table[i - 1] == regime(n, i)
+
+    @pytest.mark.parametrize(
+        "func, n",
+        [
+            (strip_integral_first, 4),
+            (strip_integral_last, 4),
+            (strip_integral_middle, 5),
+            (lambda n: strip_integral_lower(n, 2), 4),
+            (lambda n: strip_integral_upper(n, 5), 6),
+            (strip_integral_table, 4),
+            (expected_l2_sq_exact, 4),
+            (interior_strip_sum, 4),
+        ],
+        ids=["first", "last", "middle", "lower", "upper", "table", "exact", "interior-sum"],
+    )
+    def test_non_integral_n_rejected_integral_n_accepted(self, func, n):
+        for bad in (n + 0.5, np.float64(n - 0.25), math.nan, "4"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                func(bad)
+        want = func(n)
+        for same in (np.int64(n), float(n)):
+            got = func(same)
+            assert type(got) is type(want)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
 
     def test_middle_strip_needs_odd_n(self):
         for n in (0, 1, 2, 4, 64):

@@ -241,8 +241,10 @@ class TestMeanSquareOverlap:
             quad = quads[i - 1]
             assert quad == pytest.approx(table[i - 1], abs=1e-6)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
-    @pytest.mark.parametrize("grid", [10, 1000])
+    # grids 37, 1000 and 2000 end in a partial block of rows; n = 65 puts 32
+    # cuts on each side of r = 1, where the edge terms are left out
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16, 65])
+    @pytest.mark.parametrize("grid", [10, 37, 1000, 2000])
     def test_equals_per_strip_quadrature(self, n, grid):
         gs = generating_set(n)
         want = [mean_square_overlap_per_strip(gs, i, grid) for i in range(1, n + 1)]
