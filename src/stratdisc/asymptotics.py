@@ -26,18 +26,20 @@ rather than altering the printed formulas.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exactform import strip_integral_table
+from .exactform import _strip_blocks
 
 _SQRT2 = math.sqrt(2.0)
 
 # Largest n accepted for direct summation; `verify --n 1048576` takes about
-# 2.1 s on a 2-vCPU box, nearly all of it in component_sums.
+# 2.7 s on a 2-vCPU box, nearly all of it in component_sums.  The closed
+# forms have their own, larger cap, exactform.MAX_CLOSED_FORM_N.
 MAX_DIRECT_N = 2**20
 
 # zeta(-k) for the supported exponents.  The non-integer values were
@@ -244,8 +246,9 @@ def cubic_component_closed_form(n: int) -> float:
 
 
 def interior_strip_sum(n: int) -> float:
-    """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry."""
-    return math.fsum(memoryview(strip_integral_table(n))[1:-1])
+    """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry,
+    streamed in blocks: bitwise the fsum of that slice of the table."""
+    return math.fsum(itertools.chain.from_iterable(_strip_blocks(n, ends=False)))
 
 
 def fit_error_order(ns: Sequence[int], errors: Sequence[float]) -> float:

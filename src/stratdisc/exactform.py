@@ -17,8 +17,10 @@ cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,16 +28,26 @@ from .estimators import DiscrepancyEstimate
 
 _SQRT2 = math.sqrt(2.0)
 
-# Strips per regime call in strip_integral_table; bounds its temporaries.
-_BLOCK = 2**16
+# Strips per regime call in _strip_blocks.  Each block's temporaries are
+# 32 KiB arrays, under glibc's 128 KiB mmap threshold, so they are reused
+# from the heap instead of being mapped and page-faulted afresh.
+_BLOCK = 2**12
+
+# Largest n the closed forms accept.  The strips are streamed at 40 to
+# 60 ns each, so n = 2^30 takes about a minute on a 2-vCPU box; past 2^53
+# a float64 strip index would no longer be exact.
+MAX_CLOSED_FORM_N = 2**30
 
 
 def _require_n(n: int) -> int:
-    """n as an int, refused unless integral and >= 2; np.int64(4) and 4.0 pass as 4."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+    """n as an int, refused unless integral and 2 <= n <= MAX_CLOSED_FORM_N;
+    np.int64(4) and 4.0 pass as 4."""
+    if not (isinstance(n, numbers.Real) and (isinstance(n, numbers.Integral) or float(n).is_integer())):
         raise ValueError(f"n must be an integer, got n={n!r}")
     if n < 2:
         raise ValueError(f"closed forms require n >= 2, got n={n}")
+    if n > MAX_CLOSED_FORM_N:
+        raise ValueError(f"closed forms accept n <= {MAX_CLOSED_FORM_N}, got n={n}")
     return int(n)
 
 
@@ -113,36 +125,53 @@ def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
     return (3.0 * u + 1.0 - 2.0 * u * u * u / (w * w)) / (15.0 * n)
 
 
+def _strip_blocks(n: int, ends: bool = True) -> Iterator[Sequence[float]]:
+    """Q_1..Q_N for n >= 2 in strip order, in blocks of at most _BLOCK strips.
+
+    The blocks are (Q_1,), memoryviews of the lower regime, (Q_middle,) for
+    odd n, memoryviews of the upper regime and (Q_N,); with ends false, Q_1
+    and Q_N are left out.  Both regime formulas are elementwise, so every
+    value is bitwise that of one call on the regime's whole index range.
+    """
+    n = _require_n(n)
+    if ends:
+        yield (strip_integral_first(n),)
+    for a in range(2, n // 2 + 1, _BLOCK):
+        yield memoryview(strip_integral_lower(n, np.arange(a, min(a + _BLOCK, n // 2 + 1))))
+    if n % 2:
+        yield (strip_integral_middle(n),)
+    for a in range((n + 3) // 2, n, _BLOCK):
+        yield memoryview(strip_integral_upper(n, np.arange(a, min(a + _BLOCK, n))))
+    if ends:
+        yield (strip_integral_last(n),)
+
+
 def strip_integral_table(n: int) -> np.ndarray:
     """All strip integrals Q_1..Q_N for n >= 2, in strip order, as a read-only float64 array.
 
-    The table is allocated once and the lower and upper regimes are evaluated
-    into it in blocks of _BLOCK strips, so their temporaries stay a few MiB
-    at any n.  Both regime formulas are elementwise, so every value is
-    bitwise that of one call on the regime's whole index range.
+    The table is filled from _strip_blocks, so besides its own 8n bytes it
+    holds one block of regime temporaries.  The exact expectation and the
+    interior sum stream those blocks instead and never build the table.
     """
-    n = _require_n(n)
-    values = np.empty(n)
-    values[0] = strip_integral_first(n)
-    for regime, lo, hi in ((strip_integral_lower, 2, n // 2 + 1), (strip_integral_upper, (n + 3) // 2, n)):
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            values[a - 1:b - 1] = regime(n, np.arange(a, b))
-    if n % 2:
-        values[n // 2] = strip_integral_middle(n)
-    values[-1] = strip_integral_last(n)
+    values = np.empty(_require_n(n))
+    a = 0
+    for block in _strip_blocks(n):
+        values[a:a + len(block)] = block
+        a += len(block)
     values.setflags(write=False)
     return values
 
 
 def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
-    """E[L2^2] of the diagonal partition, exactly, for n >= 2.
+    """E[L2^2] of the diagonal partition, exactly, for 2 <= n <= MAX_CLOSED_FORM_N.
 
-    The table is summed through a memoryview: fsum then reads Python floats,
-    the same values with the same result, faster than numpy scalars.
+    The strip integrals are streamed block by block into one fsum, which
+    reads Python floats from the memoryviews, so no O(n) array is held.
+    fsum adds its inputs exactly and rounds once, so the result is bitwise
+    the fsum of the whole table.
     """
     n = _require_n(n)
-    total = math.fsum(memoryview(strip_integral_table(n)))
+    total = math.fsum(itertools.chain.from_iterable(_strip_blocks(n)))
     value = 1.0 / (4.0 * n) - total / (n * n)
     return DiscrepancyEstimate(value)
 

@@ -16,12 +16,13 @@ an independent check; it never feeds production numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-# Anchor rows per block of x*y products in brute_force_l2_sq, so that no
-# second grid x grid array is built.
-_ROWS = 64
+# Anchors per leaf of brute_force_l2_sq's reduction; its two row buffers
+# hold twice that plus a row, about 0.5 MiB in all at grid 1000.
+_LEAF = 2**14
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,17 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
 
     The count table changes from one anchor row to the next only at the
     distinct x ranks of the points, at most min(n, grid + 1) of them.  Its
-    rows are built as a 2-D prefix sum over a histogram of those ranks and
-    gathered for every anchor row, so cost is O(grid^2 + n log n) and memory
-    O(grid^2): the anchor products x*y are subtracted in place, a block of
-    rows at a time.  Counts are exact integers, so the order of the prefix
-    sums does not change any bit.
+    rows are built as a 2-D prefix sum over a histogram of those ranks, so
+    cost is O(grid^2 + n log n) and memory O(min(n, grid) * grid + _LEAF).
+    Counts are exact integers, so the order of the prefix sums does not
+    change any bit.
+
+    The grid x grid deviation array is never built.  Its flat anchor range
+    is split as numpy's pairwise summation splits it, down to leaves of at
+    most _LEAF anchors; each leaf's rows are gathered into reused buffers
+    and summed by np.sum.  Every element has the bits it would have in the
+    whole array, and the leaves add up in numpy's own tree, so the result
+    is bitwise np.mean of that array.
     """
     if ps.n < 1:
         raise ValueError("point set must be nonempty")
@@ -134,10 +141,45 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     # row 0 stays empty: anchor rows below every x rank count no point
     hist = np.zeros((ranks.size + 1, grid + 1), dtype=np.float64)
     np.add.at(hist, (rank_of + 1, iy), 1.0)
-    table = hist.cumsum(axis=0).cumsum(axis=1)[:, :grid]
-    deviation = table[np.searchsorted(ranks, np.arange(grid), side="right")]
-    deviation /= ps.n
-    for a in range(0, grid, _ROWS):
-        deviation[a:a + _ROWS] -= mids[a:a + _ROWS, np.newaxis] * mids
-    deviation *= deviation
-    return float(np.mean(deviation))
+    np.cumsum(hist, axis=0, out=hist)
+    table = np.cumsum(hist, axis=1, out=hist)[:, :grid]
+    table /= ps.n
+    row_of = np.searchsorted(ranks, np.arange(grid), side="right")
+    # two leaves of rows plus one: a refill at a leaf's first row holds that
+    # leaf wherever in the row it starts, and usually the next leaf too
+    rows = min(grid, -(-2 * _LEAF // grid) + 1)
+    deviation = np.empty((rows, grid))
+    products = np.empty((rows, grid))
+    flat = deviation.reshape(-1)
+    start = stop = 0  # the flat anchor range held in deviation
+
+    def leaf_sum(lo: int, hi: int) -> np.float64:
+        nonlocal start, stop
+        if hi > stop:
+            r0 = lo // grid
+            r1 = min(r0 + rows, grid)
+            block, prod = deviation[:r1 - r0], products[:r1 - r0]
+            # mode="raise" would gather into a buffer and copy it to out
+            np.take(table, row_of[r0:r1], axis=0, out=block, mode="clip")
+            np.multiply(mids[r0:r1, np.newaxis], mids, out=prod)
+            np.subtract(block, prod, out=block)
+            np.multiply(block, block, out=block)
+            start, stop = r0 * grid, r1 * grid
+        return np.sum(flat[lo - start:hi - start])
+
+    return float(_pairwise_sum(0, grid * grid, leaf_sum) / (grid * grid))
+
+
+def _pairwise_sum(lo: int, hi: int, leaf_sum: Callable[[int, int], np.float64]) -> np.float64:
+    """leaf_sum over the range [lo, hi) split as numpy's pairwise_sum splits it.
+
+    A range of more than _LEAF splits at a multiple of 8 near its middle,
+    and the halves' sums are added.  A module-level function, so that no
+    recursive closure keeps the caller's buffers alive until the next
+    garbage collection.
+    """
+    if hi - lo <= _LEAF:
+        return leaf_sum(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(lo, lo + half, leaf_sum) + _pairwise_sum(lo + half, hi, leaf_sum)

@@ -127,11 +127,20 @@ class TestRatioCommand:
         def broken(n):
             raise ValueError("strip table broke")
 
-        monkeypatch.setattr(exactform, "strip_integral_table", broken)
+        monkeypatch.setattr(exactform, "_strip_blocks", broken)
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert "error: strip table broke" in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", [["ratio"], ["table", "--m-nodes", "500"]], ids=["ratio", "table"])
+    @pytest.mark.parametrize("n", [exactform.MAX_CLOSED_FORM_N + 1, 2**53 + 1, 10**400])
+    def test_n_above_the_closed_form_cap_is_refused(self, command, n, capsys):
+        # refused before any strip is evaluated: streaming 2^53 strips would
+        # run for years instead of failing
+        code, out, err = run_main([*command, "--n", f"4,{n}"], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: closed forms accept n <= {exactform.MAX_CLOSED_FORM_N}, got n={n}" in err
 
 
 class TestSampleCommand:
@@ -417,6 +426,8 @@ class TestPinnedOutput:
             (["mc", "--n", "1024", "--replicates", "40", "--seed", "3"], "mc_n1024_r40_s3.csv"),
             (["sample", "--n", "16", "--seed", "5", "--partition", "vertical"], "sample_n16_s5_vertical.csv"),
             (["verify", "--n", "256,4"], "verify_n256_4.txt"),
+            (["ratio", "--n", "16777216,16777217"], "ratio_n16777216_16777217.csv"),
+            (["verify", "--n", "1048576"], "verify_n1048576.txt"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

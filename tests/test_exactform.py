@@ -255,6 +255,47 @@ class TestBlockedTable:
         assert peak < 40 * 2**20
 
 
+class TestStreamedSums:
+    """The exact form and the interior sum stream the strips into fsum; no table is held."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 65, 1025, 2**18, 2**18 + 1, 2**20])
+    def test_equal_to_fsum_of_the_table(self, n):
+        table = strip_integral_table(n)
+        assert expected_l2_sq_exact(n).value == 1.0 / (4.0 * n) - math.fsum(table.tolist()) / (n * n)
+        assert interior_strip_sum(n) == math.fsum(table[1:-1].tolist())
+
+    @pytest.mark.parametrize("func", [expected_l2_sq_exact, interior_strip_sum], ids=["exact", "interior-sum"])
+    def test_memory_flat_in_n(self, func):
+        # one block of regime temporaries at every n; the table at 2^20
+        # alone would be 8 MiB
+        peaks = []
+        for n in (2**16, 2**18, 2**20):
+            tracemalloc.start()
+            try:
+                func(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2**20, peaks
+        assert peaks[-1] <= peaks[0] + 2**16, peaks
+
+    @pytest.mark.parametrize(
+        "func",
+        [strip_integral_first, strip_integral_last, strip_integral_table, expected_l2_sq_exact, interior_strip_sum],
+        ids=["first", "last", "table", "exact", "interior-sum"],
+    )
+    def test_n_above_the_cap_refused(self, func):
+        cap = exactform.MAX_CLOSED_FORM_N
+        for n in (cap + 1, np.int64(cap + 1), float(2**53 + 2), 10**400):
+            with pytest.raises(ValueError, match=f"closed forms accept n <= {cap}"):
+                func(n)
+
+    def test_n_at_the_cap_accepted(self):
+        cap = exactform.MAX_CLOSED_FORM_N
+        assert strip_integral_last(cap) == 1.0 / (15.0 * cap)
+        assert strip_integral_lower(cap, cap // 2) > 0.0
+
+
 class TestExactExpectation:
     def test_n2_value(self):
         # two strips: 1/8 - (Q_1 + Q_2)/4 with Q_1 + Q_2 = 3/10

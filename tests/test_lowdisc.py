@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,7 +205,8 @@ class TestBruteForce:
         assert fast == pytest.approx(slow, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 17, 32, 500, 3000])
-    @pytest.mark.parametrize("grid", [10, 60, 1000])
+    # 1013^2 is not a multiple of 8, and its reduction leaves split mid-row
+    @pytest.mark.parametrize("grid", [10, 60, 1000, 1013])
     def test_equals_histogram_oracle(self, m, grid):
         pts = np.random.default_rng(m * grid).random((m, 2))
         assert brute_force_l2_sq(PointSet(pts), grid) == brute_force_by_histogram(pts, grid)
@@ -218,6 +220,19 @@ class TestBruteForce:
                         [mids[0], mids[-1]], [mids[3], mids[3]], [mids[3], 0.2], [mids[-1], mids[0]]])
         for points in (pts, pts[:1], pts[1:2], pts[4:]):
             assert brute_force_l2_sq(PointSet(points), grid) == brute_force_by_histogram(points, grid)
+
+    def test_memory_bounded_at_grid_1000(self):
+        # the full 1000 x 1000 deviation array alone would be 7.6 MiB; and
+        # nothing outlives the call until a garbage collection
+        pts = PointSet(np.random.default_rng(3).random((32, 2)))
+        tracemalloc.start()
+        try:
+            brute_force_l2_sq(pts, grid=1000)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert current < 2**16
 
     def test_single_corner_point(self):
         val = brute_force_l2_sq(PointSet([[1.0, 1.0]]), grid=500)
