@@ -1,93 +1,53 @@
 """Stratified sampling of the unit square by diagonal strips, with exact,
 quasi-Monte Carlo, and Monte Carlo estimates of the expected squared L2 star
-discrepancy."""
+discrepancy.
 
-from .asymptotics import (
-    ApproximantOrderReport,
-    ComponentSums,
-    component_sums,
-    cubic_component_closed_form,
-    estimate_limit_offset,
-    fit_error_order,
-    interior_strip_sum,
-    paired_strip_integral,
-    power_sqrt_order_report,
-    power_sqrt_sum,
-    power_sqrt_sum_approx,
-    power_sum,
-    power_sum_approx,
-)
-from .estimators import (
-    DiscrepancyEstimate,
-    expected_l2_sq_mc,
-    expected_l2_sq_qmc,
-    random_baseline,
-    ratio_to_random,
-    vertical_baseline,
-)
-from .exactform import (
-    expected_l2_sq_asymptotic,
-    expected_l2_sq_exact,
-    strip_integral_first,
-    strip_integral_last,
-    strip_integral_lower,
-    strip_integral_table,
-    strip_integral_upper,
-)
-from .lowdisc import (
-    HaltonConfig,
-    PointSet,
-    halton,
-    l2_discrepancy_sq_batch,
-)
-from .partition import (
-    GeneratingSet,
-    generating_set,
-    sample_partition,
-    sample_stratified_batch,
-)
-from .qgeometry import (
-    intersection_area_grid,
-    overlap_vector,
-)
+Each public name is imported from its module on first access (PEP 562), so
+`import stratdisc` loads no numeric module, and a command loads only the
+modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximantOrderReport",
-    "ComponentSums",
-    "DiscrepancyEstimate",
-    "GeneratingSet",
-    "HaltonConfig",
-    "PointSet",
-    "component_sums",
-    "cubic_component_closed_form",
-    "estimate_limit_offset",
-    "expected_l2_sq_asymptotic",
-    "expected_l2_sq_exact",
-    "expected_l2_sq_mc",
-    "expected_l2_sq_qmc",
-    "fit_error_order",
-    "generating_set",
-    "halton",
-    "interior_strip_sum",
-    "intersection_area_grid",
-    "l2_discrepancy_sq_batch",
-    "overlap_vector",
-    "paired_strip_integral",
-    "power_sqrt_order_report",
-    "power_sqrt_sum",
-    "power_sqrt_sum_approx",
-    "power_sum",
-    "power_sum_approx",
-    "random_baseline",
-    "ratio_to_random",
-    "sample_partition",
-    "sample_stratified_batch",
-    "strip_integral_first",
-    "strip_integral_last",
-    "strip_integral_lower",
-    "strip_integral_table",
-    "strip_integral_upper",
-    "vertical_baseline",
-]
+# Largest n accepted for direct summation by asymptotics and `verify --n`;
+# `verify --n 1048576` takes about 2.7 s on a 2-vCPU box, nearly all of it in
+# component_sums.  It is stated here, where the command-line parser reads it
+# without loading asymptotics.  The closed forms have their own, larger cap,
+# exactform.MAX_CLOSED_FORM_N.
+MAX_DIRECT_N = 2**20
+
+# the module that defines each public name
+_MODULES = {
+    "asymptotics": (
+        "ApproximantOrderReport", "ComponentSums", "component_sums", "cubic_component_closed_form",
+        "estimate_limit_offset", "fit_error_order", "interior_strip_sum", "paired_strip_integral",
+        "power_sqrt_order_report", "power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx",
+    ),
+    "estimators": (
+        "DiscrepancyEstimate", "expected_l2_sq_mc", "expected_l2_sq_qmc", "random_baseline",
+        "ratio_to_random", "vertical_baseline",
+    ),
+    "exactform": (
+        "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "strip_integral_first", "strip_integral_last",
+        "strip_integral_lower", "strip_integral_table", "strip_integral_upper",
+    ),
+    "lowdisc": ("HaltonConfig", "PointSet", "halton", "l2_discrepancy_sq_batch"),
+    "partition": ("GeneratingSet", "generating_set", "sample_partition", "sample_stratified_batch"),
+    "qgeometry": ("intersection_area_grid", "overlap_vector"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

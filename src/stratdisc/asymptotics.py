@@ -31,16 +31,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from . import MAX_DIRECT_N
 from .exactform import _strip_blocks
 
 _SQRT2 = math.sqrt(2.0)
-
-# Largest n accepted for direct summation; `verify --n 1048576` takes about
-# 2.7 s on a 2-vCPU box, nearly all of it in component_sums.  The closed
-# forms have their own, larger cap, exactform.MAX_CLOSED_FORM_N.
-MAX_DIRECT_N = 2**20
 
 # zeta(-k) for the supported exponents.  The non-integer values were
 # cross-checked against the n -> infinity limit of the direct sums minus the
@@ -252,12 +246,19 @@ def interior_strip_sum(n: int) -> float:
 
 
 def fit_error_order(ns: Sequence[int], errors: Sequence[float]) -> float:
-    """Log-log least-squares slope of |error| against n."""
-    if len(ns) != len(errors) or len(ns) < 2:
-        raise ValueError("need matching sequences of at least 2 points")
-    log_n = np.log(np.asarray(ns, dtype=np.float64))
-    log_e = np.log(np.maximum(np.abs(np.asarray(errors, dtype=np.float64)), 1e-300))
-    return float(np.polyfit(log_n, log_e, 1)[0])
+    """Log-log least-squares slope of |error| against n.
+
+    The slope of the line fit in closed form, sum(dx dy) / sum(dx^2) with dx
+    and dy taken about their means and each sum an fsum: the fit
+    np.polyfit(log n, log |error|, 1) makes, without a LAPACK call.
+    """
+    if len(ns) != len(errors) or len(set(ns)) < 2:
+        raise ValueError("need matching sequences with at least 2 distinct n")
+    log_n = [math.log(n) for n in ns]
+    log_e = [math.log(max(abs(e), 1e-300)) for e in errors]
+    mean_n, mean_e = math.fsum(log_n) / len(ns), math.fsum(log_e) / len(ns)
+    dx = [x - mean_n for x in log_n]
+    return math.fsum(d * (y - mean_e) for d, y in zip(dx, log_e)) / math.fsum(d * d for d in dx)
 
 
 def estimate_limit_offset(ns: Sequence[int], errors: Sequence[float], decay: float) -> float:

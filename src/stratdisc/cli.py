@@ -10,11 +10,15 @@ import argparse
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import asymptotics, estimators, exactform, lowdisc, partition, qgeometry
+# Each command and check imports the library modules it runs, so a command
+# loads only its own modules; the parser reads partition's kinds and the
+# package's direct-summation cap.
+if TYPE_CHECKING:
+    from .lowdisc import PointSet
 
 TABLE1_NS = (4, 6, 8, 10, 12, 14, 16, 32, 48, 64, 80, 96, 112, 128)
 RATIO_DEFAULT_NS = (4, 8, 16, 32, 64, 128)
@@ -62,6 +66,8 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
 
 def cmd_table(args: argparse.Namespace) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
+    from . import estimators, exactform, lowdisc
+
     nodes = lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes))
     # sorted once by x + y, so each row's QMC argsort sees sorted input;
     # the QMC value does not depend on node order
@@ -82,6 +88,7 @@ def cmd_table(args: argparse.Namespace) -> str:
 
 def cmd_ratio(args: argparse.Namespace) -> str:
     """Ratio of the i.i.d. baseline to the exact diagonal expectation."""
+    from . import estimators, exactform
 
     def row(n: int) -> Record:
         return {"n": n, "ratio": estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
@@ -91,6 +98,8 @@ def cmd_ratio(args: argparse.Namespace) -> str:
 
 def cmd_sample(args: argparse.Namespace) -> str:
     """One stratified sample: rows of (x, y, cell)."""
+    from . import partition
+
     points = partition.sample_partition(args.partition, args.n[0], 1, args.seed)[0].tolist()
     return _render(
         args,
@@ -101,6 +110,8 @@ def cmd_sample(args: argparse.Namespace) -> str:
 
 def cmd_mc(args: argparse.Namespace) -> str:
     """Monte Carlo estimate over stratified replicates, with standard error."""
+    from . import estimators
+
     est = estimators.expected_l2_sq_mc(args.n[0], args.replicates, args.seed, args.partition)
     record = {
         "n": args.n[0],
@@ -127,6 +138,8 @@ def _record(name: str, passed: bool, detail: str) -> Record:
 
 def check_sqrt_sum_orders(ks: Sequence[float], tol: float) -> list[Record]:
     """Error order of each sqrt-sum approximant, raw or offset-adjusted, within tol of the claim."""
+    from . import asymptotics
+
     records = []
     for k in ks:
         report = asymptotics.power_sqrt_order_report(k)
@@ -148,6 +161,8 @@ def check_harmonic(ns: Sequence[int], rel_tol: float) -> list[Record]:
     for k = 1/2, 3/2, 5/2; exact to rel_tol for k = 1, 2; off by the constant
     1/120 for k = 3, after a floating-point slack of rel_tol times the sum.
     """
+    from . import asymptotics
+
     records = []
     for k in (0.5, 1.5, 2.5):
         worst = max(
@@ -177,6 +192,8 @@ def check_harmonic(ns: Sequence[int], rel_tol: float) -> list[Record]:
 
 def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
     """g(i) = Q_i + Q_{N+1-i} against the two regime formulas, for each n."""
+    from . import asymptotics, exactform
+
     records = []
     for n in ns:
         worst = max(
@@ -195,6 +212,8 @@ def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
 def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -> list[Record]:
     """The cubic component against its closed form, and the component total
     against the interior strip sum, worst over ns."""
+    from . import asymptotics
+
     worst_cubic = 0.0
     worst_total = 0.0
     for n in ns:
@@ -213,6 +232,8 @@ def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -
 def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
     """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth
     times the last."""
+    from . import asymptotics
+
     normalized = [abs(asymptotics.interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
     ok = all(later <= growth * earlier for earlier, later in zip(normalized, normalized[1:]))
     return [_record(
@@ -224,6 +245,8 @@ def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
 
 def check_strip_quadrature(ns: Sequence[int], grid: int, tol: float) -> list[Record]:
     """Closed-form strip integrals against midpoint quadrature on a grid x grid lattice."""
+    from . import exactform, partition, qgeometry
+
     records = []
     for n in ns:
         table = exactform.strip_integral_table(n)
@@ -235,8 +258,10 @@ def check_strip_quadrature(ns: Sequence[int], grid: int, tol: float) -> list[Rec
     return records
 
 
-def check_cross_method(nodes: lowdisc.PointSet, ns: Sequence[int], tol: float) -> list[Record]:
+def check_cross_method(nodes: PointSet, ns: Sequence[int], tol: float) -> list[Record]:
     """Relative gap of the QMC estimate on nodes to the closed form, worst over ns."""
+    from . import estimators, exactform
+
     worst = 0.0
     for n in ns:
         exact = exactform.expected_l2_sq_exact(n).value
@@ -248,12 +273,16 @@ def check_cross_method(nodes: lowdisc.PointSet, ns: Sequence[int], tol: float) -
 
 def check_worked_example(tol: float) -> list[Record]:
     """The four overlap fractions at (0.4, 0.8) with n = 4 against their rounded values."""
+    from . import partition, qgeometry
+
     got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8).tolist()
     worst = max(abs(g - w) for g, w in zip(got, (0.8114, 0.3886, 0.08, 0.0)))
     return [_record("worked-example", worst <= tol, f"q = ({', '.join(fmt(v) for v in got)})")]
 
 
 def _l2_sq(points: np.ndarray) -> float:
+    from . import lowdisc
+
     return float(lowdisc.l2_discrepancy_sq_batch(points[np.newaxis])[0])
 
 
@@ -274,6 +303,8 @@ def check_pairwise_vs_brute(rng: Any, sets: int, grid: int, tol: float) -> list[
     rng is any object with numpy's Generator.integers(low, high) and
     .random(shape): stratdisc.rng.Generator or numpy.random.default_rng.
     """
+    from . import lowdisc
+
     worst = 0.0
     for _ in range(sets):
         pts = lowdisc.PointSet(rng.random((int(rng.integers(1, 33)), 2)))
@@ -283,6 +314,8 @@ def check_pairwise_vs_brute(rng: Any, sets: int, grid: int, tol: float) -> list[
 
 def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list[Record]:
     """sum_i q_i(x, y) = n x y at every point, for each n."""
+    from . import partition, qgeometry
+
     worst = 0.0
     for n in ns:
         q = qgeometry.overlap_vector(partition.generating_set(n), points[:, 0], points[:, 1])
@@ -294,6 +327,7 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
 
 
 def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
+    from . import asymptotics, lowdisc
     from .rng import Generator
 
     # sorted and deduplicated: the collapse check compares neighbouring n
@@ -359,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     Every command stores in `run` the function that takes the parsed
     arguments and returns the output text; verify's returns its pass flag too.
     """
+    from . import MAX_DIRECT_N
+    from .partition import PARTITIONS
+
     parser = argparse.ArgumentParser(
         prog="stratdisc",
         description="Expected L2 discrepancy of diagonally stratified samples of the unit square.",
@@ -393,17 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mc":
             p.add_argument("--replicates", type=_checked(int, lambda r: r >= 2, "must be >= 2"), default=10000)
         p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "must be >= 0"), default=0)
-        p.add_argument("--partition", choices=partition.PARTITIONS, default="diagonal")
+        p.add_argument("--partition", choices=PARTITIONS, default="diagonal")
         add_common(p, run)
 
     p_verify = sub.add_parser("verify", help="run the summation and cross-method checks")
     p_verify.add_argument(
         "--n",
-        type=_checked(n_list, lambda ns: all(4 <= n <= asymptotics.MAX_DIRECT_N and n % 2 == 0 for n in ns),
-                      f"values must be even, >= 4 and <= {asymptotics.MAX_DIRECT_N}"),
+        type=_checked(n_list, lambda ns: all(4 <= n <= MAX_DIRECT_N and n % 2 == 0 for n in ns),
+                      f"values must be even, >= 4 and <= {MAX_DIRECT_N}"),
         metavar="LIST",
         default=None,
-        help=f"override n values for the component-sum and collapse checks (even, 4 to {asymptotics.MAX_DIRECT_N})",
+        help=f"override n values for the component-sum and collapse checks (even, 4 to {MAX_DIRECT_N})",
     )
     add_common(p_verify, run_verify)
 

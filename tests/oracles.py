@@ -12,7 +12,8 @@ and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
 max-form Warnock kernels, which the sort-once kernel replaced, must agree
-with each other bit for bit.  The cell lookup, cell areas and the
+with each other bit for bit, and the log-log slope by np.polyfit must
+match the closed-form fit within 1e-12.  The cell lookup, cell areas and the
 jittered-grid closed form, which no library routine needs, live here too, and
 so does the CLI's earlier per-value CSV rendering, which its row template
 must reproduce byte for byte.  None of this code is imported by the package.
@@ -337,6 +338,13 @@ def power_sum_by_generator(n: int, k: float) -> float:
 def power_sqrt_sum_by_generator(n: int, k: float) -> float:
     """Compensated sum of i^k sqrt(i-1) for i = 2 .. n/2, over its own terms."""
     return math.fsum(i**k * math.sqrt(i - 1.0) for i in range(2, n // 2 + 1))
+
+
+def fit_order_by_polyfit(ns, errors) -> float:
+    """Log-log slope of |error| against n by numpy's least-squares line fit
+    (LAPACK), the earlier form of asymptotics.fit_error_order."""
+    log_e = np.log(np.maximum(np.abs(np.asarray(errors, dtype=np.float64)), 1e-300))
+    return float(np.polyfit(np.log(np.asarray(ns, dtype=np.float64)), log_e, 1)[0])
 
 
 def component_sums_by_decimal(n: int) -> ComponentSums:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from stratdisc import (
@@ -26,6 +27,7 @@ from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, power_
 
 from oracles import (
     component_sums_by_decimal,
+    fit_order_by_polyfit,
     power_by_loop,
     power_sqrt_by_loop,
     power_sqrt_sum_by_generator,
@@ -255,6 +257,27 @@ class TestFitHelpers:
         errors = [3.0 * n**-2.0 for n in ns]
         assert fit_error_order(ns, errors) == pytest.approx(-2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_slope_matches_polyfit_on_the_sqrt_sum_inputs(self, k):
+        # the raw and offset-adjusted errors that verify's sqrt-sum-order checks fit
+        ns = DEFAULT_FIT_NS
+        signed = [power_sqrt_sum_approx(n, k) - direct for n, direct in zip(ns, power_sqrt_sum(ns, k))]
+        inputs = [signed]
+        if power_sqrt_claimed_order(k) < 0:
+            offset = estimate_limit_offset(ns, signed, -power_sqrt_claimed_order(k))
+            inputs.append([e - offset for e in signed])
+        for errors in inputs:
+            assert abs(fit_error_order(ns, errors) - fit_order_by_polyfit(ns, errors)) <= 1e-12
+
+    @pytest.mark.parametrize("ns, errors", [
+        ((4, 8), (0.5, 0.125)),
+        ((2, 3, 5, 1000), (1.0, -2.0, 0.0, 3e-7)),
+        (np.array([64, 256, 1024, 4096]), np.array([1e-3, 2e-4, -7e-5, 1e-5])),
+        (tuple(2**j for j in range(2, 21)), tuple((-1) ** j * 1.5 ** -j for j in range(2, 21))),
+    ])
+    def test_slope_matches_polyfit(self, ns, errors):
+        assert abs(fit_error_order(ns, errors) - fit_order_by_polyfit(ns, errors)) <= 1e-12
+
     def test_offset_recovers_synthetic_constant(self):
         ns = (64, 128, 256, 512)
         errors = [0.25 + 7.0 / n for n in ns]
@@ -265,5 +288,7 @@ class TestFitHelpers:
             fit_error_order((4,), (0.1,))
         with pytest.raises(ValueError):
             fit_error_order((4, 8), (0.1,))
+        with pytest.raises(ValueError, match="distinct"):
+            fit_error_order((8, 8), (0.1, 0.2))
         with pytest.raises(ValueError):
             estimate_limit_offset((4, 8), (0.1, 0.2), 0.0)

@@ -256,6 +256,18 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert str(asymptotics.MAX_DIRECT_N) in capsys.readouterr().err
 
+    def test_runs_without_blas_or_lapack(self, monkeypatch):
+        # the error-order fits are closed-form slopes; no check reaches numpy's
+        # least-squares solvers, so OpenBLAS is never started
+        def refused(*args, **kwargs):
+            raise AssertionError("verify called a LAPACK solver")
+
+        monkeypatch.setattr(np, "polyfit", refused)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        text, passed = cli.run_verify(argparse.Namespace(n=None, format="csv"))
+        assert passed
+        assert text.endswith("24/24 checks passed\n")
+
 
 class TestArgumentHandling:
     @pytest.mark.parametrize(
@@ -445,43 +457,31 @@ class TestPinnedOutput:
         assert f"{digest}  -\n" == (DATA / "sample_n1048576_s3.sha256").read_text()
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # no command loads numpy.random; importing the CLI must not either
-    code = "import sys, stratdisc.cli; print('numpy.random' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+def _stratdisc(*names):
+    return tuple(f"stratdisc.{name}" for name in names)
 
 
-def test_sampling_runs_leave_numpy_random_unloaded():
-    # the per-cell PCG64 streams are computed by stratdisc.streams in numpy;
-    # verify's generator in stratdisc.rng is not loaded either
+@pytest.mark.parametrize("argv, prints, unloaded", [
+    (["--help"], "usage: stratdisc",
+     _stratdisc("asymptotics", "estimators", "exactform", "lowdisc", "qgeometry", "streams", "rng")),
+    (["table", "--n", "4"], "n,exact,qmc", (*_stratdisc("asymptotics", "streams", "rng"), "json", "concurrent.futures")),
+    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "streams", "rng")),
+    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "exactform", "rng")),
+    (["sample", "--n", "16"], "x,y,cell",
+     _stratdisc("asymptotics", "exactform", "estimators", "lowdisc", "qgeometry", "rng")),
+    (["verify"], "24/24 checks passed", ()),
+], ids=["help", "table", "ratio", "mc", "sample", "verify"])
+def test_command_loads_only_its_modules(argv, prints, unloaded):
+    # each command imports the library modules it runs, and no more; none
+    # loads numpy.random (the cell streams and verify's check sets are
+    # computed in numpy), and a CSV table loads neither json nor a thread pool
     code = (
-        "import sys, stratdisc.cli; stratdisc.cli.main(['sample', '--n', '16']); "
-        "stratdisc.cli.main(['mc', '--n', '16', '--replicates', '20']); "
-        "print([m for m in ('numpy.random', 'stratdisc.rng') if m in sys.modules])"
+        "import sys, stratdisc.cli\n"
+        "try:\n    code = stratdisc.cli.main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules])"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    names = ",".join(("numpy.random", *unloaded))
+    done = subprocess.run([sys.executable, "-c", code, names, *argv], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
-def test_verify_run_leaves_numpy_random_unloaded():
-    # the brute-force check sets come from stratdisc.rng.Generator, numpy's
-    # draws computed without numpy.random
-    code = "import sys, stratdisc.cli; stratdisc.cli.main(['verify']); print('numpy.random' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["24/24 checks passed", "False"]
-
-
-def test_table_run_leaves_thread_pool_and_json_unloaded():
-    # a CSV table run needs no thread pool, no json and none of the
-    # samplers' streams; each is imported only where used
-    code = (
-        "import sys, stratdisc.cli; stratdisc.cli.main(['table', '--n', '4']); "
-        "print([m for m in ('concurrent.futures', 'json', 'stratdisc.streams') if m in sys.modules])"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert prints in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"
