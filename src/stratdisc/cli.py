@@ -68,22 +68,21 @@ def cmd_table(args: argparse.Namespace) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
     from . import estimators, exactform, lowdisc
 
-    nodes = lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes))
-    # sorted once by x + y, so each row's QMC argsort sees sorted input;
-    # the QMC value does not depend on node order
-    nodes = lowdisc.PointSet(nodes.points[np.argsort(nodes.points[:, 0] + nodes.points[:, 1])])
+    # the exact column first, so an n it refuses fails before any QMC work
+    exact = [exactform.expected_l2_sq_exact(n).value for n in args.n]
+    qmc = estimators._qmc_values(args.n, lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes)))
 
-    def row(n: int) -> Record:
+    def row(n: int, exact: float, qmc: float) -> Record:
         return {
             "n": n,
-            "exact": exactform.expected_l2_sq_exact(n).value,
-            "qmc": estimators.expected_l2_sq_qmc(n, nodes).value,
+            "exact": exact,
+            "qmc": qmc,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
             "random": estimators.random_baseline(n),
             "vertical": estimators.vertical_baseline(n),
         }
 
-    return _render(args, map(row, args.n))
+    return _render(args, map(row, args.n, exact, qmc))
 
 
 def cmd_ratio(args: argparse.Namespace) -> str:
@@ -262,11 +261,10 @@ def check_cross_method(nodes: PointSet, ns: Sequence[int], tol: float) -> list[R
     """Relative gap of the QMC estimate on nodes to the closed form, worst over ns."""
     from . import estimators, exactform
 
-    worst = 0.0
-    for n in ns:
-        exact = exactform.expected_l2_sq_exact(n).value
-        qmc = estimators.expected_l2_sq_qmc(n, nodes).value
-        worst = max(worst, abs(qmc - exact) / exact)
+    exact = [exactform.expected_l2_sq_exact(n).value for n in ns]
+    qmc = estimators._qmc_values(ns, nodes)
+    del nodes  # the generator then holds the last reference and drops it once sorted
+    worst = max([0.0, *(abs(q - e) / e for e, q in zip(exact, qmc))])
     label = ",".join(map(str, ns))
     return [_record("exact-vs-qmc", worst <= tol, f"max relative gap {fmt(worst)} over n in {{{label}}}")]
 
@@ -318,10 +316,11 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
 
     worst = 0.0
     for n in ns:
-        q = qgeometry.overlap_vector(partition.generating_set(n), points[:, 0], points[:, 1])
-        # rows in blocks, so that no list of all of q is held
-        for a in range(0, len(q), 256):
-            for row, (x, y) in zip(q[a:a + 256].tolist(), points[a:a + 256].tolist()):
+        gs = partition.generating_set(n)
+        # points in blocks, so that neither q nor a list of it is held whole
+        for block in (points[a:a + 256] for a in range(0, len(points), 256)):
+            q = qgeometry.overlap_vector(gs, block[:, 0], block[:, 1])
+            for row, (x, y) in zip(q.tolist(), block.tolist()):
                 worst = max(worst, abs(math.fsum(row) - n * x * y))
     return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
 

@@ -17,14 +17,13 @@ cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .estimators import DiscrepancyEstimate
+from .estimators import DiscrepancyEstimate, _exact_sum
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -33,9 +32,9 @@ _SQRT2 = math.sqrt(2.0)
 # from the heap instead of being mapped and page-faulted afresh.
 _BLOCK = 2**12
 
-# Largest n the closed forms accept.  The strips are streamed at 40 to
-# 60 ns each, so n = 2^30 takes about a minute on a 2-vCPU box; past 2^53
-# a float64 strip index would no longer be exact.
+# Largest n the closed forms accept.  The strips are streamed at about
+# 26 ns each, so n = 2^30 takes about 28 s on a 2-vCPU box; past 2^53 a
+# float64 strip index would no longer be exact.
 MAX_CLOSED_FORM_N = 2**30
 
 
@@ -165,13 +164,12 @@ def strip_integral_table(n: int) -> np.ndarray:
 def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
     """E[L2^2] of the diagonal partition, exactly, for 2 <= n <= MAX_CLOSED_FORM_N.
 
-    The strip integrals are streamed block by block into one fsum, which
-    reads Python floats from the memoryviews, so no O(n) array is held.
-    fsum adds its inputs exactly and rounds once, so the result is bitwise
-    the fsum of the whole table.
+    The strip integrals are streamed block by block into one exact sum, so
+    no O(n) array is held.  The sum is correctly rounded, so the result is
+    bitwise the fsum of the whole table.
     """
     n = _require_n(n)
-    total = math.fsum(itertools.chain.from_iterable(_strip_blocks(n)))
+    total = _exact_sum(_strip_blocks(n))
     value = 1.0 / (4.0 * n) - total / (n * n)
     return DiscrepancyEstimate(value)
 

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-# Anchors per leaf of brute_force_l2_sq's reduction; its two row buffers
-# hold twice that plus a row, about 0.5 MiB in all at grid 1000.
+# Anchors per leaf of brute_force_l2_sq's reduction; each of its two row
+# buffers holds a leaf plus a row, about 0.28 MiB in all at grid 1000.
 _LEAF = 2**14
 
 
@@ -145,9 +145,9 @@ def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
     table = np.cumsum(hist, axis=1, out=hist)[:, :grid]
     table /= ps.n
     row_of = np.searchsorted(ranks, np.arange(grid), side="right")
-    # two leaves of rows plus one: a refill at a leaf's first row holds that
-    # leaf wherever in the row it starts, and usually the next leaf too
-    rows = min(grid, -(-2 * _LEAF // grid) + 1)
+    # a leaf of rows plus one: a refill at a leaf's first row holds that
+    # leaf wherever in the row it starts
+    rows = min(grid, -(-_LEAF // grid) + 1)
     deviation = np.empty((rows, grid))
     products = np.empty((rows, grid))
     flat = deviation.reshape(-1)

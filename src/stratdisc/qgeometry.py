@@ -35,10 +35,11 @@ import numpy as np
 
 from .partition import GeneratingSet
 
-# Grid rows per quadrature block in mean_square_overlap.  A block holds three
-# _CHUNK x grid float64 arrays, 0.77 MB at grid 1000 and 1.5 MB at grid 2000,
-# small enough to stay in a 2 MiB L2 cache.
-_CHUNK = 32
+# Grid rows per quadrature block in mean_square_overlap: three _CHUNK x grid
+# float64 arrays, 0.19 MB at `verify`'s grid 1000.  That stays below glibc's
+# mmap threshold: freeing a larger block would raise it and the heap's trim
+# threshold, and keep later heap growth resident (0.8 MB more at 32 rows).
+_CHUNK = 8
 
 
 def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
@@ -59,17 +60,19 @@ def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: floa
     bx = np.empty(np.broadcast_shapes(np.shape(x), np.shape(r)))
     by_shape = np.broadcast_shapes(np.shape(y), np.shape(r))
     _clip_area(g, r, ((x, bx), (y, bx if bx.shape == by_shape else np.empty(by_shape))))
+    g *= 0.5
     return g[()]
 
 
 def _clip_area(g: np.ndarray, r: float | np.ndarray,
                edges: tuple[tuple[float | np.ndarray, np.ndarray], ...]) -> None:
-    """The clipped-area formula, in place: g = relu(x + y - r) in, the area out.
+    """The clipped-area formula, in place: g = relu(x + y - r) in, twice the area out.
 
-    Squares g, subtracts relu(side - r)^2 for each (side, scratch) pair in
-    edges, computed in scratch, and halves.  An edge with side <= r
-    everywhere subtracts exact zeros, so a caller that knows this may leave
-    it out and get the same bits.
+    Squares g and subtracts relu(side - r)^2 for each (side, scratch) pair
+    in edges, computed in scratch.  Scaling by 2 is exact short of
+    subnormals, so a caller may fold the halving into a later product, as
+    N/2 times a difference of two results.  An edge with side <= r
+    everywhere subtracts exact zeros, so a caller may leave it out.
     """
     g *= g
     for side, t in edges:
@@ -77,7 +80,6 @@ def _clip_area(g: np.ndarray, r: float | np.ndarray,
         np.maximum(t, 0.0, out=t)
         t *= t
         g -= t
-    g *= 0.5
 
 
 def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
@@ -101,13 +103,13 @@ def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
     """Midpoint-rule quadrature of q_i^2 over the unit square, for i = 1 .. N.
 
     The numeric cross-check for the closed-form strip integrals.  Rows are
-    processed in blocks; within a block x + y is formed once, each cut's V
-    is computed in place in one of two reused buffers and carried to the
-    next strip, so q_i = N (V(r_{i-1}) - V(r_i)) costs a few in-place
-    passes.  The edge terms of _clip_area are left out at cuts r >= 1,
-    where every x and y is below r.  Each grid row is summed on its own and
-    the per-row sums of each strip are combined with fsum, so every value is
-    bitwise that of a quadrature of that strip alone.
+    processed in blocks; within a block x + y is formed once, and each
+    cut's doubled V from _clip_area is computed in place in one of two
+    reused buffers, starting from 2xy, so q_i = (N/2) 2(V(r_{i-1}) - V(r_i))
+    costs a few in-place passes.  The edge terms are left out at cuts
+    r >= 1, where every x and y is below r.  Each grid row is summed on its
+    own and the per-row sums of each strip are combined with fsum, so every
+    value is bitwise that of a quadrature of that strip alone.
     """
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
@@ -123,17 +125,18 @@ def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
         s, v_prev, v_i = blocks[:, :len(x_col)]
         np.add(x_col, y_row, out=s)
         np.multiply(x_col, y_row, out=v_prev)
+        v_prev *= 2.0
         for sums, r in zip(row_sums, gs.cuts[1:-1].tolist()):
             np.subtract(s, r, out=v_i)
             np.maximum(v_i, 0.0, out=v_i)
             _clip_area(v_i, r, ((x_col, bx[:len(x_col)]), (y_row, by)) if r < 1.0 else ())
-            # q = N (V(r_{i-1}) - V(r_i)), squared, in v_prev's own buffer
+            # q = (N/2) 2(V(r_{i-1}) - V(r_i)), squared, in v_prev's own buffer
             v_prev -= v_i
-            v_prev *= n
+            v_prev *= n / 2
             v_prev *= v_prev
             sums.extend(np.sum(v_prev, axis=1).tolist())
             v_prev, v_i = v_i, v_prev
-        v_prev *= n  # cell N: V(r_N) = 0
+        v_prev *= n / 2  # cell N: V(r_N) = 0
         v_prev *= v_prev
         row_sums[-1].extend(np.sum(v_prev, axis=1).tolist())
     return [math.fsum(sums) / (grid * grid) for sums in row_sums]

@@ -45,6 +45,20 @@ class TestTableCommand:
         assert first[0] == "4"
         assert float(first[1]) == pytest.approx(expected_l2_sq_exact(4).value, rel=1e-11)
 
+    def test_nodes_are_sorted_once(self, capsys, monkeypatch):
+        sorts = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        code, out, _ = run_main(["table", "--m-nodes", "3000"], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + len(cli.TABLE1_NS)
+        assert len(sorts) == 1
+
     def test_odd_n_exact_column(self, capsys):
         code, out, err = run_main(["table", "--n", "3,5,7", "--m-nodes", "500"], capsys)
         assert (code, err) == (0, "")
@@ -440,6 +454,8 @@ class TestPinnedOutput:
             (["verify", "--n", "256,4"], "verify_n256_4.txt"),
             (["ratio", "--n", "16777216,16777217"], "ratio_n16777216_16777217.csv"),
             (["verify", "--n", "1048576"], "verify_n1048576.txt"),
+            # a repeated n and a descending order: each row resets the QMC sums
+            (["table", "--n", "128,4,4,7,2", "--m-nodes", "3000"], "table_n128_4_4_7_2_m3000.csv"),
         ],
     )
     def test_output_matches_pinned_file(self, args, name, capsys):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratdisc import estimators
 from stratdisc import (
@@ -156,6 +160,140 @@ class TestQmcEstimator:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             expected_l2_sq_qmc(1)
+
+
+def _sum_outcome(total, blocks):
+    """What total(blocks) gives: ("value", repr) or ("nan",) or the exception type.
+
+    repr keeps the sign bit, so fsum's +0.0 for a sum of -0.0 is held too.
+    """
+    try:
+        value = total(blocks)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return ("nan",) if math.isnan(value) else ("value", repr(value))
+
+
+def _fsum_of_blocks(blocks):
+    return math.fsum(itertools.chain.from_iterable(blocks))
+
+
+# a block is a handful of floats, tiled to a length that takes the fsum path
+# (short) or the extraction path (at least _FSUM_BELOW values)
+_BLOCK_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12)
+_BLOCKS = st.lists(
+    st.tuples(_BLOCK_VALUES, st.sampled_from([0, 1024, 1500, 4096])), max_size=4
+).map(lambda drawn: [np.resize(np.array(values, dtype=np.float64), max(len(values), size) if values else 0)
+                     for values, size in drawn])
+
+
+def _tiled(*blocks, size=1024):
+    """Each block as a short list and again tiled to size values."""
+    return [list(block) for block in blocks] + [np.resize(np.array(block, dtype=np.float64), size) for block in blocks]
+
+
+TINY = 5e-324
+WIDE = [np.random.default_rng(k).standard_normal(1024) * 10.0 ** np.arange(-200, 200, 400 / 1024) for k in range(40)]
+HUGE = np.nextafter(2.0**960, 0.0)
+
+
+class TestExactSum:
+    """estimators._exact_sum is math.fsum over the chained blocks, bit for bit."""
+
+    @given(_BLOCKS)
+    @settings(max_examples=300, deadline=None)
+    @example([np.array([1e16, 1.0, -1e16])])
+    @example([np.array([-0.0])])
+    @example([])
+    def test_equals_fsum(self, blocks):
+        assert _sum_outcome(estimators._exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
+
+    @pytest.mark.parametrize("blocks", [
+        [],
+        [[]],
+        [[0.3]],
+        [[-0.0]],
+        [[-0.0], np.full(2000, -0.0)],
+        [[0.0, -0.0]],
+        _tiled([1e16, 1.0, -1e16]),
+        _tiled([1e308, -1e308, 1e-308]),
+        _tiled([1e308, 1e-300, -1e308, -1e-300]),
+        _tiled([TINY, 3 * TINY, -TINY, 2.0**-1022]),
+        _tiled([2.0**-1022 - TINY, TINY]),
+        _tiled([HUGE, -HUGE / 3, 1e-300, TINY]),
+        _tiled([HUGE, HUGE / 2]),
+        _tiled([1.0, 1e-30], [1e30, -1e-30], [2.0**-1060, 1e-320], size=4096),
+        [np.linspace(-1.0, 1.0, 4097) * 10.0 ** np.arange(-150, 150, 300 / 4097)],
+        [np.random.default_rng(5).standard_normal(40000) * 10.0 ** np.random.default_rng(6).integers(-30, 30, 40000)],
+        # dozens of extraction levels a block, so the collected level sums are
+        # peeled down to a few floats several times, then cancelled exactly
+        [*WIDE, *(-block for block in WIDE), [1e-300]],
+    ], ids=lambda blocks: f"{len(blocks)}-blocks")
+    def test_adversarial_blocks(self, blocks):
+        assert _sum_outcome(estimators._exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
+
+    @pytest.mark.parametrize("size", [1, 1024])
+    @pytest.mark.parametrize("values, outcome", [
+        ([math.inf, 1.0], ("value", "inf")),
+        ([-math.inf, 1.0], ("value", "-inf")),
+        ([math.inf, -math.inf], ValueError),
+        ([math.nan, 1.0], ("nan",)),
+        ([math.nan, math.inf], ("nan",)),
+        ([1e308, 1e308], OverflowError),
+        ([1e308, 1e308, -1e308], OverflowError),
+    ])
+    def test_non_finite_and_overflow_as_fsum(self, values, size, outcome):
+        # the non-finite values come after a block that the exact path has
+        # already summed
+        blocks = [np.full(2000, 0.1), np.resize(np.array(values), max(size, len(values)))]
+        assert _sum_outcome(_fsum_of_blocks, blocks) == outcome
+        assert _sum_outcome(estimators._exact_sum, blocks) == outcome
+
+    def test_reads_a_generator_once(self):
+        values = np.random.default_rng(8).random(10000) ** 7
+        blocks = (values[a:a + 4096] for a in range(0, values.size, 4096))
+        assert estimators._exact_sum(blocks) == math.fsum(values.tolist())
+
+
+class TestSharedQmcPath:
+    """_qmc_values: one sort and one buffer set for a node set, every n in order."""
+
+    NS = (128, 4, 4, 7, 2)
+
+    @pytest.mark.parametrize("which", ["halton", "cuts", "one"])
+    def test_equals_per_n_calls_and_per_strip_loop(self, which):
+        if which == "halton":
+            nodes = PointSet(np.random.default_rng(1).permutation(halton(HaltonConfig(count=3000)).points))
+        elif which == "cuts":
+            nodes = PointSet(np.vstack([*map(_cut_nodes, sorted(set(self.NS))), _boundary_nodes()]))
+        else:
+            nodes = PointSet([[0.3, 0.8]])
+        values = list(estimators._qmc_values(self.NS, nodes))
+        assert values == [expected_l2_sq_qmc(n, nodes).value for n in self.NS]
+        assert values == [_per_strip_value(n, nodes) for n in self.NS]
+
+    def test_drops_the_node_set_once_sorted(self):
+        nodes = halton(HaltonConfig(count=500))
+        ref = weakref.ref(nodes)
+        values = estimators._qmc_values((4, 16), nodes)
+        del nodes
+        next(values)
+        assert ref() is None
+
+    def test_peak_memory_of_table1_is_that_of_one_n(self, halton_nodes):
+        from stratdisc.cli import TABLE1_NS
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: expected_l2_sq_qmc(128, halton_nodes))
+        table = peak(lambda: list(estimators._qmc_values(TABLE1_NS, halton_nodes)))
+        assert table <= 1.1 * one
 
 
 class TestMcEstimator:
