@@ -7,6 +7,7 @@ digits, so identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -472,5 +473,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0 if passed else 3
 
 
+def entry() -> int:
+    """`main`, then `gc.freeze()`: exit's collections skip what is left alive."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

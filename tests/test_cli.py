@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -389,6 +391,58 @@ class TestDeterminism:
         result = run_subprocess(["--help"])
         assert result.returncode == 0
         assert "table" in result.stdout
+
+
+class TestProcessEntry:
+    """`entry` ends every process with `gc.freeze()`; `main` leaves the GC alone."""
+
+    # runs the module as `python -m` does; the atexit hook sees the state
+    # that the interpreter's final collections will meet
+    WRAPPER = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('stratdisc.cli', run_name='__main__')\n"
+    )
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ratio", "--n", "4"], 0),
+        (["--help"], 0),
+        (["ratio", "--n", "1"], 2),
+        (["ratio", "--n", "1073741825"], 2),
+        (["verify", "--out", "{missing}"], 2),
+    ], ids=["success", "help", "usage-error", "closed-form-cap", "unwritable-out"])
+    def test_every_exit_route_freezes(self, argv, code, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [a.format(missing=tmp_path / "missing" / "x") for a in argv]
+        try:
+            in_process = cli.main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        out = capsys.readouterr().out
+        done = subprocess.run([sys.executable, "-c", self.WRAPPER, *argv], capture_output=True, text=True)
+        assert in_process == done.returncode == code
+        assert done.stdout == out
+        assert done.stderr.splitlines()[-1] == "frozen True"
+
+    def test_main_leaves_the_gc_alone(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(["ratio", "--n", "4"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_returns_what_main_returns(self, monkeypatch):
+        # verify's failed check, exit 3, reaches the process unchanged
+        frozen = []
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+        assert (cli.entry(), frozen) == (3, [True])
+
+    def test_one_entry_for_script_and_module(self):
+        # read as text: tomllib is not in Python 3.10
+        project = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        script = re.search(r'^stratdisc = "stratdisc\.cli:(\w+)"$', project, re.M).group(1)
+        source = Path(cli.__file__).read_text()
+        module = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)\n', source, re.M).group(1)
+        assert script == module == "entry"
 
 
 class TestCsvRender:
