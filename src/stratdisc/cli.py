@@ -296,17 +296,13 @@ def check_pairwise_anchors(tol: float) -> list[Record]:
     )]
 
 
-def check_pairwise_vs_brute(rng: Any, sets: int, grid: int, tol: float) -> list[Record]:
-    """The pairwise identity against anchor-grid quadrature on random sets of 1 to 32 points.
-
-    rng is any object with numpy's Generator.integers(low, high) and
-    .random(shape): stratdisc.rng.Generator or numpy.random.default_rng.
-    """
+def check_pairwise_vs_brute(sets: Sequence[np.ndarray], grid: int, tol: float) -> list[Record]:
+    """The pairwise identity against anchor-grid quadrature on each (k, 2) point array of sets."""
     from . import lowdisc
 
     worst = 0.0
-    for _ in range(sets):
-        pts = lowdisc.PointSet(rng.random((int(rng.integers(1, 33)), 2)))
+    for points in sets:
+        pts = lowdisc.PointSet(points)
         worst = max(worst, abs(_l2_sq(pts.points) - lowdisc.brute_force_l2_sq(pts, grid)))
     return [_record("pairwise-vs-brute", worst <= tol, f"max |pairwise - brute| = {fmt(worst)}")]
 
@@ -327,12 +323,10 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
 
 
 def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
-    from . import asymptotics, lowdisc
-    from .rng import Generator
+    from . import asymptotics, lowdisc, partition
 
     # sorted and deduplicated: the collapse check compares neighbouring n
     ns = tuple(sorted(set(args.n or ())))
-    rng = Generator(20240817)
     checks = [
         *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
         *check_harmonic(asymptotics.DEFAULT_FIT_NS, rel_tol=1e-12),
@@ -343,8 +337,13 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
         *check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01),
         *check_worked_example(tol=5e-4),
         *check_pairwise_anchors(tol=1e-12),
-        *check_pairwise_vs_brute(rng, sets=5, grid=1000, tol=1e-3),
-        *check_telescoping((4, 16), rng.random((2000, 2)), tol=1e-10),
+    ]
+    # drawn after the QMC check, so the points and the stream caches are not
+    # held through its 20,000 nodes
+    u = partition._cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+    checks += [
+        *check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], grid=1000, tol=1e-3),
+        *check_telescoping((4, 16), u, tol=1e-10),
     ]
     all_passed = all(r["passed"] for r in checks)
 

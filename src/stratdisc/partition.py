@@ -31,6 +31,8 @@ import numpy as np
 _STREAM_DIAGONAL = 0
 _STREAM_VERTICAL = 1
 _STREAM_JITTERED = 2
+# verify's check points: a tag that no partition uses
+_STREAM_CHECKS = 3
 
 # the partition kinds sample_partition accepts
 PARTITIONS = ("diagonal", "vertical", "jittered")

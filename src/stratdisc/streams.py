@@ -13,9 +13,8 @@ the test oracle.  A sample row uses two 64-bit outputs of its cell's
 stream, so a draw takes a row offset `start` and jumps each stream past
 the earlier rows: rows start .. start+count-1 of a draw equal those rows
 of a longer draw from row 0, and a long run can be drawn in blocks.
-
-With an empty spawn key, the same pieces give stratdisc.rng's stand-in for
-numpy.random.default_rng(seed), which `verify` uses and the samplers do not.
+`verify` draws its check points from these streams too, at a stream tag
+that no partition uses.
 """
 
 from __future__ import annotations
@@ -50,26 +49,21 @@ def _check_spawn_key(seed: int, n: int) -> None:
         raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
 
 
-def _seed_words(seed: int, stream: int | None = None, n: int = 1, first: int = 1) -> np.ndarray:
+def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
     """Seed words of cells first..n, shape (n - first + 1, 4) uint64.
 
     Row i - first is SeedSequence(entropy=seed, spawn_key=(stream, i))
-    .generate_state(4, np.uint64), the words PCG64 seeds itself from.  With
-    no stream the spawn key is empty and every row holds the words of
-    SeedSequence(seed), which numpy.random.default_rng(seed) seeds from.  The
+    .generate_state(4, np.uint64), the words PCG64 seeds itself from.  The
     SeedSequence hash runs here on uint32 arrays with one lane per cell; only
     the last entropy word, the cell index, differs between lanes.
     """
     _check_spawn_key(seed, n)
     # 32-bit words of the seed, least significant first, zero-padded to the
-    # pool size as SeedSequence pads them when a spawn key follows; with none,
-    # its hash of a short pool runs on zeros, the same words
+    # pool size as SeedSequence pads them when a spawn key follows
     words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
     lanes = np.arange(first, n + 1, dtype=np.uint32)
-    entropy = [np.full_like(lanes, w) for w in words]
-    if stream is not None:
-        entropy += [np.full_like(lanes, stream), lanes]
+    entropy = [np.full_like(lanes, w) for w in (*words, stream)] + [lanes]
 
     def hasher(hash_const: int, mult: int):
         def hashmix(value: np.ndarray) -> np.ndarray:

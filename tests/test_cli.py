@@ -533,18 +533,19 @@ def _stratdisc(*names):
 
 @pytest.mark.parametrize("argv, prints, unloaded", [
     (["--help"], "usage: stratdisc",
-     _stratdisc("asymptotics", "estimators", "exactform", "lowdisc", "qgeometry", "streams", "rng")),
-    (["table", "--n", "4"], "n,exact,qmc", (*_stratdisc("asymptotics", "streams", "rng"), "json", "concurrent.futures")),
-    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "streams", "rng")),
-    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "exactform", "rng")),
+     _stratdisc("asymptotics", "estimators", "exactform", "lowdisc", "qgeometry", "streams")),
+    (["table", "--n", "4"], "n,exact,qmc", (*_stratdisc("asymptotics", "streams"), "json", "concurrent.futures")),
+    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "streams")),
+    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "exactform")),
     (["sample", "--n", "16"], "x,y,cell",
-     _stratdisc("asymptotics", "exactform", "estimators", "lowdisc", "qgeometry", "rng")),
+     _stratdisc("asymptotics", "exactform", "estimators", "lowdisc", "qgeometry")),
     (["verify"], "24/24 checks passed", ()),
 ], ids=["help", "table", "ratio", "mc", "sample", "verify"])
 def test_command_loads_only_its_modules(argv, prints, unloaded):
     # each command imports the library modules it runs, and no more; none
-    # loads numpy.random (the cell streams and verify's check sets are
-    # computed in numpy), and a CSV table loads neither json nor a thread pool
+    # loads numpy.random (the cell streams, which verify's check points are
+    # drawn from too, are computed in numpy), and a CSV table loads neither
+    # json nor a thread pool
     code = (
         "import sys, stratdisc.cli\n"
         "try:\n    code = stratdisc.cli.main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"

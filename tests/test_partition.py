@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratdisc import partition, streams
-from stratdisc.rng import Generator
 from stratdisc import (
     GeneratingSet,
     generating_set,
@@ -340,7 +339,7 @@ class TestSamplePartition:
 
 class TestSeedWords:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200 + 99])
-    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("stream", [0, 1, 2, partition._STREAM_CHECKS])
     @pytest.mark.parametrize("start", [0, 1, 1023])
     def test_streams_equal_the_seed_sequence_draw(self, seed, stream, start):
         u = partition._cell_uniforms(seed, stream, 4096, 3, start)
@@ -386,68 +385,3 @@ class TestSeedWords:
         with pytest.raises(ValueError, match="non-negative"):
             streams._seed_words(-1, 0, 4)
 
-
-GENERATOR_SEEDS = [0, 1, 20240817, 2**32 + 7, 2**64 + 3]
-
-
-class TestGenerator:
-    """stratdisc.rng.Generator against numpy.random.default_rng, the oracle."""
-
-    @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
-    @pytest.mark.parametrize("shape", [(), 1, (7,), (3, 2), (0, 2), (2000, 2)])
-    def test_random_equals_default_rng(self, seed, shape):
-        want = np.random.default_rng(seed).random(shape)
-        got = Generator(seed).random(shape)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
-    @pytest.mark.parametrize("low, span", [(0, 32), (1, 32), (-5, 3), (10**6, 1000), (0, 2**31 + 1), (7, 2**32)])
-    def test_integers_equal_default_rng(self, seed, low, span):
-        want = np.random.default_rng(seed)
-        got = Generator(seed)
-        assert [got.integers(low, low + span) for _ in range(301)] == [
-            int(want.integers(low, low + span)) for _ in range(301)
-        ]
-
-    def test_wide_span_takes_the_rejection_path(self):
-        # at span 2^31 + 1 about half of the 32-bit words are rejected, so
-        # 400 draws read well over the 200 64-bit outputs they would without
-        rng = Generator(20240817)
-        want = np.random.default_rng(20240817)
-        assert [rng.integers(0, 2**31 + 1) for _ in range(400)] == [
-            int(want.integers(0, 2**31 + 1)) for _ in range(400)
-        ]
-        assert rng._drawn > 300
-
-    @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
-    def test_mixed_calls_carry_the_buffered_half(self, seed):
-        # an odd number of 32-bit draws leaves the high half of an output
-        # buffered; a .random call between them does not consume it
-        calls = [("integers", 1, 33), ("random", (3, 2)), ("integers", 0, 3), ("integers", 0, 1000),
-                 ("integers", 0, 3), ("random", 5), ("integers", 5, 6), ("integers", 0, 2**31 + 1),
-                 ("random", (1, 2)), ("integers", 1, 33), ("random", ()), ("integers", 0, 1000)] * 3
-        want = np.random.default_rng(seed)
-        got = Generator(seed)
-        for name, *args in calls:
-            a, b = getattr(want, name)(*args), getattr(got, name)(*args)
-            assert np.asarray(b).tobytes() == np.asarray(a).tobytes(), (name, args)
-
-    def test_span_of_one_draws_nothing(self):
-        rng = Generator(3)
-        assert rng.integers(4, 5) == 4
-        assert rng.random(2).tobytes() == np.random.default_rng(3).random(2).tobytes()
-
-    @pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1)])
-    def test_bad_span_rejected(self, low, high):
-        with pytest.raises(ValueError, match="high - low"):
-            Generator(0).integers(low, high)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Generator(-1)
-
-    def test_seed_words_without_spawn_key_equal_seed_sequence(self):
-        for seed in (*GENERATOR_SEEDS, 2**128 + 1, 2**200 + 99):
-            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert streams._seed_words(seed)[0].tolist() == want.tolist(), seed
