@@ -243,15 +243,15 @@ def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
     )]
 
 
-def check_strip_quadrature(ns: Sequence[int], grid: int, tol: float) -> list[Record]:
-    """Closed-form strip integrals against midpoint quadrature on a grid x grid lattice."""
+def check_strip_quadrature(ns: Sequence[int], tol: float) -> list[Record]:
+    """Closed-form strip integrals against the exact piecewise integrals of q_i^2."""
     from . import exactform, partition, qgeometry
 
     records = []
     for n in ns:
         table = exactform.strip_integral_table(n)
-        quads = qgeometry.mean_square_overlap(partition.generating_set(n), grid)
-        worst = max(abs(closed - quad) for closed, quad in zip(table, quads))
+        quads = qgeometry.overlap_square_integrals(partition.generating_set(n))
+        worst = float(np.max(np.abs(table - quads)))
         records.append(_record(
             f"strip-quadrature n={n}", worst <= tol, f"max |closed - quadrature| = {fmt(worst)}"
         ))
@@ -296,14 +296,14 @@ def check_pairwise_anchors(tol: float) -> list[Record]:
     )]
 
 
-def check_pairwise_vs_brute(sets: Sequence[np.ndarray], grid: int, tol: float) -> list[Record]:
-    """The pairwise identity against anchor-grid quadrature on each (k, 2) point array of sets."""
+def check_pairwise_vs_brute(sets: Sequence[np.ndarray], tol: float) -> list[Record]:
+    """The pairwise identity against the cell integral of D^2 on each (k, 2) point array of sets."""
     from . import lowdisc
 
     worst = 0.0
     for points in sets:
         pts = lowdisc.PointSet(points)
-        worst = max(worst, abs(_l2_sq(pts.points) - lowdisc.brute_force_l2_sq(pts, grid)))
+        worst = max(worst, abs(_l2_sq(pts.points) - lowdisc.l2_discrepancy_sq_cells(pts)))
     return [_record("pairwise-vs-brute", worst <= tol, f"max |pairwise - brute| = {fmt(worst)}")]
 
 
@@ -333,7 +333,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
         *check_pair_identity((8, 16, 64), tol=1e-10),
         *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
         *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
-        *check_strip_quadrature((4, 8), grid=1000, tol=1e-4),
+        *check_strip_quadrature((4, 8), tol=1e-12),
         *check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01),
         *check_worked_example(tol=5e-4),
         *check_pairwise_anchors(tol=1e-12),
@@ -342,7 +342,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     # held through its 20,000 nodes
     u = partition._cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
     checks += [
-        *check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], grid=1000, tol=1e-3),
+        *check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], tol=1e-12),
         *check_telescoping((4, 16), u, tol=1e-10),
     ]
     all_passed = all(r["passed"] for r in checks)

@@ -8,21 +8,18 @@ The pairwise (Warnock) identity evaluates the integral exactly:
                + (1/N^2) sum_{i,j} (1-max(x_i,x_j))(1-max(y_i,y_j))
 
 One kernel evaluates it on a stack of point sets, each sorted by x once, in
-O(N) memory per set; a single set is a stack of one.  A midpoint-quadrature
-brute force over anchor boxes is kept alongside for `stratdisc verify`, as
-an independent check; it never feeds production numbers.
+O(N) memory per set; a single set is a stack of one.  An exact integral of
+D^2 over the cells of the points' own grid is kept alongside for
+`stratdisc verify`, as an independent check; it never feeds production
+numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-
-# Anchors per leaf of brute_force_l2_sq's reduction; each of its two row
-# buffers holds a leaf plus a row, about 0.28 MiB in all at grid 1000.
-_LEAF = 2**14
 
 
 @dataclass(frozen=True)
@@ -111,75 +108,32 @@ def l2_discrepancy_sq_batch(points: np.ndarray) -> np.ndarray:
     return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
 
 
-def brute_force_l2_sq(ps: PointSet, grid: int) -> float:
-    """Midpoint quadrature of D(x,y)^2 over a grid x grid lattice of anchors.
+def l2_discrepancy_sq_cells(ps: PointSet) -> float:
+    """L2^2 of ps as the integral of D^2 over the cells of the points' own grid.
 
-    The count table changes from one anchor row to the next only at the
-    distinct x ranks of the points, at most min(n, grid + 1) of them.  Its
-    rows are built as a 2-D prefix sum over a histogram of those ranks, so
-    cost is O(grid^2 + n log n) and memory O(min(n, grid) * grid + _LEAF).
-    Counts are exact integers, so the order of the prefix sums does not
-    change any bit.
+    On each cell [x0, x1] x [y0, y1] of (0, sorted x, 1) x (0, sorted y, 1)
+    the fraction c of points in [0,x) x [0,y) is constant, so the integral
+    of (c - xy)^2 over it is
 
-    The grid x grid deviation array is never built.  Its flat anchor range
-    is split as numpy's pairwise summation splits it, down to leaves of at
-    most _LEAF anchors; each leaf's rows are gathered into reused buffers
-    and summed by np.sum.  Every element has the bits it would have in the
-    whole array, and the leaves add up in numpy's own tree, so the result
-    is bitwise np.mean of that array.
+        c^2 (x1 - x0)(y1 - y0) - 2c (x1^2 - x0^2)/2 (y1^2 - y0^2)/2
+            + (x1^3 - x0^3)/3 (y1^3 - y0^3)/3,
+
+    and the last term sums to 1/9 over the square.  Number the gaps
+    between grid lines 0 .. N from the left: a point of x rank k (1-based)
+    lies left of every x in gaps k .. N, and gaps between tied coordinates
+    are empty.  So N c is a histogram of the (x rank, y rank) pairs with
+    two cumsums, in O(N^2) time and memory.  The terms are added with fsum.
+    The result shares no formula with the pairwise identity.
     """
-    if ps.n < 1:
+    n = ps.n
+    if n < 1:
         raise ValueError("point set must be nonempty")
-    if grid < 10:
-        raise ValueError(f"grid must be >= 10, got {grid}")
-    mids = (np.arange(grid) + 0.5) / grid
-    # rank = number of anchor midpoints strictly greater than the coordinate,
-    # i.e. the first anchor whose half-open box [0, mid) contains the point
-    ix = np.searchsorted(mids, ps.points[:, 0], side="right")
-    iy = np.searchsorted(mids, ps.points[:, 1], side="right")
-    ranks, rank_of = np.unique(ix, return_inverse=True)
-    # row 0 stays empty: anchor rows below every x rank count no point
-    hist = np.zeros((ranks.size + 1, grid + 1), dtype=np.float64)
-    np.add.at(hist, (rank_of + 1, iy), 1.0)
-    np.cumsum(hist, axis=0, out=hist)
-    table = np.cumsum(hist, axis=1, out=hist)[:, :grid]
-    table /= ps.n
-    row_of = np.searchsorted(ranks, np.arange(grid), side="right")
-    # a leaf of rows plus one: a refill at a leaf's first row holds that
-    # leaf wherever in the row it starts
-    rows = min(grid, -(-_LEAF // grid) + 1)
-    deviation = np.empty((rows, grid))
-    products = np.empty((rows, grid))
-    flat = deviation.reshape(-1)
-    start = stop = 0  # the flat anchor range held in deviation
-
-    def leaf_sum(lo: int, hi: int) -> np.float64:
-        nonlocal start, stop
-        if hi > stop:
-            r0 = lo // grid
-            r1 = min(r0 + rows, grid)
-            block, prod = deviation[:r1 - r0], products[:r1 - r0]
-            # mode="raise" would gather into a buffer and copy it to out
-            np.take(table, row_of[r0:r1], axis=0, out=block, mode="clip")
-            np.multiply(mids[r0:r1, np.newaxis], mids, out=prod)
-            np.subtract(block, prod, out=block)
-            np.multiply(block, block, out=block)
-            start, stop = r0 * grid, r1 * grid
-        return np.sum(flat[lo - start:hi - start])
-
-    return float(_pairwise_sum(0, grid * grid, leaf_sum) / (grid * grid))
-
-
-def _pairwise_sum(lo: int, hi: int, leaf_sum: Callable[[int, int], np.float64]) -> np.float64:
-    """leaf_sum over the range [lo, hi) split as numpy's pairwise_sum splits it.
-
-    A range of more than _LEAF splits at a multiple of 8 near its middle,
-    and the halves' sums are added.  A module-level function, so that no
-    recursive closure keeps the caller's buffers alive until the next
-    garbage collection.
-    """
-    if hi - lo <= _LEAF:
-        return leaf_sum(lo, hi)
-    half = (hi - lo) // 2
-    half -= half % 8
-    return _pairwise_sum(lo, lo + half, leaf_sum) + _pairwise_sum(lo + half, hi, leaf_sum)
+    order = np.argsort(ps.points, axis=0)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(1, n + 1)[:, np.newaxis], axis=0)
+    grid = np.vstack([np.zeros(2), np.take_along_axis(ps.points, order, axis=0), np.ones(2)])
+    (dx, dy), (dx2, dy2) = np.diff(grid, axis=0).T, np.diff(grid * grid, axis=0).T
+    c = np.bincount(rank[:, 0] * (n + 1) + rank[:, 1], minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    c = c.cumsum(axis=0).cumsum(axis=1) / n
+    terms = c * (c * np.outer(dx, dy) - np.outer(dx2, dy2) / 2.0)
+    return math.fsum([*terms.ravel().tolist(), 1.0 / 9.0])

@@ -23,8 +23,9 @@ On top of the clipped areas sit the per-cell overlap fractions of the
 diagonal partition: q_i(x,y) is N times the area of cell i inside [0,x]x[0,y],
 obtained as N * (V(r_{i-1}) - V(r_i)) with V(r_0) = x*y and V(r_N) = 0.
 overlap_vector returns all N of them at once; q_i alone is its entry i - 1.
-mean_square_overlap is the quadrature of q_i^2 that `stratdisc verify` holds
-the closed-form strip integrals against.
+overlap_square_integrals integrates every q_i^2 over the unit square
+exactly, the numbers `stratdisc verify` holds the closed-form strip
+integrals against.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ import numpy as np
 
 from .partition import GeneratingSet
 
-# Grid rows per quadrature block in mean_square_overlap: three _CHUNK x grid
-# float64 arrays, 0.19 MB at `verify`'s grid 1000.  That stays below glibc's
-# mmap threshold: freeing a larger block would raise it and the heap's trim
-# threshold, and keep later heap growth resident (0.8 MB more at 32 rows).
-_CHUNK = 8
+# Gauss-Legendre nodes and weights on [0, 1], exact up to degree 5.
+_GL_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+
+# The lines that bound overlap_square_integrals' trapezoids, as y = c + s*x:
+# the square's edges y = 0 and y = 1, then strip i's kinks y = r and
+# y = r - x for r in {r_{i-1}, r_i}.
+_LINE_SLOPES = np.array([0.0, 0.0, 0.0, 0.0, -1.0, -1.0])
 
 
 def intersection_area_grid(r: float | np.ndarray, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
@@ -99,44 +103,38 @@ def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarr
     return gs.n * (v[..., :-1] - v[..., 1:])
 
 
-def mean_square_overlap(gs: GeneratingSet, grid: int = 2000) -> list[float]:
-    """Midpoint-rule quadrature of q_i^2 over the unit square, for i = 1 .. N.
+def overlap_square_integrals(gs: GeneratingSet) -> np.ndarray:
+    """The integrals of q_i^2 over the unit square, exactly, for i = 1 .. N.
 
-    The numeric cross-check for the closed-form strip integrals.  Rows are
-    processed in blocks; within a block x + y is formed once, and each
-    cut's doubled V from _clip_area is computed in place in one of two
-    reused buffers, starting from 2xy, so q_i = (N/2) 2(V(r_{i-1}) - V(r_i))
-    costs a few in-place passes.  The edge terms are left out at cuts
-    r >= 1, where every x and y is below r.  Each grid row is summed on its
-    own and the per-row sums of each strip are combined with fsum, so every
-    value is bitwise that of a quadrature of that strip alone.
+    q_i is a quadratic between its kink lines x = r, y = r and x + y = r,
+    for r in {r_{i-1}, r_i}.  x is cut into slabs at every crossing of
+    those lines with each other and with the square's edges: 0, 1, r,
+    r - 1 and r_i - r_{i-1}, clipped to [0, 1].  No two of the lines
+    y = 0, 1, r and r - x cross inside a slab, so, clipped to the square
+    and sorted at each x node, each two in a row bound a trapezoid on which
+    q_i^2 is a quartic, and 3 x 3 Gauss-Legendre integrates it exactly.
+    Every strip has 6 slabs of 5 trapezoids, empty ones included, so one
+    pass of overlap_vector gives q_i at the nodes of all strips.  It runs
+    on blocks of strips that keep its (points, N + 1) arrays within 64 KiB,
+    below glibc's mmap threshold.
     """
-    if grid < 10:
-        raise ValueError(f"grid must be >= 10, got {grid}")
     n = gs.n
-    mids = (np.arange(grid) + 0.5) / grid
-    y_row = mids[np.newaxis, :]
-    row_sums: list[list[float]] = [[] for _ in range(n)]
-    rows = min(_CHUNK, grid)
-    blocks = np.empty((3, rows, grid))
-    bx, by = np.empty((rows, 1)), np.empty_like(y_row)
-    for a in range(0, grid, _CHUNK):
-        x_col = mids[a:a + _CHUNK, np.newaxis]
-        s, v_prev, v_i = blocks[:, :len(x_col)]
-        np.add(x_col, y_row, out=s)
-        np.multiply(x_col, y_row, out=v_prev)
-        v_prev *= 2.0
-        for sums, r in zip(row_sums, gs.cuts[1:-1].tolist()):
-            np.subtract(s, r, out=v_i)
-            np.maximum(v_i, 0.0, out=v_i)
-            _clip_area(v_i, r, ((x_col, bx[:len(x_col)]), (y_row, by)) if r < 1.0 else ())
-            # q = (N/2) 2(V(r_{i-1}) - V(r_i)), squared, in v_prev's own buffer
-            v_prev -= v_i
-            v_prev *= n / 2
-            v_prev *= v_prev
-            sums.extend(np.sum(v_prev, axis=1).tolist())
-            v_prev, v_i = v_i, v_prev
-        v_prev *= n / 2  # cell N: V(r_N) = 0
-        v_prev *= v_prev
-        row_sums[-1].extend(np.sum(v_prev, axis=1).tolist())
-    return [math.fsum(sums) / (grid * grid) for sums in row_sums]
+    lo, hi = gs.cuts[:-1, np.newaxis], gs.cuts[1:, np.newaxis]
+    zero, one = np.zeros_like(lo), np.ones_like(lo)
+    edges = np.sort(np.clip(np.hstack([zero, one, lo, hi, lo - 1.0, hi - 1.0, hi - lo]), 0.0, 1.0), axis=1)
+    width = np.diff(edges, axis=1)[..., np.newaxis]
+    # (strip, slab, x node, line): the lines in order at each x node
+    x = edges[:, :-1, np.newaxis] + width * _GL_NODES
+    c = np.hstack([zero, one, lo, hi, lo, hi])[:, np.newaxis, np.newaxis, :]
+    lines = np.sort(np.clip(c + _LINE_SLOPES * x[..., np.newaxis], 0.0, 1.0), axis=3)
+    # (strip, slab, x node, trapezoid, y node)
+    height = np.diff(lines, axis=3)[..., np.newaxis]
+    y = lines[..., :-1, np.newaxis] + height * _GL_NODES
+    weight = (width * _GL_WEIGHTS)[..., np.newaxis, np.newaxis] * height * _GL_WEIGHTS
+    x, y, weight = (a.reshape(n, -1) for a in np.broadcast_arrays(x[..., np.newaxis, np.newaxis], y, weight))
+    q = np.empty_like(x)
+    step = max(1, 2**13 // (x.shape[1] * (n + 1)))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        q[a:b] = overlap_vector(gs, x[a:b], y[a:b])[np.arange(b - a), :, np.arange(a, b)]
+    return np.sum(weight * q * q, axis=1)

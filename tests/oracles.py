@@ -2,12 +2,14 @@
 
 Each oracle recomputes a quantity by a different route than the library:
 clipped areas by slicing instead of vertex cases, the pairwise discrepancy
-identity by plain Python loops and in exact rational arithmetic, radical
-inverses by exact rational digit reversal, the strip integrals from their
-printed polynomial forms in 50-digit arithmetic.  A few keep an earlier form
-of a library routine (the clipped-area kernel with a fresh array per pass,
-the per-strip overlap fraction and quadrature, the full-histogram brute
-force, the per-n power sums, the per-cell draw by numpy's own SeedSequence
+identity by plain Python loops and in exact rational arithmetic, the
+integral of D^2 over the points' own grid cells by counting each cell in
+exact rational arithmetic, the integrals of q_i^2 by midpoint quadrature
+strip by strip, radical inverses by exact rational digit reversal, the
+strip integrals from their printed polynomial forms in 50-digit
+arithmetic.  A few keep an earlier form of a library routine (the
+clipped-area kernel with a fresh array per pass, the per-strip overlap
+fraction, the per-n power sums, the per-cell draw by numpy's own SeedSequence
 and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
@@ -234,38 +236,26 @@ def warnock_exact(points: np.ndarray) -> Fraction:
     return Fraction(1, 9) - 2 * linear / n + pairwise / (n * n)
 
 
-def l2_by_anchor_grid(points: np.ndarray, grid: int) -> float:
-    """Midpoint quadrature of the squared discrepancy function, O(grid^2 * n).
+def cell_integral_exact(points: np.ndarray) -> Fraction:
+    """The integral of D(x, y)^2 in exact rational arithmetic, cell by cell.
 
-    Slower than the library's prefix-sum brute force but with no shared
-    machinery; only usable for small point sets and coarse grids.
+    Each cell of the grid (0, sorted x, 1) x (0, sorted y, 1) is counted
+    afresh: a point lies in [0,x) x [0,y) for every (x, y) inside the cell
+    exactly when its coordinates are at most the cell's lower corner.  On
+    the cell, D = c - xy with c constant, and its square is integrated as a
+    polynomial.
     """
     n = len(points)
-    mids = (np.arange(grid) + 0.5) / grid
-    total = []
-    for ax in mids:
-        inside_x = points[:, 0] < ax
-        for ay in mids:
-            count = np.count_nonzero(inside_x & (points[:, 1] < ay))
-            dev = count / n - ax * ay
-            total.append(dev * dev)
-    return math.fsum(total) / (grid * grid)
-
-
-def brute_force_by_histogram(points: np.ndarray, grid: int) -> float:
-    """Anchor-grid quadrature of D^2 from a full (grid+1)^2 histogram.
-
-    Counts every anchor box by a double cumsum over the histogram of the
-    points' anchor ranks, then averages the squared deviation.
-    """
-    mids = (np.arange(grid) + 0.5) / grid
-    ix = np.searchsorted(mids, points[:, 0], side="right")
-    iy = np.searchsorted(mids, points[:, 1], side="right")
-    hist = np.zeros((grid + 1, grid + 1), dtype=np.float64)
-    np.add.at(hist, (ix, iy), 1.0)
-    counts = hist.cumsum(axis=0).cumsum(axis=1)[:grid, :grid]
-    deviation = counts / len(points) - np.outer(mids, mids)
-    return float(np.mean(deviation * deviation))
+    pts = [(Fraction(x), Fraction(y)) for x, y in points.tolist()]
+    xs = [Fraction(0), *sorted(x for x, _ in pts), Fraction(1)]
+    ys = [Fraction(0), *sorted(y for _, y in pts), Fraction(1)]
+    total = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            c = Fraction(sum(x <= x0 and y <= y0 for x, y in pts), n)
+            total += (c * c * (x1 - x0) * (y1 - y0) - c * (x1**2 - x0**2) * (y1**2 - y0**2) / 2
+                      + (x1**3 - x0**3) * (y1**3 - y0**3) / 9)
+    return total
 
 
 def mean_square_overlap_per_strip(gs, i: int, grid: int) -> float:

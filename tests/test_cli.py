@@ -544,14 +544,14 @@ def _stratdisc(*names):
 def test_command_loads_only_its_modules(argv, prints, unloaded):
     # each command imports the library modules it runs, and no more; none
     # loads numpy.random (the cell streams, which verify's check points are
-    # drawn from too, are computed in numpy), and a CSV table loads neither
-    # json nor a thread pool
+    # drawn from too, are computed in numpy) or numpy.ma (which np.unique on
+    # floats imports), and a CSV table loads neither json nor a thread pool
     code = (
         "import sys, stratdisc.cli\n"
         "try:\n    code = stratdisc.cli.main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"
         "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules])"
     )
-    names = ",".join(("numpy.random", *unloaded))
+    names = ",".join(("numpy.random", "numpy.ma", *unloaded))
     done = subprocess.run([sys.executable, "-c", code, names, *argv], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert prints in done.stdout

@@ -22,7 +22,7 @@ from stratdisc import (
     strip_integral_upper,
 )
 from stratdisc.exactform import strip_integral_middle
-from stratdisc.qgeometry import mean_square_overlap
+from stratdisc.qgeometry import overlap_square_integrals
 
 from oracles import EXACT_HIGH_PRECISION, MIDDLE_STRIP_INTEGRAL, expected_l2_sq_printed, strip_integral_printed
 
@@ -39,12 +39,9 @@ class TestStripIntegrals:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_closed_forms_match_quadrature(self, n):
-        gs = generating_set(n)
-        table = strip_integral_table(n)
-        quads = mean_square_overlap(gs, grid=1000)
-        for i in range(1, n + 1):
-            quad = quads[i - 1]
-            assert table[i - 1] == pytest.approx(quad, abs=1e-6)
+        # the exact piecewise integrals of q_i^2, not a grid quadrature
+        quads = overlap_square_integrals(generating_set(n))
+        np.testing.assert_allclose(strip_integral_table(n), quads, rtol=1e-13, atol=0)
 
     def test_table_layout(self):
         table = strip_integral_table(8)
@@ -159,7 +156,7 @@ class TestStripIntegrals:
         assert strip_integral_middle(n) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_strip_quadrature_check_passes_at_odd_n(self):
-        records = cli.check_strip_quadrature((3, 5, 7, 9), grid=2000, tol=1e-7)
+        records = cli.check_strip_quadrature((3, 5, 7, 9), tol=1e-12)
         assert all(r["passed"] for r in records), records
 
     def test_table_validation(self):

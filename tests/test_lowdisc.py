@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
-from stratdisc.lowdisc import _radical_inverse_block, brute_force_l2_sq
+from stratdisc.lowdisc import _radical_inverse_block, l2_discrepancy_sq_cells
 
 from oracles import (
-    brute_force_by_histogram,
-    l2_by_anchor_grid,
+    cell_integral_exact,
     radical_inverse,
     radical_inverse_by_digits,
     warnock_batch_max_form,
@@ -188,56 +187,53 @@ class TestMinFormBits:
         assert stack.tobytes() == before.tobytes()
 
 
+# coordinates that tie, sit on the square's edges or lie an ulp apart
+_CELL_COORD = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(_ADVERSARIAL_POOL.tolist()))
+_CELL_SETS = st.lists(st.tuples(_CELL_COORD, _CELL_COORD), min_size=1, max_size=40).map(np.array)
+
+
 class TestBruteForce:
+    """The integral of D^2 over the points' own grid cells, verify's check of the pairwise identity."""
+
     def test_matches_pairwise_on_random_sets(self):
         rng = np.random.default_rng(12345)
         for _ in range(5):
             pts = PointSet(rng.random((int(rng.integers(1, 33)), 2)))
             exact = l2_one(pts.points)
-            approx = brute_force_l2_sq(pts, grid=1000)
-            assert approx == pytest.approx(exact, abs=1e-3)
-
-    def test_matches_slow_anchor_oracle(self):
-        rng = np.random.default_rng(99)
-        pts = rng.random((8, 2))
-        fast = brute_force_l2_sq(PointSet(pts), grid=60)
-        slow = l2_by_anchor_grid(pts, grid=60)
-        assert fast == pytest.approx(slow, abs=1e-12)
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 17, 32, 500, 3000])
-    # 1013^2 is not a multiple of 8, and its reduction leaves split mid-row
-    @pytest.mark.parametrize("grid", [10, 60, 1000, 1013])
-    def test_equals_histogram_oracle(self, m, grid):
-        pts = np.random.default_rng(m * grid).random((m, 2))
-        assert brute_force_l2_sq(PointSet(pts), grid) == brute_force_by_histogram(pts, grid)
-
-    @pytest.mark.parametrize("grid", [10, 60, 1000])
-    def test_equals_histogram_oracle_on_edges(self, grid):
-        # the corners, anchor midpoints (on a box edge, so outside it), and
-        # repeated x ranks
-        mids = (np.arange(grid) + 0.5) / grid
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0],
-                        [mids[0], mids[-1]], [mids[3], mids[3]], [mids[3], 0.2], [mids[-1], mids[0]]])
-        for points in (pts, pts[:1], pts[1:2], pts[4:]):
-            assert brute_force_l2_sq(PointSet(points), grid) == brute_force_by_histogram(points, grid)
-
-    def test_memory_bounded_at_grid_1000(self):
-        # the full 1000 x 1000 deviation array alone would be 7.6 MiB; and
-        # nothing outlives the call until a garbage collection
-        pts = PointSet(np.random.default_rng(3).random((32, 2)))
-        tracemalloc.start()
-        try:
-            brute_force_l2_sq(pts, grid=1000)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20
-        assert current < 2**16
+            assert l2_discrepancy_sq_cells(pts) == pytest.approx(exact, abs=1e-15)
 
     def test_single_corner_point(self):
-        val = brute_force_l2_sq(PointSet([[1.0, 1.0]]), grid=500)
-        assert val == pytest.approx(1 / 9, abs=1e-3)
+        assert cell_integral_exact(np.array([[1.0, 1.0]])) == Fraction(1, 9)
+        assert l2_discrepancy_sq_cells(PointSet([[1.0, 1.0]])) == 1 / 9
 
-    def test_grid_validated(self):
+    @given(points=_CELL_SETS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_cell_integral_and_pairwise_identity(self, points):
+        exact = cell_integral_exact(points)
+        # two exact evaluations of the same integral agree to the last digit
+        assert exact == warnock_exact(points)
+        assert abs(Fraction(l2_discrepancy_sq_cells(PointSet(points))) - exact) <= 4 * _EPS
+
+    @pytest.mark.parametrize("points, want", [
+        ([[0.0, 0.0]], Fraction(11, 18)),
+        ([[0.0, 1.0], [1.0, 0.0]], Fraction(1, 9)),
+        ([[0.0, 0.0], [0.0, 0.0]], Fraction(11, 18)),
+    ])
+    def test_corners(self, points, want):
+        points = np.array(points)
+        assert cell_integral_exact(points) == want
+        assert l2_discrepancy_sq_cells(PointSet(points)) == float(want)
+
+    def test_tied_points_count_once_per_copy(self):
+        points = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.5], [0.5, 0.75]])
+        exact = cell_integral_exact(points)
+        assert exact == warnock_exact(points) == Fraction(103, 2304)
+        assert abs(Fraction(l2_discrepancy_sq_cells(PointSet(points))) - exact) <= 4 * _EPS
+
+    def test_matches_pairwise_kernel_at_k_512(self):
+        points = np.random.default_rng(512).random((512, 2))
+        assert l2_discrepancy_sq_cells(PointSet(points)) == pytest.approx(l2_one(points), abs=1e-15)
+
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            brute_force_l2_sq(PointSet([[0.5, 0.5]]), grid=9)
+            l2_discrepancy_sq_cells(PointSet(np.empty((0, 2))))

@@ -15,8 +15,9 @@ from stratdisc import (
     halton,
     intersection_area_grid,
     overlap_vector,
+    strip_integral_table,
 )
-from stratdisc.qgeometry import mean_square_overlap
+from stratdisc.qgeometry import overlap_square_integrals
 
 from oracles import (
     clipped_area_by_slices,
@@ -231,25 +232,42 @@ class TestOverlapVector:
 
 
 class TestMeanSquareOverlap:
-    def test_converges_to_closed_form(self):
-        from stratdisc import strip_integral_table
+    """The exact integrals of q_i^2 that verify holds the closed-form strip integrals against."""
 
+    def test_converges_to_closed_form(self):
         gs = generating_set(4)
         table = strip_integral_table(4)
-        quads = mean_square_overlap(gs, grid=1000)
+        exact = overlap_square_integrals(gs)
         for i in range(1, 5):
-            quad = quads[i - 1]
+            quad = mean_square_overlap_per_strip(gs, i, 1000)
             assert quad == pytest.approx(table[i - 1], abs=1e-6)
+            # the exact integral is closer than the quadrature converging to it
+            assert abs(exact[i - 1] - table[i - 1]) < abs(quad - table[i - 1])
 
-    # grids 37, 1000 and 2000 end in a partial block of rows; n = 65 puts 32
-    # cuts on each side of r = 1, where the edge terms are left out
+    # grids 37, 1000 and 2000 end in a partial block of the oracle's rows;
+    # n = 65 puts 32 cuts on each side of r = 1
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16, 65])
     @pytest.mark.parametrize("grid", [10, 37, 1000, 2000])
     def test_equals_per_strip_quadrature(self, n, grid):
+        # q_i is C^1, with |q_i| <= 1, 0 <= dq_i/dx <= N (r_i - r_{i-1})
+        # <= sqrt(2N) and |d2q_i/dx2| <= N, so |d2(q_i^2)/dx2| <= 6N, and
+        # likewise in y; the midpoint rule's error is then at most
+        # h^2/24 (6N + 6N) = N h^2 / 2
         gs = generating_set(n)
-        want = [mean_square_overlap_per_strip(gs, i, grid) for i in range(1, n + 1)]
-        assert mean_square_overlap(gs, grid) == want
+        exact = overlap_square_integrals(gs)
+        quads = [mean_square_overlap_per_strip(gs, i, grid) for i in range(1, n + 1)]
+        for want, quad in zip(exact, quads):
+            assert abs(quad - want) <= n / (2 * grid * grid)
 
-    def test_grid_validated(self):
-        with pytest.raises(ValueError):
-            mean_square_overlap(generating_set(4), grid=5)
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_closed_form_table(self, n):
+        got = overlap_square_integrals(generating_set(n))
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, strip_integral_table(n), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [33, 64, 65])
+    def test_matches_closed_form_table_at_larger_n(self, n):
+        # q_i = N (V(r_{i-1}) - V(r_i)) loses about N ulps to cancellation
+        got = overlap_square_integrals(generating_set(n))
+        np.testing.assert_allclose(got, strip_integral_table(n), rtol=n * 1e-15, atol=0)
+        assert got[-1] == pytest.approx(1.0 / (15.0 * n), rel=n * 1e-15)
