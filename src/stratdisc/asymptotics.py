@@ -26,12 +26,16 @@ rather than altering the printed formulas.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import MAX_DIRECT_N
+from .estimators import _exact_sum
 from .exactform import _strip_blocks
 
 _SQRT2 = math.sqrt(2.0)
@@ -68,11 +72,26 @@ class ApproximantOrderReport:
     adjusted_order: float
 
 
+def _powers(first: int, last: int, k: float) -> np.ndarray:
+    """i**k for i = first .. last with the bits Python gives: the products i, i*i,
+    i*i*i, exact below 2^53, for k = 1, 2, 3, else pow on int i for an int k (the
+    exact power, rounded once) or libm's pow through math.pow on blocks of 512
+    floats for a float k.  numpy's vectorised power rounds differently at k = 1.5."""
+    i = np.arange(first, last + 1, dtype=np.float64)
+    # inf: no exact products, every term from pow
+    terms = functools.reduce(np.multiply, [i] * int(k)) if k in (1, 2, 3) else np.full_like(i, np.inf)
+    for a in range(int(np.searchsorted(terms, 2.0**53)), i.size, 512):
+        b = min(a + 512, i.size)
+        bases, power = (range(first + a, first + b), pow) if isinstance(k, int) else (i[a:b].tolist(), math.pow)
+        terms[a:b] = np.fromiter(map(power, bases, itertools.repeat(k)), np.float64, b - a)
+    return terms
+
+
 def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
     """Direct compensated sums of i^k * sqrt(i-1) for i = 2 .. n/2, one per n in ns.
 
     The terms are computed once, up to the largest n, and each n gets the
-    fsum of its prefix; every value is that of a sum over its own terms.
+    exact sum (the fsum) of its prefix; every value is that of a sum over its own terms.
     """
     for n in ns:
         if n < 4 or n % 2:
@@ -81,8 +100,9 @@ def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
             raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
         if k < 0:
             raise ValueError(f"need k >= 0, got k={k}")
-    terms = [i**k * math.sqrt(i - 1.0) for i in range(2, max(ns, default=0) // 2 + 1)]
-    return [math.fsum(terms[:n // 2 - 1]) for n in ns]
+    m = max(ns, default=0) // 2
+    terms = _powers(2, m, k) * np.sqrt(np.arange(1.0, m))
+    return [_exact_sum([terms[:n // 2 - 1]]) for n in ns]
 
 
 def power_sqrt_sum_approx(n: int, k: float) -> float:
@@ -124,15 +144,15 @@ def power_sum(ns: Sequence[int], k: float) -> list[float]:
     """Direct compensated sums of i^k for i = 1 .. n, one per n in ns.
 
     The terms are computed once, up to the largest n, and each n gets the
-    fsum of its prefix; every value is that of a sum over its own terms.
+    exact sum (the fsum) of its prefix; every value is that of a sum over its own terms.
     """
     for n in ns:
         if n < 1:
             raise ValueError(f"need n >= 1, got n={n}")
         if n > MAX_DIRECT_N:
             raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
-    terms = [i**k for i in range(1, max(ns, default=0) + 1)]
-    return [math.fsum(terms[:n]) for n in ns]
+    terms = _powers(1, max(ns, default=0), k)
+    return [_exact_sum([terms[:n]]) for n in ns]
 
 
 def power_sum_approx(n: int, k: float) -> float:

@@ -196,13 +196,10 @@ def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
 
     records = []
     for n in ns:
-        worst = max(
-            abs(
-                asymptotics.paired_strip_integral(n, i)
-                - (exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i))
-            )
-            for i in range(2, n // 2 + 1)
-        )
+        i = np.arange(2, n // 2 + 1)
+        pairs = np.array([asymptotics.paired_strip_integral(n, j) for j in i.tolist()])
+        sums = exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i)
+        worst = float(np.max(np.abs(pairs - sums)))
         records.append(_record(
             f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {fmt(worst)}"
         ))
@@ -316,9 +313,9 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
         gs = partition.generating_set(n)
         # points in blocks, so that neither q nor a list of it is held whole
         for block in (points[a:a + 256] for a in range(0, len(points), 256)):
-            q = qgeometry.overlap_vector(gs, block[:, 0], block[:, 1])
-            for row, (x, y) in zip(q.tolist(), block.tolist()):
-                worst = max(worst, abs(math.fsum(row) - n * x * y))
+            x, y = block[:, 0], block[:, 1]
+            sums = np.fromiter(map(math.fsum, qgeometry.overlap_vector(gs, x, y).tolist()), np.float64, len(x))
+            worst = max(worst, float(np.max(np.abs(sums - n * x * y))))
     return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
 
 

@@ -129,8 +129,11 @@ def sample_partition(kind: str, n: int, count: int, seed: int, start: int = 0) -
 
     kind is one of PARTITIONS.  "vertical" is the n x 1 grid of strips and
     "jittered" the m x m grid, which needs n = m*m.  Cells appear in index
-    order along axis 1.
+    order along axis 1.  n is checked against the spawn key before any O(n) array.
     """
+    from .streams import _check_spawn_key
+
+    _check_spawn_key(seed, n)
     if kind == "diagonal":
         return sample_stratified_batch(generating_set(n), count, seed, start)
     if kind not in PARTITIONS:

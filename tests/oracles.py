@@ -9,7 +9,8 @@ strip by strip, radical inverses by exact rational digit reversal, the
 strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier form of a library routine (the
 clipped-area kernel with a fresh array per pass, the per-strip overlap
-fraction, the per-n power sums, the per-cell draw by numpy's own SeedSequence
+fraction, the per-n power sums, the per-point and per-strip loops of the
+telescoping and pair-identity checks, the per-cell draw by numpy's own SeedSequence
 and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from stratdisc import estimators
+from stratdisc import asymptotics, cli, estimators, exactform, partition, qgeometry
 from stratdisc.asymptotics import ComponentSums
 from stratdisc.lowdisc import l2_discrepancy_sq_batch
 from stratdisc.partition import sample_partition
@@ -328,6 +329,36 @@ def power_sum_by_generator(n: int, k: float) -> float:
 def power_sqrt_sum_by_generator(n: int, k: float) -> float:
     """Compensated sum of i^k sqrt(i-1) for i = 2 .. n/2, over its own terms."""
     return math.fsum(i**k * math.sqrt(i - 1.0) for i in range(2, n // 2 + 1))
+
+
+def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
+    """cli.check_telescoping with a Python loop over the rows of q: one fsum,
+    product, difference and max per point."""
+    worst = 0.0
+    for n in ns:
+        gs = partition.generating_set(n)
+        for block in (points[a:a + 256] for a in range(0, len(points), 256)):
+            q = qgeometry.overlap_vector(gs, block[:, 0], block[:, 1])
+            for row, (x, y) in zip(q.tolist(), block.tolist()):
+                worst = max(worst, abs(math.fsum(row) - n * x * y))
+    return [cli._record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {cli.fmt(worst)}")]
+
+
+def check_pair_identity_by_loop(ns, tol: float) -> list[dict]:
+    """cli.check_pair_identity with scalar strip integrals, one pair index i at a time."""
+    records = []
+    for n in ns:
+        worst = max(
+            abs(
+                asymptotics.paired_strip_integral(n, i)
+                - (exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i))
+            )
+            for i in range(2, n // 2 + 1)
+        )
+        records.append(cli._record(
+            f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {cli.fmt(worst)}"
+        ))
+    return records
 
 
 def fit_order_by_polyfit(ns, errors) -> float:

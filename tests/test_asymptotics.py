@@ -23,7 +23,7 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
-from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, power_sqrt_claimed_order
+from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, _powers, power_sqrt_claimed_order
 
 from oracles import (
     component_sums_by_decimal,
@@ -74,6 +74,30 @@ class TestDirectSums:
     @pytest.mark.parametrize("ns", [DEFAULT_FIT_NS, (514, 4, 4096, 6, 64, 4, 38)])
     def test_power_sqrt_sum_ladder_equals_per_n_sums(self, k, ns):
         assert power_sqrt_sum(ns, k) == [power_sqrt_sum_by_generator(n, k) for n in ns]
+
+    # i^3 first reaches 2^53 at i = 208,064, where the exact products hand over to pow
+    @pytest.mark.parametrize("k", [3, 3.0, 2.5])
+    def test_power_sum_at_the_cap_equals_its_own_sum(self, k):
+        assert power_sum([MAX_DIRECT_N], k) == [power_sum_by_generator(MAX_DIRECT_N, k)]
+
+    @pytest.mark.parametrize("k", [2, 2.0, 2.5])
+    def test_power_sqrt_sum_at_the_cap_equals_its_own_sum(self, k):
+        assert power_sqrt_sum([MAX_DIRECT_N], k) == [power_sqrt_sum_by_generator(MAX_DIRECT_N, k)]
+
+    @pytest.mark.parametrize("k", sorted(ZETA_NEG))
+    def test_ladders_of_one_n_and_of_none(self, k):
+        assert power_sum([3000], k) == [power_sum_by_generator(3000, k)]
+        assert power_sqrt_sum([3000], k) == [power_sqrt_sum_by_generator(3000, k)]
+        assert power_sum([], k) == power_sqrt_sum([], k) == []
+
+    @pytest.mark.parametrize("k", [0, 0.5, 1, 1.0, 1.5, 2, 2.0, 2.5, 3, 3.0, -1, 3.5])
+    @pytest.mark.parametrize("first, last", [(1, 4000), (207_000, 209_000), (MAX_DIRECT_N - 100, MAX_DIRECT_N)])
+    def test_terms_have_the_bits_of_python_powers(self, k, first, last):
+        # an int k = 3 past 2^53 rounds the exact integer i**3 once; a float
+        # k = 3.0 is libm's pow there, which differs from it at many i
+        want = [float(i**k) for i in range(first, last + 1)]
+        assert _powers(first, last, k).tolist() == want
+        assert _powers(first, last, k).tobytes() == np.array(want).tobytes()
 
     def test_ladder_validated_per_element(self):
         assert power_sum([], 1.0) == power_sqrt_sum([], 1.0) == []

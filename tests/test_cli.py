@@ -10,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,12 @@ from mpmath import mp, mpf
 
 from stratdisc import asymptotics, cli, estimators, exactform, expected_l2_sq_exact, generating_set
 
-from oracles import expected_l2_sq_printed, render_csv_by_join
+from oracles import (
+    check_pair_identity_by_loop,
+    check_telescoping_by_rows,
+    expected_l2_sq_printed,
+    render_csv_by_join,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -196,6 +202,27 @@ class TestSampleCommand:
         assert len(payload["points"]) == 3
         assert set(payload["points"][0]) == {"x", "y", "cell"}
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "4294967296", "--seed", "1"],
+        ["sample", "--n", "4294967296", "--partition", "vertical"],
+        ["sample", "--n", "4294967296", "--partition", "jittered"],
+        ["mc", "--n", "4294967296", "--replicates", "2"],
+    ])
+    def test_cell_count_past_the_spawn_key_is_refused_before_allocating(self, argv, capsys):
+        # n = 2^32 (65536^2, so jittered takes it too) has no 32-bit spawn key
+        # word; it is refused before the O(n) cuts or grid indices are built
+        from stratdisc import partition, streams  # loaded before the trace starts
+
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: cell index 4294967296 does not fit the 32-bit spawn key word\n"
+        assert peak < 2**20
+
 
 class TestMcCommand:
     def test_csv_output(self, capsys):
@@ -283,6 +310,49 @@ class TestVerifyCommand:
         text, passed = cli.run_verify(argparse.Namespace(n=None, format="csv"))
         assert passed
         assert text.endswith("24/24 checks passed\n")
+
+
+def _check_points() -> np.ndarray:
+    from stratdisc import partition
+
+    return partition._cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+
+
+def _edge_points(n: int) -> np.ndarray:
+    """(0, 0), (1, 1), points on the square's four edges, and points on every
+    cut line x + y = r_i of the n-cell partition: its diagonal point and its
+    ends on the square's edges."""
+    t = np.linspace(0.0, 1.0, 17)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    r = generating_set(n).cuts
+    lo, hi = np.maximum(r - 1.0, 0.0), np.minimum(r, 1.0)
+    pairs = [(t, zero), (zero, t), (t, one), (one, t), (r / 2, r / 2), (hi, lo), (lo, hi)]
+    return np.concatenate([[[0.0, 0.0], [1.0, 1.0]], *(np.stack(p, axis=1) for p in pairs)])
+
+
+class TestVectorisedChecks:
+    """The telescoping and pair-identity checks against the per-point and
+    per-index loops they replaced.  With fmt replaced by the float's repr
+    the details carry every bit of the worst error."""
+
+    @pytest.fixture(params=["fmt", "repr"])
+    def render(self, request, monkeypatch):
+        if request.param == "repr":
+            monkeypatch.setattr(cli, "fmt", lambda value: repr(float(value)))
+
+    @pytest.mark.parametrize("ns", [(4, 16), (4,), (16,), (64,), (1000,)])
+    def test_telescoping_on_the_check_points(self, ns, render):
+        points = _check_points()
+        assert cli.check_telescoping(ns, points, 1e-10) == check_telescoping_by_rows(ns, points, 1e-10)
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 1000])
+    def test_telescoping_on_cuts_corners_and_edges(self, n, render):
+        points = _edge_points(n)
+        assert cli.check_telescoping((n,), points, 1e-10) == check_telescoping_by_rows((n,), points, 1e-10)
+
+    @pytest.mark.parametrize("ns", [(8, 16, 64), (4,), (16,), (64,), (1000,)])
+    def test_pair_identity(self, ns, render):
+        assert cli.check_pair_identity(ns, 1e-10) == check_pair_identity_by_loop(ns, 1e-10)
 
 
 class TestArgumentHandling:
