@@ -21,9 +21,8 @@ MAX_DIRECT_N = 2**20
 # the module that defines each public name
 _MODULES = {
     "asymptotics": (
-        "ApproximantOrderReport", "ComponentSums", "component_sums", "cubic_component_closed_form",
-        "estimate_limit_offset", "fit_error_order", "interior_strip_sum", "paired_strip_integral",
-        "power_sqrt_order_report", "power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx",
+        "ComponentSums", "component_sums", "cubic_component_closed_form", "interior_strip_sum",
+        "paired_strip_integral", "power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx",
     ),
     "estimators": (
         "DiscrepancyEstimate", "expected_l2_sq_mc", "expected_l2_sq_qmc", "random_baseline",

@@ -16,12 +16,12 @@ Everything is checked by direct compensated summation; the component sums,
 whose terms of size N^3 cancel, are summed exactly in integers, with each
 square root taken as a fixed-point integer floor, so that every sum is
 within 2^-64 of its exact value before it is rounded once to float.
-The sqrt-sum approximants are transcribed verbatim; direct summation shows
-the k = 1/2 and k = 1 variants differ from the true sums by a small
-n-independent constant (about 0.0375 and 0.100 respectively) on top of the
-stated decay.  The order reports therefore estimate that limiting offset and fit the decay
-of the remainder, reporting both the raw and offset-adjusted exponents
-rather than altering the printed formulas.
+The sqrt-sum approximants are transcribed verbatim.  Each differs from the
+direct sum by c + a ln n + O(n^p), with (p, c, a) derived per k and listed in
+SQRT_SUM_REMAINDERS beside the printed formulas: the k = 1/2 and k = 1
+forms are off by a constant (about 0.0375 and 0.100), and the k = 3/2 form
+drops the -(1/16) ln n of the direct sum.  Each is then held to one bound,
+|printed - c - a ln n - direct| <= C n^p, rather than a fitted slope.
 """
 
 from __future__ import annotations
@@ -52,24 +52,27 @@ ZETA_NEG = {
     3.0: 1.0 / 120.0,
 }
 
+# (p, c, a) per k: power_sqrt_sum_approx(n, k) - power_sqrt_sum(n, k) is
+# c + a ln n + O(n^p).  c and a come from the direct sum written as
+# sum_{j=1}^{n/2-1} (j+1)^k sqrt(j), expanded binomially and summed power by
+# power of j by Euler-Maclaurin; c_1 = 5/6 - 41 sqrt(2)/60 - zeta(-1/2)
+# - zeta(-3/2).  p is the first power of n left over, except at k = 3/2: its
+# O(1/n) remainder is below the float rounding of its n^3-sized terms at
+# n = 2^14, so it is held to n^-1/2.
+SQRT_SUM_REMAINDERS = {
+    0.5: (-1.0, 0.037522747754928905316, 0.0),
+    1.0: (-0.5, 0.100325492578905985286, 0.0),
+    1.5: (-0.5, -0.062607729023513743, 1.0 / 16.0),
+    2.0: (0.5, 0.0, 0.0),
+    2.5: (1.0, 0.0, 0.0),
+}
+
 DEFAULT_FIT_NS = tuple(2**j for j in range(6, 15))
 
 
-@dataclass(frozen=True)
-class ApproximantOrderReport:
-    """Fitted error behavior of a sqrt-sum approximant across a range of n.
-
-    fitted_order is the raw log-log slope of |closed - direct|;
-    constant_offset is the estimated n -> infinity limit of (closed - direct)
-    (zero when the claimed order is nonnegative), and adjusted_order refits
-    after subtracting it.
-    """
-
-    k: float
-    claimed_order: float
-    fitted_order: float
-    constant_offset: float
-    adjusted_order: float
+def _check_even(n: int) -> None:
+    if n < 4 or n % 2:
+        raise ValueError(f"need even n >= 4, got n={n}")
 
 
 def _powers(first: int, last: int, k: float) -> np.ndarray:
@@ -94,8 +97,7 @@ def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
     exact sum (the fsum) of its prefix; every value is that of a sum over its own terms.
     """
     for n in ns:
-        if n < 4 or n % 2:
-            raise ValueError(f"need even n >= 4, got n={n}")
+        _check_even(n)
         if n > MAX_DIRECT_N:
             raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
         if k < 0:
@@ -111,8 +113,7 @@ def power_sqrt_sum_approx(n: int, k: float) -> float:
     k = 1/2 has its own expression (the expansion picks up a logarithm);
     any other k > 0 uses the general four-term form.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
+    _check_even(n)
     if k == 0.5:
         return (
             n**2 / 8.0
@@ -133,11 +134,6 @@ def power_sqrt_sum_approx(n: int, k: float) -> float:
         - 4.0**k * k
     )
     return t1 + t2 + t3 + t4
-
-
-def power_sqrt_claimed_order(k: float) -> float:
-    """Stated error exponent of power_sqrt_sum_approx: -1 for k=1/2, else k - 3/2."""
-    return -1.0 if k == 0.5 else k - 1.5
 
 
 def power_sum(ns: Sequence[int], k: float) -> list[float]:
@@ -175,8 +171,7 @@ def paired_strip_integral(n: int, i: int) -> float:
     Defined for 2 <= i <= n/2; agrees with the two strip integrals summed
     separately to ~1e-12.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
+    _check_even(n)
     if not 2 <= i <= n // 2:
         raise ValueError(f"pair index must satisfy 2 <= i <= n/2, got i={i}, n={n}")
     s_lo = math.sqrt((i - 1.0) / n)
@@ -222,8 +217,7 @@ def component_sums(n: int) -> ComponentSums:
     2^-64 for p = 2 bit_length(N) + 64.  Each field is then one integer
     division, which Python rounds once and correctly.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
+    _check_even(n)
     p = 2 * n.bit_length() + 64
     shift = 2 * p
     cubic = quadratic = linear = constant = 0
@@ -254,70 +248,12 @@ def cubic_component_closed_form(n: int) -> float:
     Evaluated as the one integer fraction (64 - (N(N+2))^2) / (120N), which
     Python divides with a single correct rounding at every n.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got n={n}")
+    _check_even(n)
     return (64 - (n * (n + 2)) ** 2) / (120 * n)
 
 
 def interior_strip_sum(n: int) -> float:
     """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry,
-    streamed in blocks: bitwise the fsum of that slice of the table."""
-    return math.fsum(itertools.chain.from_iterable(_strip_blocks(n, ends=False)))
-
-
-def fit_error_order(ns: Sequence[int], errors: Sequence[float]) -> float:
-    """Log-log least-squares slope of |error| against n.
-
-    The slope of the line fit in closed form, sum(dx dy) / sum(dx^2) with dx
-    and dy taken about their means and each sum an fsum: the fit
-    np.polyfit(log n, log |error|, 1) makes, without a LAPACK call.
-    """
-    if len(ns) != len(errors) or len(set(ns)) < 2:
-        raise ValueError("need matching sequences with at least 2 distinct n")
-    log_n = [math.log(n) for n in ns]
-    log_e = [math.log(max(abs(e), 1e-300)) for e in errors]
-    mean_n, mean_e = math.fsum(log_n) / len(ns), math.fsum(log_e) / len(ns)
-    dx = [x - mean_n for x in log_n]
-    return math.fsum(d * (y - mean_e) for d, y in zip(dx, log_e)) / math.fsum(d * d for d in dx)
-
-
-def estimate_limit_offset(ns: Sequence[int], errors: Sequence[float], decay: float) -> float:
-    """Extrapolate the n -> infinity limit of errors assuming c + A*n^(-decay).
-
-    Uses the last two points; exact for the model, and the model's leftover
-    curvature only perturbs the estimate at higher order.
-    """
-    if len(ns) < 2 or len(ns) != len(errors):
-        raise ValueError("need matching sequences of at least 2 points")
-    if decay <= 0:
-        raise ValueError(f"decay must be positive, got {decay}")
-    n1, n2 = ns[-2], ns[-1]
-    e1, e2 = errors[-2], errors[-1]
-    a = (e1 - e2) / (n1 ** (-decay) - n2 ** (-decay))
-    return e2 - a * n2 ** (-decay)
-
-
-def power_sqrt_order_report(k: float, ns: Sequence[int] = DEFAULT_FIT_NS) -> ApproximantOrderReport:
-    """Fit the error order of the sqrt-sum approximant over a range of n.
-
-    For claimed orders below zero the report additionally extrapolates the
-    constant offset of (closed - direct) and refits the remainder; for
-    growing errors the offset is irrelevant and kept at zero.
-    """
-    claimed = power_sqrt_claimed_order(k)
-    approx = [power_sqrt_sum_approx(n, k) for n in ns]
-    signed = [a - direct for a, direct in zip(approx, power_sqrt_sum(ns, k))]
-    raw = fit_error_order(ns, signed)
-    if claimed < 0.0:
-        offset = estimate_limit_offset(ns, signed, -claimed)
-        adjusted = fit_error_order(ns, [e - offset for e in signed])
-    else:
-        offset = 0.0
-        adjusted = raw
-    return ApproximantOrderReport(
-        k=k,
-        claimed_order=claimed,
-        fitted_order=raw,
-        constant_offset=offset,
-        adjusted_order=adjusted,
-    )
+    streamed in blocks into one correctly rounded sum: bitwise the fsum of
+    that slice of the table."""
+    return _exact_sum(_strip_blocks(n, ends=False))

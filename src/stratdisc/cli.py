@@ -137,21 +137,23 @@ def _record(name: str, passed: bool, detail: str) -> Record:
 
 
 def check_sqrt_sum_orders(ks: Sequence[float], tol: float) -> list[Record]:
-    """Error order of each sqrt-sum approximant, raw or offset-adjusted, within tol of the claim."""
+    """Each sqrt-sum approximant, less its derived c + a ln n, within tol * n^p
+    of the direct sum over DEFAULT_FIT_NS, with (p, c, a) from SQRT_SUM_REMAINDERS."""
     from . import asymptotics
 
+    ns = asymptotics.DEFAULT_FIT_NS
     records = []
     for k in ks:
-        report = asymptotics.power_sqrt_order_report(k)
-        ok = min(
-            abs(report.fitted_order - report.claimed_order),
-            abs(report.adjusted_order - report.claimed_order),
-        ) <= tol
+        p, c, a = asymptotics.SQRT_SUM_REMAINDERS[k]
+        worst = max(
+            abs(asymptotics.power_sqrt_sum_approx(n, k) - direct - c - a * math.log(n)) / n**p
+            for n, direct in zip(ns, asymptotics.power_sqrt_sum(ns, k))
+        )
         records.append(_record(
             f"sqrt-sum-order k={fmt(k)}",
-            ok,
-            f"claimed {fmt(report.claimed_order)}, fitted {fmt(report.fitted_order)}, "
-            f"measured offset {fmt(report.constant_offset)}, adjusted {fmt(report.adjusted_order)}",
+            worst <= tol,
+            f"max |printed - c - a ln n - direct|/n^p = {fmt(worst)} "
+            f"(p = {fmt(p)}, c = {fmt(c)}, a = {fmt(a)}; bound {fmt(tol)})",
         ))
     return records
 

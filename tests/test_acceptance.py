@@ -16,9 +16,8 @@ import pytest
 
 import stratdisc
 from stratdisc import asymptotics, cli
-from stratdisc.asymptotics import fit_error_order
 
-from oracles import PRINTED_TABLE1
+from oracles import PRINTED_TABLE1, fit_order_by_polyfit
 
 TABLE_NS = tuple(sorted(PRINTED_TABLE1))
 MC_SEED = 20240817
@@ -106,7 +105,7 @@ def test_criterion_4_asymptotic_decay(report):
         abs(stratdisc.expected_l2_sq_exact(n).value - stratdisc.expected_l2_sq_asymptotic(n))
         for n in ns
     ]
-    slope = fit_error_order(ns, gaps)
+    slope = fit_order_by_polyfit(ns, gaps)
     ok = scaled[0] > scaled[1] > scaled[2] and slope <= -1.25
     report(
         "criterion-4 asymptotic-decay",
@@ -165,7 +164,7 @@ def test_criterion_7_oracle_suite(report_checks):
 
 
 def test_criterion_8_summation_verification(report_checks):
-    """Approximant error orders, the component-sum identity, and the collapse."""
+    """Approximant remainders, the component-sum identity, and the collapse."""
     report_checks("criterion-8 summation-verification", criterion_8_checks())
 
 

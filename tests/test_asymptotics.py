@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from stratdisc import (
     component_sums,
     cubic_component_closed_form,
-    estimate_limit_offset,
-    fit_error_order,
     interior_strip_sum,
     paired_strip_integral,
-    power_sqrt_order_report,
     power_sqrt_sum,
     power_sqrt_sum_approx,
     power_sum,
@@ -23,16 +22,33 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
-from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, ZETA_NEG, _powers, power_sqrt_claimed_order
+from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, SQRT_SUM_REMAINDERS, ZETA_NEG, _powers
 
 from oracles import (
     component_sums_by_decimal,
-    fit_order_by_polyfit,
     power_by_loop,
     power_sqrt_by_loop,
+    power_sqrt_sum_approx_printed,
     power_sqrt_sum_by_generator,
+    power_sqrt_sum_expanded,
     power_sum_by_generator,
+    sqrt_sum_offset,
 )
+
+# The first power of n left in printed - c - a ln n - direct, from the
+# expansion of each sum in powers of n.  The table holds k = 3/2 to n^-1/2:
+# its O(1/n) remainder is below the float rounding of its terms at n = 2^14.
+DERIVED_ORDER = {0.5: -1.0, 1.0: -0.5, 1.5: -1.0, 2.0: 0.5, 2.5: 1.0}
+
+# n at which each derived offset is within 1e-31 of its limit
+OFFSET_N = {0.5: 10**32, 1.0: 10**64, 1.5: 10**32}
+
+
+@functools.cache
+def derived_offsets(k: float) -> tuple[mpf, mpf]:
+    """printed - a ln n - direct at OFFSET_N[k] and ten decades further on."""
+    a = SQRT_SUM_REMAINDERS[k][2]
+    return sqrt_sum_offset(OFFSET_N[k], k, a), sqrt_sum_offset(OFFSET_N[k] * 10**10, k, a)
 
 
 class TestDirectSums:
@@ -119,35 +135,58 @@ class TestSqrtSumApproximant:
             approx = power_sqrt_sum_approx(4096, k)
             assert approx == pytest.approx(direct, rel=1e-6)
 
+    @staticmethod
+    def assert_offset_is_derived(k):
+        # c is the 30-digit limit of printed - a ln n - direct, which two n
+        # ten decades apart agree on
+        near, far = derived_offsets(k)
+        with mp.workdps(40):
+            assert abs(near - far) < mpf(10) ** -30
+        assert SQRT_SUM_REMAINDERS[k][1] == float(near)
+
     def test_constant_offset_k_half(self):
-        # the k=1/2 approximant approaches the direct sum plus a fixed
-        # offset near 0.03752; measured, not taken from any closed form
-        report = power_sqrt_order_report(0.5)
-        assert report.constant_offset == pytest.approx(0.0375227, abs=1e-4)
-        assert report.adjusted_order == pytest.approx(-1.0, abs=0.25)
+        self.assert_offset_is_derived(0.5)
+
+    def test_constant_offset_k_three_halves(self):
+        self.assert_offset_is_derived(1.5)
 
     def test_constant_offset_k_one(self):
-        report = power_sqrt_order_report(1.0)
-        assert report.constant_offset == pytest.approx(0.1003249, abs=1e-4)
-        assert report.adjusted_order == pytest.approx(-0.5, abs=0.25)
+        _, c, a = SQRT_SUM_REMAINDERS[1.0]
+        near, far = derived_offsets(1.0)
+        with mp.workdps(40):
+            closed = mpf(5) / 6 - 41 * mp.sqrt(2) / 60 - mp.zeta(-0.5) - mp.zeta(-1.5)
+            assert abs(near - far) < mpf(10) ** -30
+            assert abs(near - closed) < mpf(10) ** -30
+        assert a == 0.0
+        assert c == float(near) == float(closed)
 
-    @pytest.mark.parametrize("k", [1.5, 2.0, 2.5])
-    def test_growing_error_orders_fit_raw(self, k):
-        report = power_sqrt_order_report(k)
-        assert report.constant_offset == 0.0
-        assert report.fitted_order == report.adjusted_order
-        assert abs(report.adjusted_order - report.claimed_order) <= 0.25
+    def test_log_term_is_the_dropped_minus_one_over_16i(self):
+        # i^2 sqrt(1 - 1/i) = i^2 - i/2 - 1/8 - 1/(16i) + ...: the 1/(16i)
+        # sums to (1/16) ln n, which the four-term k = 3/2 form leaves out
+        assert SQRT_SUM_REMAINDERS[1.5][2] == 1 / 16 == -float(mp.binomial(1.5, 3))
+        assert all(SQRT_SUM_REMAINDERS[k][2] == 0.0 for k in (0.5, 1.0, 2.0, 2.5))
+        assert SQRT_SUM_REMAINDERS[2.0][1] == SQRT_SUM_REMAINDERS[2.5][1] == 0.0
 
     def test_claimed_orders(self):
-        assert power_sqrt_claimed_order(0.5) == -1.0
-        assert power_sqrt_claimed_order(1.0) == -0.5
-        assert power_sqrt_claimed_order(1.5) == 0.0
-        assert power_sqrt_claimed_order(2.5) == 1.0
+        # n^-p (printed - c - a ln n - direct) tends to a nonzero limit at the
+        # derived order p: it moves by under 1e-3 of itself from 10^20 to 10^30
+        for k, p in DERIVED_ORDER.items():
+            c_exact = derived_offsets(k)[1] if k in OFFSET_N else 0
+            a = SQRT_SUM_REMAINDERS[k][2]
+            with mp.workdps(40):
+                near, far = ((sqrt_sum_offset(n, k, a) - c_exact) / mpf(n) ** p for n in (10**20, 10**30))
+                assert abs(near) > 1e-3
+                assert abs(far / near - 1) < 1e-3
+            assert SQRT_SUM_REMAINDERS[k][0] == (-0.5 if k == 1.5 else p)
 
-    def test_report_fields(self):
-        report = power_sqrt_order_report(0.5, ns=(64, 128, 256, 512))
-        assert report.k == 0.5
-        assert report.claimed_order == -1.0
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    def test_derivation_matches_the_float_forms(self, k, n):
+        # the mpmath sides of the derivation are the library's sums and formulas
+        with mp.workdps(40):
+            direct, printed = power_sqrt_sum_expanded(n, k), power_sqrt_sum_approx_printed(n, k)
+        assert float(direct) == pytest.approx(power_sqrt_sum([n], k)[0], rel=1e-15)
+        assert float(printed) == pytest.approx(power_sqrt_sum_approx(n, k), rel=1e-14)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -259,6 +298,19 @@ class TestComponentSums:
         want = math.fsum(table[1:-1].tolist())
         assert interior_strip_sum(n) == pytest.approx(want, abs=1e-13)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: power_sqrt_sum([8, n], 1.0),
+        lambda n: power_sqrt_sum_approx(n, 1.0),
+        lambda n: paired_strip_integral(n, 2),
+        component_sums,
+        cubic_component_closed_form,
+    ], ids=["power_sqrt_sum", "power_sqrt_sum_approx", "paired_strip_integral", "component_sums", "cubic"])
+    @pytest.mark.parametrize("n", [-4, 0, 2, 3, 5, 1025])
+    def test_odd_or_small_n_refused_with_one_message(self, call, n):
+        with pytest.raises(ValueError) as exc:
+            call(n)
+        assert str(exc.value) == f"need even n >= 4, got n={n}"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             component_sums(5)
@@ -273,46 +325,3 @@ class TestCollapse:
         ns = (256, 512, 1024, 2048, 4096)
         normalized = [abs(interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
         assert all(b <= 2.0 * a for a, b in zip(normalized, normalized[1:]))
-
-
-class TestFitHelpers:
-    def test_fit_recovers_synthetic_slope(self):
-        ns = (32, 64, 128, 256)
-        errors = [3.0 * n**-2.0 for n in ns]
-        assert fit_error_order(ns, errors) == pytest.approx(-2.0, abs=1e-12)
-
-    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5])
-    def test_slope_matches_polyfit_on_the_sqrt_sum_inputs(self, k):
-        # the raw and offset-adjusted errors that verify's sqrt-sum-order checks fit
-        ns = DEFAULT_FIT_NS
-        signed = [power_sqrt_sum_approx(n, k) - direct for n, direct in zip(ns, power_sqrt_sum(ns, k))]
-        inputs = [signed]
-        if power_sqrt_claimed_order(k) < 0:
-            offset = estimate_limit_offset(ns, signed, -power_sqrt_claimed_order(k))
-            inputs.append([e - offset for e in signed])
-        for errors in inputs:
-            assert abs(fit_error_order(ns, errors) - fit_order_by_polyfit(ns, errors)) <= 1e-12
-
-    @pytest.mark.parametrize("ns, errors", [
-        ((4, 8), (0.5, 0.125)),
-        ((2, 3, 5, 1000), (1.0, -2.0, 0.0, 3e-7)),
-        (np.array([64, 256, 1024, 4096]), np.array([1e-3, 2e-4, -7e-5, 1e-5])),
-        (tuple(2**j for j in range(2, 21)), tuple((-1) ** j * 1.5 ** -j for j in range(2, 21))),
-    ])
-    def test_slope_matches_polyfit(self, ns, errors):
-        assert abs(fit_error_order(ns, errors) - fit_order_by_polyfit(ns, errors)) <= 1e-12
-
-    def test_offset_recovers_synthetic_constant(self):
-        ns = (64, 128, 256, 512)
-        errors = [0.25 + 7.0 / n for n in ns]
-        assert estimate_limit_offset(ns, errors, 1.0) == pytest.approx(0.25, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_error_order((4,), (0.1,))
-        with pytest.raises(ValueError):
-            fit_error_order((4, 8), (0.1,))
-        with pytest.raises(ValueError, match="distinct"):
-            fit_error_order((8, 8), (0.1, 0.2))
-        with pytest.raises(ValueError):
-            estimate_limit_offset((4, 8), (0.1, 0.2), 0.0)

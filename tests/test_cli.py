@@ -299,9 +299,23 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert str(asymptotics.MAX_DIRECT_N) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, field", [(0.5, 1), (1.0, 1), (1.5, 2)], ids=["c_half", "c_one", "a_three_halves"])
+    def test_missing_term_fails(self, k, field, capsys, monkeypatch):
+        # without its derived constant or log term an approximant leaves its bound
+        table = dict(asymptotics.SQRT_SUM_REMAINDERS)
+        table[k] = tuple(0.0 if j == field else v for j, v in enumerate(table[k]))
+        monkeypatch.setattr(asymptotics, "SQRT_SUM_REMAINDERS", table)
+        text, passed = cli.run_verify(argparse.Namespace(n=None, format="csv"))
+        assert not passed
+        failed = [line for line in text.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [f"FAIL sqrt-sum-order k={cli.fmt(k)}"]
+        code, out, _ = run_main(["verify"], capsys)
+        assert code == 3
+        assert out.endswith("23/24 checks passed\n")
+
     def test_runs_without_blas_or_lapack(self, monkeypatch):
-        # the error-order fits are closed-form slopes; no check reaches numpy's
-        # least-squares solvers, so OpenBLAS is never started
+        # no check fits a slope or reaches numpy's least-squares solvers, so
+        # OpenBLAS is never started
         def refused(*args, **kwargs):
             raise AssertionError("verify called a LAPACK solver")
 

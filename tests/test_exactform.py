@@ -253,9 +253,13 @@ class TestBlockedTable:
 
 
 class TestStreamedSums:
-    """The exact form and the interior sum stream the strips into fsum; no table is held."""
+    """The exact form and the interior sum stream the strips into one correctly
+    rounded sum, bitwise the fsum of the table; no table is held."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 65, 1025, 2**18, 2**18 + 1, 2**20])
+    @pytest.mark.parametrize("n", [
+        2, 3, 4, 5, 64, 65, 1025, 2**18, 2**18 + 1, 2**20,
+        *(2 * np.random.default_rng(7).integers(2, 300_000, size=8)).tolist(),
+    ])
     def test_equal_to_fsum_of_the_table(self, n):
         table = strip_integral_table(n)
         assert expected_l2_sq_exact(n).value == 1.0 / (4.0 * n) - math.fsum(table.tolist()) / (n * n)
