@@ -9,7 +9,8 @@ strip by strip, radical inverses by exact rational digit reversal, the
 strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier form of a library routine (the
 clipped-area kernel with a fresh array per pass, the per-strip overlap
-fraction, the per-n power sums, the per-point and per-strip loops of the
+fraction, the exact q_i^2 integrals read off overlap_vector's dense
+output, the per-n power sums, the per-point and per-strip loops of the
 telescoping and pair-identity checks, the per-cell draw by numpy's own SeedSequence
 and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
@@ -274,6 +275,36 @@ def mean_square_overlap_per_strip(gs, i: int, grid: int) -> float:
         q = overlap_fraction(gs, i, mids[a:a + 200, np.newaxis], y_row)
         row_sums.extend(np.sum(q * q, axis=1).tolist())
     return math.fsum(row_sums) / (grid * grid)
+
+
+def overlap_square_integrals_by_overlap_vector(gs) -> np.ndarray:
+    """The exact integrals of q_i^2 in their dense-gather form.
+
+    The same Gauss-Legendre nodes as qgeometry.overlap_square_integrals,
+    but q_i at strip i's nodes is read off overlap_vector, which computes
+    all N + 1 clipped areas at every node: O(N^2) work, in blocks of strips
+    that keep its (points, N + 1) arrays within 64 KiB.  The library's
+    engine, which evaluates only each strip's own two cuts, must equal it
+    bit for bit.
+    """
+    n = gs.n
+    lo, hi = gs.cuts[:-1, np.newaxis], gs.cuts[1:, np.newaxis]
+    zero, one = np.zeros_like(lo), np.ones_like(lo)
+    edges = np.sort(np.clip(np.hstack([zero, one, lo, hi, lo - 1.0, hi - 1.0, hi - lo]), 0.0, 1.0), axis=1)
+    width = np.diff(edges, axis=1)[..., np.newaxis]
+    x = edges[:, :-1, np.newaxis] + width * qgeometry._GL_NODES
+    c = np.hstack([zero, one, lo, hi, lo, hi])[:, np.newaxis, np.newaxis, :]
+    lines = np.sort(np.clip(c + qgeometry._LINE_SLOPES * x[..., np.newaxis], 0.0, 1.0), axis=3)
+    height = np.diff(lines, axis=3)[..., np.newaxis]
+    y = lines[..., :-1, np.newaxis] + height * qgeometry._GL_NODES
+    weight = (width * qgeometry._GL_WEIGHTS)[..., np.newaxis, np.newaxis] * height * qgeometry._GL_WEIGHTS
+    x, y, weight = (a.reshape(n, -1) for a in np.broadcast_arrays(x[..., np.newaxis, np.newaxis], y, weight))
+    q = np.empty_like(x)
+    step = max(1, 2**13 // (x.shape[1] * (n + 1)))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        q[a:b] = qgeometry.overlap_vector(gs, x[a:b], y[a:b])[np.arange(b - a), :, np.arange(a, b)]
+    return np.sum(weight * q * q, axis=1)
 
 
 def radical_inverse(base: int, k: int) -> float:

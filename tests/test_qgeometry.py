@@ -15,6 +15,7 @@ from stratdisc import (
     halton,
     intersection_area_grid,
     overlap_vector,
+    qgeometry,
     strip_integral_table,
 )
 from stratdisc.qgeometry import overlap_square_integrals
@@ -25,6 +26,7 @@ from oracles import (
     mean_square_overlap_per_strip,
     overlap_by_slices,
     overlap_fraction,
+    overlap_square_integrals_by_overlap_vector,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
@@ -265,9 +267,23 @@ class TestMeanSquareOverlap:
         assert got.shape == (n,)
         np.testing.assert_allclose(got, strip_integral_table(n), rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("n", [33, 64, 65])
+    @pytest.mark.parametrize("n", [33, 64, 65, 256, 1024, 4096])
     def test_matches_closed_form_table_at_larger_n(self, n):
         # q_i = N (V(r_{i-1}) - V(r_i)) loses about N ulps to cancellation
         got = overlap_square_integrals(generating_set(n))
         np.testing.assert_allclose(got, strip_integral_table(n), rtol=n * 1e-15, atol=0)
         assert got[-1] == pytest.approx(1.0 / (15.0 * n), rel=n * 1e-15)
+
+    @pytest.mark.parametrize("n", [*range(2, 130), 255, 256, 257, 500])
+    def test_equals_dense_gather_oracle(self, n):
+        # each strip's own two cuts give the entry i - 1 of overlap_vector's
+        # all-cut output, bit for bit, with no O(N^2) work
+        gs = generating_set(n)
+        assert_same_bits(overlap_square_integrals(gs), overlap_square_integrals_by_overlap_vector(gs))
+
+    def test_never_calls_overlap_vector(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("overlap_square_integrals called overlap_vector")
+
+        monkeypatch.setattr(qgeometry, "overlap_vector", dense)
+        assert overlap_square_integrals(generating_set(64)).shape == (64,)
