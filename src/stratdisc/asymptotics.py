@@ -67,7 +67,7 @@ SQRT_SUM_REMAINDERS = {
     2.5: (1.0, 0.0, 0.0),
 }
 
-DEFAULT_FIT_NS = tuple(2**j for j in range(6, 15))
+CHECK_NS = tuple(2**j for j in range(6, 15))
 
 
 def _check_even(n: int) -> None:

@@ -138,10 +138,10 @@ def _record(name: str, passed: bool, detail: str) -> Record:
 
 def check_sqrt_sum_orders(ks: Sequence[float], tol: float) -> list[Record]:
     """Each sqrt-sum approximant, less its derived c + a ln n, within tol * n^p
-    of the direct sum over DEFAULT_FIT_NS, with (p, c, a) from SQRT_SUM_REMAINDERS."""
+    of the direct sum over CHECK_NS, with (p, c, a) from SQRT_SUM_REMAINDERS."""
     from . import asymptotics
 
-    ns = asymptotics.DEFAULT_FIT_NS
+    ns = asymptotics.CHECK_NS
     records = []
     for k in ks:
         p, c, a = asymptotics.SQRT_SUM_REMAINDERS[k]
@@ -273,7 +273,7 @@ def check_worked_example(tol: float) -> list[Record]:
     """The four overlap fractions at (0.4, 0.8) with n = 4 against their rounded values."""
     from . import partition, qgeometry
 
-    got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8).tolist()
+    got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8)[:, 0].tolist()
     worst = max(abs(g - w) for g, w in zip(got, (0.8114, 0.3886, 0.08, 0.0)))
     return [_record("worked-example", worst <= tol, f"q = ({', '.join(fmt(v) for v in got)})")]
 
@@ -316,7 +316,7 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
         # points in blocks, so that neither q nor a list of it is held whole
         for block in (points[a:a + 256] for a in range(0, len(points), 256)):
             x, y = block[:, 0], block[:, 1]
-            sums = np.fromiter(map(math.fsum, qgeometry.overlap_vector(gs, x, y).tolist()), np.float64, len(x))
+            sums = np.fromiter(map(math.fsum, qgeometry.overlap_vector(gs, x, y).T.tolist()), np.float64, len(x))
             worst = max(worst, float(np.max(np.abs(sums - n * x * y))))
     return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
 
@@ -328,7 +328,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     ns = tuple(sorted(set(args.n or ())))
     checks = [
         *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
-        *check_harmonic(asymptotics.DEFAULT_FIT_NS, rel_tol=1e-12),
+        *check_harmonic(asymptotics.CHECK_NS, rel_tol=1e-12),
         *check_pair_identity((8, 16, 64), tol=1e-10),
         *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
         *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
@@ -347,9 +347,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     all_passed = all(r["passed"] for r in checks)
 
     if args.format == "json":
-        import json
-
-        text = json.dumps({"checks": checks, "passed": all_passed}, indent=2) + "\n"
+        text = _render(args, checks, lambda rows: {"checks": rows, "passed": all_passed})
     else:
         lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in checks]
         lines.append(f"{sum(r['passed'] for r in checks)}/{len(checks)} checks passed")

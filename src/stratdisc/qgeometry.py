@@ -21,11 +21,12 @@ corresponding vertex is outside.
 
 On top of the clipped areas sit the per-cell overlap fractions of the
 diagonal partition: q_i(x,y) is N times the area of cell i inside [0,x]x[0,y],
-obtained as N * (V(r_{i-1}) - V(r_i)) with V(r_0) = x*y and V(r_N) = 0.
-overlap_vector returns all N of them at once; q_i alone is its entry i - 1.
-overlap_square_integrals integrates every q_i^2 over the unit square
-exactly, the numbers `stratdisc verify` holds the closed-form strip
-integrals against.
+obtained as N * (V(r_{i-1}) - V(r_i)) with V(r_0) = x*y; V(r_N) = V(2) is
+already an exact +0.0 on the closed unit square.  overlap_vector gives q_i
+along axis 0, each from its strip's own two cuts.  overlap_square_integrals
+reads q_i from it at every strip's own nodes and integrates every q_i^2 over
+the unit square exactly, the numbers `stratdisc verify` holds the
+closed-form strip integrals against.
 """
 
 from __future__ import annotations
@@ -87,20 +88,18 @@ def _clip_area(g: np.ndarray, r: float | np.ndarray,
 
 
 def overlap_vector(gs: GeneratingSet, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
-    """All overlap fractions (q_1, ..., q_N) at each point, in one kernel call.
+    """The overlap fractions q_1, ..., q_N along axis 0, each from its strip's own two cuts.
 
-    x and y are scalars or broadcastable arrays of shape S; the result has
-    shape S + (N,), and row j holds the N fractions at point j.  Each value
-    is bitwise the one a call on that point alone returns.
+    A scalar or an (M,) array of points gives every strip at those points,
+    shape (N, 1) or (N, M); an (N, K) array gives strip i its own K points
+    in row i - 1.  Each value is bitwise the one a call on that point alone
+    returns.
     """
-    x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
-    y = np.asarray(y, dtype=np.float64)[..., np.newaxis]
-    xy = x * y
-    v = np.empty(xy.shape[:-1] + (gs.n + 1,), dtype=np.float64)
-    v[..., :1] = xy
-    v[..., 1:-1] = intersection_area_grid(gs.cuts[1:-1], x, y)
-    v[..., -1] = 0.0
-    return gs.n * (v[..., :-1] - v[..., 1:])
+    a = intersection_area_grid(gs.cuts[:-1, np.newaxis], x, y)
+    a[0] = np.broadcast_to(x, a.shape)[0] * np.broadcast_to(y, a.shape)[0]
+    a -= intersection_area_grid(gs.cuts[1:, np.newaxis], x, y)
+    a *= gs.n
+    return a
 
 
 def overlap_square_integrals(gs: GeneratingSet) -> np.ndarray:
@@ -113,9 +112,9 @@ def overlap_square_integrals(gs: GeneratingSet) -> np.ndarray:
     y = 0, 1, r and r - x cross inside a slab, so, clipped to the square
     and sorted at each x node, each two in a row bound a trapezoid on which
     q_i^2 is a quartic, and 3 x 3 Gauss-Legendre integrates it exactly.
-    Every strip has 6 slabs of 5 trapezoids, empty ones included, so two
-    kernel calls, at each strip's own two cuts, give q_i at the nodes of
-    all strips in O(N) work, bitwise as overlap_vector's entry i - 1.
+    Every strip has 6 slabs of 5 trapezoids, empty ones included, so one
+    overlap_vector call on (N, K) nodes gives q_i at the nodes of all
+    strips in O(N) work.
     """
     n = gs.n
     lo, hi = gs.cuts[:-1, np.newaxis], gs.cuts[1:, np.newaxis]
@@ -131,9 +130,5 @@ def overlap_square_integrals(gs: GeneratingSet) -> np.ndarray:
     y = lines[..., :-1, np.newaxis] + height * _GL_NODES
     weight = (width * _GL_WEIGHTS)[..., np.newaxis, np.newaxis] * height * _GL_WEIGHTS
     x, y, weight = (a.reshape(n, -1) for a in np.broadcast_arrays(x[..., np.newaxis, np.newaxis], y, weight))
-    # V(r_0) = xy; at r_N = 2 the kernel gives exact zeros in the square
-    a = intersection_area_grid(lo, x, y)
-    a[0] = x[0] * y[0]
-    b = intersection_area_grid(hi, x, y)
-    q = n * (a - b)
+    q = overlap_vector(gs, x, y)
     return np.sum(weight * q * q, axis=1)

@@ -9,9 +9,9 @@ strip by strip, radical inverses by exact rational digit reversal, the
 strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier form of a library routine (the
 clipped-area kernel with a fresh array per pass, the per-strip overlap
-fraction, the exact q_i^2 integrals read off overlap_vector's dense
-output, the per-n power sums, the per-point and per-strip loops of the
-telescoping and pair-identity checks, the per-cell draw by numpy's own SeedSequence
+fraction, the all-cut overlap vector, the exact q_i^2 integrals read off
+its dense output, the per-n power sums, the per-point and per-strip loops
+of the telescoping and pair-identity checks, the per-cell draw by numpy's own SeedSequence
 and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
@@ -56,6 +56,25 @@ def overlap_fraction(gs, i: int, x, y):
     v_lo = x * y if i == 1 else intersection_area_grid(gs.boundary(i - 1), x, y)
     v_hi = 0.0 if i == n else intersection_area_grid(gs.boundary(i), x, y)
     return n * (v_lo - v_hi)
+
+
+def overlap_vector_by_all_cuts(gs, x, y) -> np.ndarray:
+    """All overlap fractions (q_1, ..., q_N) at each point, in one kernel call.
+
+    x and y are scalars or broadcastable arrays of shape S; the result has
+    shape S + (N,), and row j holds the N fractions at point j: every cut at
+    every point, with V(r_N) = 0 set by hand.  The library's overlap_vector,
+    which takes each strip's own two cuts along axis 0, must equal its
+    transpose bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
+    y = np.asarray(y, dtype=np.float64)[..., np.newaxis]
+    xy = x * y
+    v = np.empty(xy.shape[:-1] + (gs.n + 1,), dtype=np.float64)
+    v[..., :1] = xy
+    v[..., 1:-1] = intersection_area_grid(gs.cuts[1:-1], x, y)
+    v[..., -1] = 0.0
+    return gs.n * (v[..., :-1] - v[..., 1:])
 
 
 def cell_of(gs, x: float, y: float) -> int:
@@ -281,11 +300,11 @@ def overlap_square_integrals_by_overlap_vector(gs) -> np.ndarray:
     """The exact integrals of q_i^2 in their dense-gather form.
 
     The same Gauss-Legendre nodes as qgeometry.overlap_square_integrals,
-    but q_i at strip i's nodes is read off overlap_vector, which computes
-    all N + 1 clipped areas at every node: O(N^2) work, in blocks of strips
-    that keep its (points, N + 1) arrays within 64 KiB.  The library's
-    engine, which evaluates only each strip's own two cuts, must equal it
-    bit for bit.
+    but q_i at strip i's nodes is read off overlap_vector_by_all_cuts,
+    which computes all N + 1 clipped areas at every node: O(N^2) work, in
+    blocks of strips that keep its (points, N + 1) arrays within 64 KiB.
+    The library's engine, which evaluates only each strip's own two cuts,
+    must equal it bit for bit.
     """
     n = gs.n
     lo, hi = gs.cuts[:-1, np.newaxis], gs.cuts[1:, np.newaxis]
@@ -303,7 +322,7 @@ def overlap_square_integrals_by_overlap_vector(gs) -> np.ndarray:
     step = max(1, 2**13 // (x.shape[1] * (n + 1)))
     for a in range(0, n, step):
         b = min(a + step, n)
-        q[a:b] = qgeometry.overlap_vector(gs, x[a:b], y[a:b])[np.arange(b - a), :, np.arange(a, b)]
+        q[a:b] = overlap_vector_by_all_cuts(gs, x[a:b], y[a:b])[np.arange(b - a), :, np.arange(a, b)]
     return np.sum(weight * q * q, axis=1)
 
 
@@ -430,7 +449,7 @@ def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
     for n in ns:
         gs = partition.generating_set(n)
         for block in (points[a:a + 256] for a in range(0, len(points), 256)):
-            q = qgeometry.overlap_vector(gs, block[:, 0], block[:, 1])
+            q = overlap_vector_by_all_cuts(gs, block[:, 0], block[:, 1])
             for row, (x, y) in zip(q.tolist(), block.tolist()):
                 worst = max(worst, abs(math.fsum(row) - n * x * y))
     return [cli._record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {cli.fmt(worst)}")]

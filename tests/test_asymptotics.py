@@ -22,7 +22,7 @@ from stratdisc import (
     strip_integral_table,
     strip_integral_upper,
 )
-from stratdisc.asymptotics import DEFAULT_FIT_NS, MAX_DIRECT_N, SQRT_SUM_REMAINDERS, ZETA_NEG, _powers
+from stratdisc.asymptotics import CHECK_NS, MAX_DIRECT_N, SQRT_SUM_REMAINDERS, ZETA_NEG, _powers
 
 from oracles import (
     component_sums_by_decimal,
@@ -82,12 +82,12 @@ class TestDirectSums:
 
 
     @pytest.mark.parametrize("k", sorted(ZETA_NEG))
-    @pytest.mark.parametrize("ns", [DEFAULT_FIT_NS, (513, 1, 4096, 2, 64, 1, 37)])
+    @pytest.mark.parametrize("ns", [CHECK_NS, (513, 1, 4096, 2, 64, 1, 37)])
     def test_power_sum_ladder_equals_per_n_sums(self, k, ns):
         assert power_sum(ns, k) == [power_sum_by_generator(n, k) for n in ns]
 
     @pytest.mark.parametrize("k", sorted(ZETA_NEG))
-    @pytest.mark.parametrize("ns", [DEFAULT_FIT_NS, (514, 4, 4096, 6, 64, 4, 38)])
+    @pytest.mark.parametrize("ns", [CHECK_NS, (514, 4, 4096, 6, 64, 4, 38)])
     def test_power_sqrt_sum_ladder_equals_per_n_sums(self, k, ns):
         assert power_sqrt_sum(ns, k) == [power_sqrt_sum_by_generator(n, k) for n in ns]
 

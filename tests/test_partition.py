@@ -236,7 +236,7 @@ class TestStratifiedSampler:
         pts = sample_stratified_batch(gs, reps, seed=21)
         for x, y in [(0.3, 0.8), (0.5, 0.5), (0.7, 0.4), (0.9, 0.9), (1.0, 0.6), (0.6, 1.0)]:
             inside = np.mean((pts[..., 0] <= x) & (pts[..., 1] <= y), axis=0)
-            for i, q in enumerate(overlap_vector(gs, x, y).tolist(), start=1):
+            for i, q in enumerate(overlap_vector(gs, x, y)[:, 0].tolist(), start=1):
                 if min(q, 1.0 - q) < 1e-12:  # the box misses or holds the whole cell
                     assert inside[i - 1] == round(q)
                 else:

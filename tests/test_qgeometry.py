@@ -27,6 +27,7 @@ from oracles import (
     overlap_by_slices,
     overlap_fraction,
     overlap_square_integrals_by_overlap_vector,
+    overlap_vector_by_all_cuts,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
@@ -59,6 +60,22 @@ class TestIntersectionArea:
         # x + y = r exactly (dyadic values) must give exact zero for scalars and arrays
         assert intersection_area_grid(0.75, 0.25, 0.5) == 0.0
         assert intersection_area_grid(0.75, np.array([0.25]), np.array([0.5]))[0] == 0.0
+
+    @given(x=UNIT, y=UNIT)
+    @settings(max_examples=300, deadline=None)
+    def test_last_cut_gives_positive_zero(self, x, y):
+        # V(r_N) = V(2) is +0.0 on the closed square, so overlap_vector needs
+        # no hand-set V(r_N) = 0
+        area = intersection_area_grid(2.0, x, y)
+        assert area == 0.0 and not np.signbit(area)
+
+    def test_last_cut_gives_positive_zero_at_the_edges(self):
+        below = np.nextafter(1.0, 0.0)
+        for x, y in [(1.0, 1.0), (below, 1.0), (1.0, below), (below, below), (0.0, 0.0)]:
+            assert_same_bits(intersection_area_grid(2.0, x, y), np.float64(0.0))
+        c = edge_coordinates(16)
+        area = intersection_area_grid(2.0, c[:, None], c[None, :])
+        assert_same_bits(area, np.zeros_like(area))
 
 
 def assert_same_bits(got, want):
@@ -95,7 +112,7 @@ class TestKernelBits:
         # scalar cut over arrays, as the QMC strip loop calls it
         for r in [*cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 2.0)]:
             assert_same_bits(intersection_area_grid(r, x, y), intersection_area_by_temporaries(r, x, y))
-        # every cut against a column of points, as overlap_vector calls it
+        # every cut against a column of points, as the all-cut oracle calls it
         assert_same_bits(intersection_area_grid(cuts, x[:, None], y[:, None]),
                          intersection_area_by_temporaries(cuts, x[:, None], y[:, None]))
         # an outer grid of x and y, as the strip quadrature calls it
@@ -133,7 +150,7 @@ class TestOverlapFraction:
     def test_worked_example_n4(self):
         # documented check at (0.4, 0.8) with four cells
         gs = generating_set(4)
-        got = overlap_vector(gs, 0.4, 0.8)
+        got = overlap_vector(gs, 0.4, 0.8)[:, 0]
         want = [0.8114, 0.3886, 0.08, 0.0]
         np.testing.assert_allclose(got, want, atol=5e-4)
 
@@ -141,7 +158,7 @@ class TestOverlapFraction:
         gs = generating_set(8)
         # box corner below the cell's lower cut: exact 0.0, not merely tiny
         x, y = 0.3, 0.2
-        q = overlap_vector(gs, x, y)
+        q = overlap_vector(gs, x, y).ravel()
         for i in range(1, 9):
             if x + y <= gs.boundary(i - 1):
                 assert q[i - 1] == 0.0
@@ -153,7 +170,7 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_fractions_lie_in_unit_interval(self, n, x, y):
-        for q in overlap_vector(generating_set(n), x, y):
+        for q in overlap_vector(generating_set(n), x, y).ravel():
             assert -1e-12 <= q <= 1.0 + 1e-12
 
     @given(
@@ -163,14 +180,14 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_telescoping_sum(self, n, x, y):
-        total = math.fsum(overlap_vector(generating_set(n), x, y).tolist())
+        total = math.fsum(overlap_vector(generating_set(n), x, y).ravel().tolist())
         assert total == pytest.approx(n * x * y, abs=1e-10)
 
     @given(x=UNIT, y=UNIT)
     @settings(max_examples=200, deadline=None)
     def test_matches_slice_oracle(self, x, y):
         gs = generating_set(6)
-        q = overlap_vector(gs, x, y)
+        q = overlap_vector(gs, x, y).ravel()
         for i in range(1, 7):
             got = q[i - 1]
             want = overlap_by_slices(gs.boundary(i - 1), gs.boundary(i), 6, x, y)
@@ -187,7 +204,7 @@ class TestOverlapFraction:
 class TestOverlapVector:
     def test_matches_scalar_entries(self):
         gs = generating_set(9)
-        vec = overlap_vector(gs, 0.37, 0.61)
+        vec = overlap_vector(gs, 0.37, 0.61).ravel()
         scalar = [overlap_fraction(gs, i, 0.37, 0.61) for i in range(1, 10)]
         np.testing.assert_array_equal(vec, np.array(scalar))
 
@@ -198,7 +215,7 @@ class TestOverlapVector:
         gs = generating_set(n)
         for x, y in halton(HaltonConfig(count=100)).points:
             per_cell = [overlap_fraction(gs, i, x, y) for i in range(1, n + 1)]
-            np.testing.assert_array_equal(overlap_vector(gs, x, y), np.array(per_cell))
+            np.testing.assert_array_equal(overlap_vector(gs, x, y).ravel(), np.array(per_cell))
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_batch_equals_per_point_loop(self, n):
@@ -208,13 +225,29 @@ class TestOverlapVector:
         x = np.concatenate([halton(HaltonConfig(count=200)).points[:, 0], [0.0, 1.0, 0.0, 1.0], cuts,
                             np.nextafter(cuts, 1.0)])
         y = np.concatenate([halton(HaltonConfig(count=200)).points[:, 1], [0.0, 1.0, 1.0, 0.0], cuts, cuts])
-        batch = overlap_vector(gs, x, y)
+        batch = overlap_vector(gs, x, y).T
         assert batch.shape == (x.size, n)
         for j in range(x.size):
-            np.testing.assert_array_equal(batch[j], overlap_vector(gs, x[j], y[j]))
-        grid = overlap_vector(gs, x[:12].reshape(3, 4), y[:12].reshape(3, 4))
-        np.testing.assert_array_equal(grid, batch[:12].reshape(3, 4, n))
+            np.testing.assert_array_equal(batch[j], overlap_vector(gs, x[j], y[j])[:, 0])
+        # each strip its own three points: strip i's row holds entry i of theirs
+        grid = overlap_vector(gs, x[:3 * n].reshape(n, 3), y[:3 * n].reshape(n, 3))
+        np.testing.assert_array_equal(grid, batch[:3 * n].reshape(n, 3, n)[np.arange(n), :, np.arange(n)])
         np.testing.assert_array_equal(overlap_vector(gs, 0.37, y), overlap_vector(gs, np.full(y.size, 0.37), y))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
+    def test_equals_all_cut_oracle_transposed(self, n):
+        # bit for bit on the cut-edge grid: at scalars, at (M,) points that
+        # every strip shares, and at each strip's own (N, K) points
+        gs = generating_set(n)
+        c = edge_coordinates(n)
+        x, y = (a.ravel() for a in np.meshgrid(c, c, indexing="ij"))
+        assert_same_bits(overlap_vector(gs, x, y), overlap_vector_by_all_cuts(gs, x, y).T)
+        assert_same_bits(overlap_vector(gs, 0.37, y), overlap_vector_by_all_cuts(gs, 0.37, y).T)
+        for xi, yi in zip(c, c[::-1]):
+            assert_same_bits(overlap_vector(gs, xi, yi)[:, 0], overlap_vector_by_all_cuts(gs, xi, yi))
+        x, y = x[:x.size // n * n].reshape(n, -1), y[:y.size // n * n].reshape(n, -1)
+        dense = overlap_vector_by_all_cuts(gs, x, y)
+        assert_same_bits(overlap_vector(gs, x, y), dense[np.arange(n), :, np.arange(n)])
 
     def test_grid_matches_scalar(self):
         # an array call of the per-strip oracle equals per-point calls
@@ -276,14 +309,20 @@ class TestMeanSquareOverlap:
 
     @pytest.mark.parametrize("n", [*range(2, 130), 255, 256, 257, 500])
     def test_equals_dense_gather_oracle(self, n):
-        # each strip's own two cuts give the entry i - 1 of overlap_vector's
-        # all-cut output, bit for bit, with no O(N^2) work
+        # each strip's own two cuts give the entry i - 1 of the all-cut
+        # oracle's output, bit for bit, with no O(N^2) work
         gs = generating_set(n)
         assert_same_bits(overlap_square_integrals(gs), overlap_square_integrals_by_overlap_vector(gs))
 
-    def test_never_calls_overlap_vector(self, monkeypatch):
-        def dense(*args):
-            raise AssertionError("overlap_square_integrals called overlap_vector")
+    def test_two_kernel_calls_at_the_strips_own_cuts(self, monkeypatch):
+        # no all-cut O(N^2) path: one call at the lower cuts, one at the upper
+        kernel = qgeometry.intersection_area_grid
+        shapes = []
 
-        monkeypatch.setattr(qgeometry, "overlap_vector", dense)
+        def spy(r, x, y):
+            shapes.append(np.shape(r))
+            return kernel(r, x, y)
+
+        monkeypatch.setattr(qgeometry, "intersection_area_grid", spy)
         assert overlap_square_integrals(generating_set(64)).shape == (64,)
+        assert shapes == [(64, 1), (64, 1)]
