@@ -29,8 +29,8 @@ _MODULES = {
         "ratio_to_random", "vertical_baseline",
     ),
     "exactform": (
-        "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "strip_integral_first", "strip_integral_last",
-        "strip_integral_lower", "strip_integral_table", "strip_integral_upper",
+        "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "strip_integral_lower", "strip_integral_table",
+        "strip_integral_upper",
     ),
     "lowdisc": ("HaltonConfig", "PointSet", "halton", "l2_discrepancy_sq_batch"),
     "partition": ("GeneratingSet", "generating_set", "sample_partition", "sample_stratified_batch"),

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import MAX_DIRECT_N
 from .estimators import _exact_sum
-from .exactform import _strip_blocks
+from .exactform import _strip_blocks, _strip_indices, strip_integral_lower, strip_integral_upper
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -165,20 +165,19 @@ def power_sum_approx(n: int, k: float) -> float:
     return zeta + n ** (k + 1.0) / (k + 1.0) + n**k / 2.0 + k * n ** (k - 1.0) / 12.0
 
 
-def paired_strip_integral(n: int, i: int) -> float:
+def paired_strip_integral(n: int, i: int | np.ndarray) -> float | np.ndarray:
     """g(i) = Q_i + Q_{N+1-i}: the printed combined form for mirror strips.
 
-    Defined for 2 <= i <= n/2; agrees with the two strip integrals summed
-    separately to ~1e-12.
+    Defined for 2 <= i <= n/2, i scalar or array; agrees with the two strip
+    integrals summed separately to ~1e-12.
     """
     _check_even(n)
-    if not 2 <= i <= n // 2:
-        raise ValueError(f"pair index must satisfy 2 <= i <= n/2, got i={i}, n={n}")
-    s_lo = math.sqrt((i - 1.0) / n)
-    s_hi = math.sqrt(i / n)
+    i = _strip_indices(n, i, 2, n // 2, "pair")
+    s_lo = np.sqrt((i - 1.0) / n)
+    s_hi = np.sqrt(i / n)
     return (
-        -8.0 * i**3
-        + i**2 * (-16.0 * _SQRT2 * n * s_lo + 8.0 * n * s_lo * s_hi + 16.0 * _SQRT2 * n * s_hi + 20.0)
+        -8.0 * (i * i * i)
+        + i * i * (-16.0 * _SQRT2 * n * s_lo + 8.0 * n * s_lo * s_hi + 16.0 * _SQRT2 * n * s_hi + 20.0)
         + i * (32.0 * _SQRT2 * n * s_lo - 16.0 * n * s_lo * s_hi - 40.0 * _SQRT2 * n * s_hi)
         + (-16.0 * _SQRT2 * n * s_lo + 8.0 * n * s_lo * s_hi + 10.0 * _SQRT2 * n * s_hi + 15.0 * n - 5.0)
     ) / (15.0 * n)
@@ -253,7 +252,8 @@ def cubic_component_closed_form(n: int) -> float:
 
 
 def interior_strip_sum(n: int) -> float:
-    """sum_{i=2}^{N-1} Q_i, the strip table without its first and last entry,
-    streamed in blocks into one correctly rounded sum: bitwise the fsum of
-    that slice of the table."""
-    return _exact_sum(_strip_blocks(n, ends=False))
+    """sum_{i=2}^{N-1} Q_i: the strip blocks and one block (-Q_1, -Q_N) added
+    exactly and rounded once, so bitwise the fsum of the table without its
+    first and last entry."""
+    ends = (-strip_integral_lower(n, 1), -strip_integral_upper(n, n))
+    return _exact_sum(itertools.chain(_strip_blocks(n), [ends]))

@@ -199,7 +199,7 @@ def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
     records = []
     for n in ns:
         i = np.arange(2, n // 2 + 1)
-        pairs = np.array([asymptotics.paired_strip_integral(n, j) for j in i.tolist()])
+        pairs = asymptotics.paired_strip_integral(n, i)
         sums = exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i)
         worst = float(np.max(np.abs(pairs - sums)))
         records.append(_record(

@@ -4,15 +4,18 @@ For every N >= 2 the expectation decomposes as
 
     E[L2^2] = 1/(4N) - (1/N^2) * sum_{i=1}^N Q_i,      Q_i = integral of q_i^2
 
-and each strip integral Q_i has an explicit elementary form.  Five regimes
-occur: the first strip (the triangle at the origin), strips below the
-anti-diagonal (2 <= i <= N/2), for odd N the middle strip that straddles it
-(i = (N+1)/2), strips above it ((N+3)/2 <= i < N), and the last strip,
-which contributes exactly 1/(15N).  The lower and upper regimes are printed
-as cubics whose terms of size N^3 cancel to an O(1) result, and the middle
-one as N^2 (1 - a)^2 times a quartic in a = sqrt((N-1)/N); here they are
-evaluated, vectorised over i, in equal rationalised forms free of that
-cancellation.  The printed forms are the 50-digit oracle in tests/oracles.py.
+and each strip integral Q_i has an explicit elementary form.  The paper
+prints five regimes: the first strip (the triangle at the origin), strips
+below the anti-diagonal (2 <= i <= N/2), for odd N the middle strip that
+straddles it (i = (N+1)/2), strips above it ((N+3)/2 <= i < N), and the last
+strip, which contributes exactly 1/(15N).  The lower and upper regimes are
+printed as cubics whose terms of size N^3 cancel to an O(1) result, and the
+middle one as N^2 (1 - a)^2 times a quartic in a = sqrt((N-1)/N).  Three
+equal forms, rationalised to be free of that cancellation, compute them
+here: the lower form for 1 <= i <= N/2, which at i = 1 is the printed first
+strip; the middle strip; and the upper form for (N+3)/2 <= i <= N, which at
+i = N is 1/(15N) bit for bit.  The lower and upper forms are vectorised over
+i.  The printed forms are the 50-digit oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ import numpy as np
 
 from .estimators import DiscrepancyEstimate, _exact_sum
 
-_SQRT2 = math.sqrt(2.0)
-
-# Strips per regime call in _strip_blocks.  Each block's temporaries are
+# Strips per form call in _strip_blocks.  Each block's temporaries are
 # 32 KiB arrays, under glibc's 128 KiB mmap threshold, so they are reused
 # from the heap instead of being mapped and page-faulted afresh.
 _BLOCK = 2**12
@@ -55,41 +56,32 @@ def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -
 
     An integer dtype is integral already, so only other input is compared
     with its floor: the table's blocks of np.arange allocate nothing more.
+    A refused index is printed in full, as given.
     """
     given = np.asarray(i)
     idx = given.astype(np.float64, copy=False)
     if idx.size and (idx.min() < lo or idx.max() > hi):
-        bad = idx.min() if idx.min() < lo else idx.max()
-        raise ValueError(f"{regime} strips are {lo} <= i <= {hi} for n={n}, got i={bad:g}")
+        bad = given.flat[idx.argmin() if idx.min() < lo else idx.argmax()]
+        raise ValueError(f"{regime} strips are {lo} <= i <= {hi} for n={n}, got i={bad}")
     if given.dtype.kind not in "iu":
         fractional = idx != np.floor(idx)
         if np.any(fractional):
-            raise ValueError(f"{regime} strip index must be an integer, got i={idx[fractional].flat[0]:g}")
+            raise ValueError(f"{regime} strip index must be an integer, got i={given[fractional].flat[0]}")
     return idx
 
 
-def strip_integral_first(n: int) -> float:
-    """Q_1 = 1 - 14*sqrt(2)/(15*sqrt(N)) + 2/(5N)."""
-    n = _require_n(n)
-    return 1.0 - 14.0 * _SQRT2 / (15.0 * math.sqrt(n)) + 2.0 / (5.0 * n)
-
-
-def strip_integral_last(n: int) -> float:
-    """Q_N = 1/(15N), the strip at the far corner."""
-    n = _require_n(n)
-    return 1.0 / (15.0 * n)
-
-
 def strip_integral_lower(n: int, i: int | np.ndarray) -> float | np.ndarray:
-    """Q_i for strips below the anti-diagonal, 2 <= i <= N/2; i scalar or array.
+    """Q_i for the first strip and the strips below the anti-diagonal,
+    1 <= i <= N/2; i scalar or array.
 
     With p = sqrt(i-1), q = sqrt(i) and sigma = p + q, the printed cubic
     equals 15N*Q_i = 15N + 13i - 7 - (i-1)^2/(pq + i - 1/2)
     + sqrt(2N) * (8iq/sigma^2 - (38i + 6pq - 16)/sigma), using q - p = 1/sigma
-    and pq - (i - 1/2) = -1/(4(pq + i - 1/2)).
+    and pq - (i - 1/2) = -1/(4(pq + i - 1/2)).  At i = 1 (p = 0, q = 1) it is
+    15N + 6 - 14 sqrt(2N), the printed first strip.
     """
     n = _require_n(n)
-    i = _strip_indices(n, i, 2, n // 2, "lower")
+    i = _strip_indices(n, i, 1, n // 2, "lower")
     m = i - 1.0
     p, q = np.sqrt(m), np.sqrt(i)
     pq, sigma = p * q, p + q
@@ -113,43 +105,40 @@ def strip_integral_middle(n: int) -> float:
 
 
 def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
-    """Q_i for strips above the anti-diagonal, (N+3)/2 <= i < N; i scalar or array.
+    """Q_i for the strips above the anti-diagonal and the last strip,
+    (N+3)/2 <= i <= N; i scalar or array.
 
     With u = N - i and s = sqrt(u(u+1)), the printed cubic equals
-    15N*Q_i = 3u + 1 - 2u(s - u)^2, and s - u = u/(s + u).
+    15N*Q_i = 3u + 1 - 2u(s - u)^2, and s - u = u/(s + u) with
+    (s + u)^2 = u(2u + 1 + 2s).  At i = N (u = 0) it is 1/(15N) bit for bit,
+    the printed last strip.
     """
     n = _require_n(n)
-    u = n - _strip_indices(n, i, (n + 3) // 2, n - 1, "upper")
-    w = np.sqrt(u * (u + 1.0)) + u
-    return (3.0 * u + 1.0 - 2.0 * u * u * u / (w * w)) / (15.0 * n)
+    u = n - _strip_indices(n, i, (n + 3) // 2, n, "upper")
+    return (3.0 * u + 1.0 - 2.0 * u * u / (2.0 * u + 1.0 + 2.0 * np.sqrt(u * (u + 1.0)))) / (15.0 * n)
 
 
-def _strip_blocks(n: int, ends: bool = True) -> Iterator[Sequence[float]]:
+def _strip_blocks(n: int) -> Iterator[Sequence[float]]:
     """Q_1..Q_N for n >= 2 in strip order, in blocks of at most _BLOCK strips.
 
-    The blocks are (Q_1,), memoryviews of the lower regime, (Q_middle,) for
-    odd n, memoryviews of the upper regime and (Q_N,); with ends false, Q_1
-    and Q_N are left out.  Both regime formulas are elementwise, so every
-    value is bitwise that of one call on the regime's whole index range.
+    The blocks are memoryviews of the lower form, (Q_middle,) for odd n and
+    memoryviews of the upper form.  Both forms are elementwise, so every
+    value is bitwise that of one call on the form's whole index range.
     """
     n = _require_n(n)
-    if ends:
-        yield (strip_integral_first(n),)
-    for a in range(2, n // 2 + 1, _BLOCK):
+    for a in range(1, n // 2 + 1, _BLOCK):
         yield memoryview(strip_integral_lower(n, np.arange(a, min(a + _BLOCK, n // 2 + 1))))
     if n % 2:
         yield (strip_integral_middle(n),)
-    for a in range((n + 3) // 2, n, _BLOCK):
-        yield memoryview(strip_integral_upper(n, np.arange(a, min(a + _BLOCK, n))))
-    if ends:
-        yield (strip_integral_last(n),)
+    for a in range((n + 3) // 2, n + 1, _BLOCK):
+        yield memoryview(strip_integral_upper(n, np.arange(a, min(a + _BLOCK, n + 1))))
 
 
 def strip_integral_table(n: int) -> np.ndarray:
     """All strip integrals Q_1..Q_N for n >= 2, in strip order, as a read-only float64 array.
 
     The table is filled from _strip_blocks, so besides its own 8n bytes it
-    holds one block of regime temporaries.  The exact expectation and the
+    holds one block of a form's temporaries.  The exact expectation and the
     interior sum stream those blocks instead and never build the table.
     """
     values = np.empty(_require_n(n))

@@ -10,8 +10,9 @@ strip integrals from their printed polynomial forms in 50-digit
 arithmetic.  A few keep an earlier form of a library routine (the
 clipped-area kernel with a fresh array per pass, the per-strip overlap
 fraction, the all-cut overlap vector, the exact q_i^2 integrals read off
-its dense output, the per-n power sums, the per-point and per-strip loops
-of the telescoping and pair-identity checks, the per-cell draw by numpy's own SeedSequence
+its dense output, the per-n power sums, the scalar pair form, the per-point
+and per-strip loops of the telescoping and pair-identity checks, the
+per-cell draw by numpy's own SeedSequence
 and PCG64 (from row 0, or advanced to a row offset), the MC moments summed
 from a list, the component sums in 40-digit decimal arithmetic),
 which the library must reproduce bit for bit.  The O(n^2) min-form and
@@ -455,13 +456,27 @@ def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
     return [cli._record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {cli.fmt(worst)}")]
 
 
+def paired_strip_integral_scalar(n: int, i: int) -> float:
+    """asymptotics.paired_strip_integral in its earlier scalar form: Python
+    int powers i**3 and i**2 and math.sqrt, one pair index at a time."""
+    root2 = math.sqrt(2.0)
+    s_lo = math.sqrt((i - 1.0) / n)
+    s_hi = math.sqrt(i / n)
+    return (
+        -8.0 * i**3
+        + i**2 * (-16.0 * root2 * n * s_lo + 8.0 * n * s_lo * s_hi + 16.0 * root2 * n * s_hi + 20.0)
+        + i * (32.0 * root2 * n * s_lo - 16.0 * n * s_lo * s_hi - 40.0 * root2 * n * s_hi)
+        + (-16.0 * root2 * n * s_lo + 8.0 * n * s_lo * s_hi + 10.0 * root2 * n * s_hi + 15.0 * n - 5.0)
+    ) / (15.0 * n)
+
+
 def check_pair_identity_by_loop(ns, tol: float) -> list[dict]:
-    """cli.check_pair_identity with scalar strip integrals, one pair index i at a time."""
+    """cli.check_pair_identity with the scalar pair form, one pair index i at a time."""
     records = []
     for n in ns:
         worst = max(
             abs(
-                asymptotics.paired_strip_integral(n, i)
+                paired_strip_integral_scalar(n, i)
                 - (exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i))
             )
             for i in range(2, n // 2 + 1)

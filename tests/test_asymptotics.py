@@ -26,6 +26,7 @@ from stratdisc.asymptotics import CHECK_NS, MAX_DIRECT_N, SQRT_SUM_REMAINDERS, Z
 
 from oracles import (
     component_sums_by_decimal,
+    paired_strip_integral_scalar,
     power_by_loop,
     power_sqrt_by_loop,
     power_sqrt_sum_approx_printed,
@@ -246,6 +247,16 @@ class TestPairedStrips:
             split = strip_integral_lower(n, i) + strip_integral_upper(n, n + 1 - i)
             assert pair == pytest.approx(split, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 64, 1000, 4096, 2**16 + 2, 2**20])
+    def test_array_equals_scalar_form(self, n):
+        # i*i*i and i*i are exact below 2^53 and np.sqrt is correctly
+        # rounded, so the vectorised form has the scalar form's bits
+        rng = np.random.default_rng(n)
+        i = np.unique(np.r_[2, n // 2, rng.integers(2, n // 2 + 1, 3000)])
+        want = np.array([paired_strip_integral_scalar(n, j) for j in i.tolist()])
+        assert paired_strip_integral(n, i).tobytes() == want.tobytes()
+        assert paired_strip_integral(n, int(i[-1])) == want[-1]
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             paired_strip_integral(8, 1)
@@ -253,6 +264,10 @@ class TestPairedStrips:
             paired_strip_integral(8, 5)
         with pytest.raises(ValueError):
             paired_strip_integral(7, 2)
+        with pytest.raises(ValueError, match="pair strips are 2 <= i <= 4 for n=8, got i=5"):
+            paired_strip_integral(8, np.array([2, 5]))
+        with pytest.raises(ValueError, match="pair strip index must be an integer, got i=2.5"):
+            paired_strip_integral(8, 2.5)
 
 
 class TestComponentSums:

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stratdisc import cli, exactform
 from stratdisc.asymptotics import interior_strip_sum
@@ -15,8 +17,6 @@ from stratdisc import (
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
     generating_set,
-    strip_integral_first,
-    strip_integral_last,
     strip_integral_lower,
     strip_integral_table,
     strip_integral_upper,
@@ -29,13 +29,15 @@ from oracles import EXACT_HIGH_PRECISION, MIDDLE_STRIP_INTEGRAL, expected_l2_sq_
 
 class TestStripIntegrals:
     def test_first_strip_formula(self):
-        assert strip_integral_first(4) == pytest.approx(
+        # the lower form at i = 1 is the printed first strip
+        assert strip_integral_lower(4, 1) == pytest.approx(
             1.0 - 14.0 * math.sqrt(2.0) / (15.0 * 2.0) + 0.1, abs=1e-15
         )
 
     def test_last_strip_value(self):
-        assert strip_integral_last(4) == 1.0 / 60.0
-        assert strip_integral_last(128) == pytest.approx(1.0 / (15 * 128), abs=1e-18)
+        # the upper form at i = N is the printed last strip
+        assert strip_integral_upper(4, 4) == 1.0 / 60.0
+        assert strip_integral_upper(128, 128) == pytest.approx(1.0 / (15 * 128), abs=1e-18)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_closed_forms_match_quadrature(self, n):
@@ -47,10 +49,10 @@ class TestStripIntegrals:
         table = strip_integral_table(8)
         assert table.shape == (8,)
         assert table.dtype == np.float64
-        assert table[0] == strip_integral_first(8)
+        assert table[0] == strip_integral_lower(8, 1)
         assert table[1] == strip_integral_lower(8, 2)
         assert table[4] == strip_integral_upper(8, 5)
-        assert table[-1] == strip_integral_last(8)
+        assert table[-1] == strip_integral_upper(8, 8)
 
     def test_integrals_decrease_along_strips(self):
         # the box [0,x]x[0,y] reaches early strips far more often
@@ -60,21 +62,39 @@ class TestStripIntegrals:
 
     def test_index_ranges_enforced(self):
         with pytest.raises(ValueError):
-            strip_integral_lower(8, 1)
+            strip_integral_lower(8, 0)
         with pytest.raises(ValueError):
             strip_integral_lower(8, 5)
         with pytest.raises(ValueError):
             strip_integral_upper(8, 4)
         with pytest.raises(ValueError):
-            strip_integral_upper(8, 8)
-        # odd n: the middle strip (n+1)/2 = 5 belongs to neither regime
+            strip_integral_upper(8, 9)
+        # odd n: the middle strip (n+1)/2 = 5 belongs to neither form
         assert strip_integral_lower(9, 4) > strip_integral_upper(9, 6) > 0.0
         with pytest.raises(ValueError):
             strip_integral_lower(9, 5)
         with pytest.raises(ValueError):
             strip_integral_upper(9, 5)
         with pytest.raises(ValueError):
-            strip_integral_upper(9, 9)
+            strip_integral_upper(9, 10)
+
+    @pytest.mark.parametrize(
+        "form, i, shown",
+        [
+            (strip_integral_lower, 0, "1 <= i <= 1048576 for n=2097152, got i=0"),
+            (strip_integral_lower, 1048577, "1 <= i <= 1048576 for n=2097152, got i=1048577"),
+            (strip_integral_upper, 1048576, "1048577 <= i <= 2097152 for n=2097152, got i=1048576"),
+            (strip_integral_upper, 2097153, "1048577 <= i <= 2097152 for n=2097152, got i=2097153"),
+            (strip_integral_upper, 2097152.5, "1048577 <= i <= 2097152 for n=2097152, got i=2097152.5"),
+            (strip_integral_upper, np.array([1048577, 2097153]), "for n=2097152, got i=2097153"),
+        ],
+        ids=["lower-below", "lower-above", "upper-below", "upper-above", "upper-fraction", "upper-array"],
+    )
+    def test_index_out_of_range_printed_in_full(self, form, i, shown):
+        # {:g} would print 1048577 as 1.04858e+06, which reads as in range
+        with pytest.raises(ValueError) as exc:
+            form(2**21, i)
+        assert str(exc.value).endswith(shown)
 
     @pytest.mark.parametrize(
         "regime, i",
@@ -106,7 +126,7 @@ class TestStripIntegrals:
         table = strip_integral_table(n)
         assert table.shape == (n,)
         assert table[n // 2] == strip_integral_middle(n)
-        for i in range(2, n):
+        for i in range(1, n + 1):
             if 2 * i != n + 1:
                 regime = strip_integral_lower if i <= n // 2 else strip_integral_upper
                 assert table[i - 1] == regime(n, i)
@@ -114,8 +134,8 @@ class TestStripIntegrals:
     @pytest.mark.parametrize(
         "func, n",
         [
-            (strip_integral_first, 4),
-            (strip_integral_last, 4),
+            (lambda n: strip_integral_lower(n, 1), 4),
+            (lambda n: strip_integral_upper(n, n), 4),
             (strip_integral_middle, 5),
             (lambda n: strip_integral_lower(n, 2), 4),
             (lambda n: strip_integral_upper(n, 5), 6),
@@ -181,12 +201,23 @@ class TestPrecisionContract:
     @pytest.mark.parametrize("n", [4096, 2**18, 2**24])
     def test_sampled_strips_large_n(self, n):
         rng = np.random.default_rng(n)
-        lower = np.unique(np.r_[2, 3, n // 2 - 1, n // 2, rng.integers(2, n // 2 + 1, 40)])
-        upper = np.unique(np.r_[n // 2 + 1, n // 2 + 2, n - 2, n - 1, rng.integers(n // 2 + 1, n, 40)])
+        lower = np.unique(np.r_[1, 2, 3, n // 2 - 1, n // 2, rng.integers(2, n // 2 + 1, 40)])
+        upper = np.unique(np.r_[n // 2 + 1, n // 2 + 2, n - 2, n - 1, n, rng.integers(n // 2 + 1, n, 40)])
         for fn, idx in ((strip_integral_lower, lower), (strip_integral_upper, upper)):
             got = fn(n, idx)
             want = np.array([float(strip_integral_printed(n, int(i))) for i in idx])
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @given(st.integers(2, exactform.MAX_CLOSED_FORM_N))
+    @example(2)
+    @example(3)
+    @example(exactform.MAX_CLOSED_FORM_N)
+    def test_end_strips_at_every_n(self, n):
+        # the lower form at i = 1 and the upper form at i = N are the
+        # printed first and last strips
+        first = float(strip_integral_printed(n, 1))
+        assert strip_integral_lower(n, 1) == pytest.approx(first, rel=1e-13, abs=0)
+        assert strip_integral_upper(n, n) == 1.0 / (15.0 * n)
 
     @pytest.mark.parametrize("n", [255, 1025, 4097])
     def test_every_table_entry_large_odd_n(self, n):
@@ -196,8 +227,8 @@ class TestPrecisionContract:
     def test_table_is_the_regime_calls_at_large_n(self):
         n = 4096
         values = strip_integral_table(n)
-        assert np.array_equal(values[1 : n // 2], strip_integral_lower(n, np.arange(2, n // 2 + 1)))
-        assert np.array_equal(values[n // 2 : -1], strip_integral_upper(n, np.arange(n // 2 + 1, n)))
+        assert np.array_equal(values[: n // 2], strip_integral_lower(n, np.arange(1, n // 2 + 1)))
+        assert np.array_equal(values[n // 2 :], strip_integral_upper(n, np.arange(n // 2 + 1, n + 1)))
         assert values[n // 2] == strip_integral_upper(n, n // 2 + 1)
 
     @pytest.mark.parametrize("n", [*range(2, 65, 2), 256, 1024, 4096, *range(3, 66, 2), 255, 1025, 4097])
@@ -222,10 +253,10 @@ class TestBlockedTable:
     @staticmethod
     def assert_equals_unblocked(n):
         values = strip_integral_table(n)
-        lower = strip_integral_lower(n, np.arange(2, n // 2 + 1))
+        lower = strip_integral_lower(n, np.arange(1, n // 2 + 1))
         middle = [strip_integral_middle(n)] if n % 2 else []
-        upper = strip_integral_upper(n, np.arange((n + 3) // 2, n))
-        want = np.concatenate(([strip_integral_first(n)], lower, middle, upper, [strip_integral_last(n)]))
+        upper = strip_integral_upper(n, np.arange((n + 3) // 2, n + 1))
+        want = np.concatenate((lower, middle, upper))
         assert values.tobytes() == want.tobytes()
 
     def test_large_n(self):
@@ -236,9 +267,9 @@ class TestBlockedTable:
 
     @pytest.mark.parametrize("d", [-2, 0, 2])
     def test_regime_lengths_around_a_block(self, d):
-        # each regime has n/2 - 1 strips: one less than, equal to and one
-        # more than a block
-        self.assert_equals_unblocked(2 * (exactform._BLOCK + 1) + d)
+        # each form has n/2 strips: one less than, equal to and one more
+        # than a block
+        self.assert_equals_unblocked(2 * exactform._BLOCK + d)
 
     def test_memory_bounded_at_2_22(self):
         # the 32 MiB table plus one block of regime temporaries; evaluating
@@ -282,7 +313,13 @@ class TestStreamedSums:
 
     @pytest.mark.parametrize(
         "func",
-        [strip_integral_first, strip_integral_last, strip_integral_table, expected_l2_sq_exact, interior_strip_sum],
+        [
+            lambda n: strip_integral_lower(n, 1),
+            lambda n: strip_integral_upper(n, n),
+            strip_integral_table,
+            expected_l2_sq_exact,
+            interior_strip_sum,
+        ],
         ids=["first", "last", "table", "exact", "interior-sum"],
     )
     def test_n_above_the_cap_refused(self, func):
@@ -293,7 +330,7 @@ class TestStreamedSums:
 
     def test_n_at_the_cap_accepted(self):
         cap = exactform.MAX_CLOSED_FORM_N
-        assert strip_integral_last(cap) == 1.0 / (15.0 * cap)
+        assert strip_integral_upper(cap, cap) == 1.0 / (15.0 * cap)
         assert strip_integral_lower(cap, cap // 2) > 0.0
 
 

@@ -30,8 +30,8 @@ def test_first_use_of_a_name_loads_its_own_module():
     assert run_python(code) == "['stratdisc.partition']"
 
 
-def test_all_lists_the_32_public_names():
-    assert len(stratdisc.__all__) == len(set(stratdisc.__all__)) == 32
+def test_all_lists_the_30_public_names():
+    assert len(stratdisc.__all__) == len(set(stratdisc.__all__)) == 30
     assert stratdisc.__all__ == sorted(stratdisc.__all__)
 
 
