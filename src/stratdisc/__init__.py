@@ -12,7 +12,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Largest n accepted for direct summation by asymptotics and `verify --n`;
-# `verify --n 1048576` takes about 2.7 s on a 2-vCPU box, nearly all of it in
+# `verify --n 1048576` takes 1.4–1.5 s on a 2-vCPU box, 1.1 s of it in
 # component_sums.  It is stated here, where the command-line parser reads it
 # without loading asymptotics.  The closed forms have their own, larger cap,
 # exactform.MAX_CLOSED_FORM_N.

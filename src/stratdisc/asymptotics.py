@@ -12,10 +12,11 @@ long summation identities:
     pieces regroup into four component sums (by power of i) that are summed
     separately and collapse to 13N/72 + O(sqrt(N)).
 
-Everything is checked by direct compensated summation; the component sums,
-whose terms of size N^3 cancel, are summed exactly in integers, with each
-square root taken as a fixed-point integer floor, so that every sum is
-within 2^-64 of its exact value before it is rounded once to float.
+Everything is checked by direct compensated summation of terms with the bits
+of Python's i**k (see _powers); the component sums, whose terms of size N^3
+cancel, are summed exactly in integers, with each square root taken as a
+fixed-point integer floor, so that every sum is within 2^-64 of its exact
+value before it is rounded once to float.
 The sqrt-sum approximants are transcribed verbatim.  Each differs from the
 direct sum by c + a ln n + O(n^p), with (p, c, a) derived per k and listed in
 SQRT_SUM_REMAINDERS beside the printed formulas: the k = 1/2 and k = 1
@@ -26,7 +27,6 @@ drops the -(1/16) ln n of the direct sum.  Each is then held to one bound,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,17 +76,16 @@ def _check_even(n: int) -> None:
 
 
 def _powers(first: int, last: int, k: float) -> np.ndarray:
-    """i**k for i = first .. last with the bits Python gives: the products i, i*i,
-    i*i*i, exact below 2^53, for k = 1, 2, 3, else pow on int i for an int k (the
-    exact power, rounded once) or libm's pow through math.pow on blocks of 512
-    floats for a float k.  numpy's vectorised power rounds differently at k = 1.5."""
-    i = np.arange(first, last + 1, dtype=np.float64)
-    # inf: no exact products, every term from pow
-    terms = functools.reduce(np.multiply, [i] * int(k)) if k in (1, 2, 3) else np.full_like(i, np.inf)
-    for a in range(int(np.searchsorted(terms, 2.0**53)), i.size, 512):
-        b = min(a + 512, i.size)
-        bases, power = (range(first + a, first + b), pow) if isinstance(k, int) else (i[a:b].tolist(), math.pow)
-        terms[a:b] = np.fromiter(map(power, bases, itertools.repeat(k)), np.float64, b - a)
+    """i**k for i = first .. last with the bits Python gives: pow on int i for an
+    int k (the exact power, rounded once), else np.float_power, whose float64 loop
+    is the C library's pow, as math.pow is.  np.power rounds differently at k = 1.5.
+    A term past the float range raises OverflowError, as math.pow does."""
+    if isinstance(k, int):
+        return np.fromiter(map(pow, range(first, last + 1), itertools.repeat(k)), np.float64)
+    with np.errstate(over="ignore"):
+        terms = np.float_power(np.arange(first, last + 1, dtype=np.float64), k)
+    if np.isinf(terms).any():
+        raise OverflowError("math range error")
     return terms
 
 

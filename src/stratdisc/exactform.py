@@ -121,17 +121,17 @@ def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
 def _strip_blocks(n: int) -> Iterator[Sequence[float]]:
     """Q_1..Q_N for n >= 2 in strip order, in blocks of at most _BLOCK strips.
 
-    The blocks are memoryviews of the lower form, (Q_middle,) for odd n and
-    memoryviews of the upper form.  Both forms are elementwise, so every
-    value is bitwise that of one call on the form's whole index range.
+    The blocks are the lower form's arrays, (Q_middle,) for odd n and the
+    upper form's arrays.  Both forms are elementwise, so every value is
+    bitwise that of one call on the form's whole index range.
     """
     n = _require_n(n)
     for a in range(1, n // 2 + 1, _BLOCK):
-        yield memoryview(strip_integral_lower(n, np.arange(a, min(a + _BLOCK, n // 2 + 1))))
+        yield strip_integral_lower(n, np.arange(a, min(a + _BLOCK, n // 2 + 1)))
     if n % 2:
         yield (strip_integral_middle(n),)
     for a in range((n + 3) // 2, n + 1, _BLOCK):
-        yield memoryview(strip_integral_upper(n, np.arange(a, min(a + _BLOCK, n + 1))))
+        yield strip_integral_upper(n, np.arange(a, min(a + _BLOCK, n + 1)))
 
 
 def strip_integral_table(n: int) -> np.ndarray:

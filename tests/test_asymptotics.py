@@ -92,7 +92,8 @@ class TestDirectSums:
     def test_power_sqrt_sum_ladder_equals_per_n_sums(self, k, ns):
         assert power_sqrt_sum(ns, k) == [power_sqrt_sum_by_generator(n, k) for n in ns]
 
-    # i^3 first reaches 2^53 at i = 208,064, where the exact products hand over to pow
+    # i^3 first reaches 2^53 at i = 208,064: past it the int k = 3 terms round
+    # the exact power and the float k = 3.0 terms are the C library's pow
     @pytest.mark.parametrize("k", [3, 3.0, 2.5])
     def test_power_sum_at_the_cap_equals_its_own_sum(self, k):
         assert power_sum([MAX_DIRECT_N], k) == [power_sum_by_generator(MAX_DIRECT_N, k)]
@@ -108,13 +109,29 @@ class TestDirectSums:
         assert power_sum([], k) == power_sqrt_sum([], k) == []
 
     @pytest.mark.parametrize("k", [0, 0.5, 1, 1.0, 1.5, 2, 2.0, 2.5, 3, 3.0, -1, 3.5])
-    @pytest.mark.parametrize("first, last", [(1, 4000), (207_000, 209_000), (MAX_DIRECT_N - 100, MAX_DIRECT_N)])
+    @pytest.mark.parametrize(
+        "first, last", [(1, 4000), (207_000, 209_000), (MAX_DIRECT_N - 100, MAX_DIRECT_N), (1, MAX_DIRECT_N)]
+    )
     def test_terms_have_the_bits_of_python_powers(self, k, first, last):
         # an int k = 3 past 2^53 rounds the exact integer i**3 once; a float
         # k = 3.0 is libm's pow there, which differs from it at many i
         want = [float(i**k) for i in range(first, last + 1)]
         assert _powers(first, last, k).tolist() == want
         assert _powers(first, last, k).tobytes() == np.array(want).tobytes()
+
+    def test_float_terms_need_no_math_pow(self, monkeypatch):
+        want = [float(i**1.5) for i in range(1, 2**14 + 1)]
+
+        def refuse(x, y):
+            raise AssertionError("math.pow called")
+
+        monkeypatch.setattr(math, "pow", refuse)
+        assert _powers(1, 2**14, 1.5).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k", [60.0, 60])
+    def test_a_term_past_the_float_range_raises(self, k):
+        with pytest.raises(OverflowError):
+            power_sum([2**20], k)
 
     def test_ladder_validated_per_element(self):
         assert power_sum([], 1.0) == power_sqrt_sum([], 1.0) == []
