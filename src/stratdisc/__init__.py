@@ -25,15 +25,14 @@ _MODULES = {
         "paired_strip_integral", "power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx",
     ),
     "estimators": (
-        "DiscrepancyEstimate", "expected_l2_sq_mc", "expected_l2_sq_qmc", "random_baseline",
-        "ratio_to_random", "vertical_baseline",
+        "DiscrepancyEstimate", "expected_l2_sq_mc", "expected_l2_sq_qmc", "random_baseline", "ratio_to_random",
     ),
     "exactform": (
         "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "strip_integral_lower", "strip_integral_table",
         "strip_integral_upper",
     ),
     "lowdisc": ("HaltonConfig", "PointSet", "halton", "l2_discrepancy_sq_batch"),
-    "partition": ("GeneratingSet", "generating_set", "sample_partition", "sample_stratified_batch"),
+    "partition": ("GeneratingSet", "Grid", "generating_set", "sample_stratified_batch"),
     "qgeometry": ("intersection_area_grid", "overlap_vector"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

@@ -67,7 +67,7 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
 
 def cmd_table(args: argparse.Namespace) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
-    from . import estimators, exactform, lowdisc
+    from . import estimators, exactform, lowdisc, partition
 
     # the exact column first, so an n it refuses fails before any QMC work
     exact = [exactform.expected_l2_sq_exact(n).value for n in args.n]
@@ -80,7 +80,7 @@ def cmd_table(args: argparse.Namespace) -> str:
             "qmc": qmc,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
             "random": estimators.random_baseline(n),
-            "vertical": estimators.vertical_baseline(n),
+            "vertical": partition.Grid(n, 1, 1).expected_l2_sq(),
         }
 
     return _render(args, map(row, args.n, exact, qmc))
@@ -100,7 +100,7 @@ def cmd_sample(args: argparse.Namespace) -> str:
     """One stratified sample: rows of (x, y, cell)."""
     from . import partition
 
-    points = partition.sample_partition(args.partition, args.n[0], 1, args.seed)[0].tolist()
+    points = partition.PARTITIONS[args.partition](args.n[0]).sample(1, args.seed)[0].tolist()
     return _render(
         args,
         ({"x": x, "y": y, "cell": c} for c, (x, y) in enumerate(points, start=1)),
@@ -110,9 +110,9 @@ def cmd_sample(args: argparse.Namespace) -> str:
 
 def cmd_mc(args: argparse.Namespace) -> str:
     """Monte Carlo estimate over stratified replicates, with standard error."""
-    from . import estimators
+    from . import estimators, partition
 
-    est = estimators.expected_l2_sq_mc(args.n[0], args.replicates, args.seed, args.partition)
+    est = estimators.expected_l2_sq_mc(partition.PARTITIONS[args.partition](args.n[0]), args.replicates, args.seed)
     record = {
         "n": args.n[0],
         "partition": args.partition,
@@ -337,9 +337,10 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
         *check_worked_example(tol=5e-4),
         *check_pairwise_anchors(tol=1e-12),
     ]
-    # drawn after the QMC check, so the points and the stream caches are not
-    # held through its 20,000 nodes
-    u = partition._cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+    # drawn after the QMC check, so streams, its caches and the points are not held through its 20,000 nodes
+    from .streams import cell_uniforms
+
+    u = cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
     checks += [
         *check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], tol=1e-12),
         *check_telescoping((4, 16), u, tol=1e-10),

@@ -8,8 +8,7 @@ closed form elsewhere:
   * Monte Carlo: draw stratified samples, evaluate each with the pairwise
     discrepancy identity, and average.
 
-Closed-form baselines for i.i.d. uniform points and vertical strips give
-the comparison values the ratio statistics are built on.
+The i.i.d. baseline 5/(36N) is the comparison value of the ratio statistics.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .lowdisc import HaltonConfig, PointSet, halton, l2_discrepancy_sq_batch
-from .partition import generating_set, sample_partition
+from .partition import GeneratingSet, Grid, generating_set
 from .qgeometry import _clip_area
 
 # Points per block of the streamed MC loop: one block of replicates is
@@ -144,27 +143,22 @@ def expected_l2_sq_qmc(n: int, nodes: PointSet | None = None) -> DiscrepancyEsti
     return DiscrepancyEstimate(next(_qmc_values((n,), nodes)))
 
 
-def expected_l2_sq_mc(
-    n: int,
-    replicates: int,
-    seed: int,
-    partition: str = "diagonal",
-) -> DiscrepancyEstimate:
-    """Average pairwise-identity discrepancy over stratified replicates.
+def expected_l2_sq_mc(partition: GeneratingSet | Grid, replicates: int, seed: int) -> DiscrepancyEstimate:
+    """Average pairwise-identity discrepancy over stratified replicates of partition.
 
     std_error is the unbiased sample standard deviation divided by
     sqrt(replicates).  The replicates are streamed in blocks: each block is
     drawn as rows start.. of every cell's stream, scored and dropped.  The
     kernel's value for a replicate does not depend on the others in its
     block, so the result is that of one batch of all replicates, and it is
-    deterministic in (n, replicates, seed, partition).
+    deterministic in (partition, replicates, seed).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
-    rows = max(1, _BLOCK_POINTS // n)
+    rows = max(1, _BLOCK_POINTS // partition.n)
     values = np.empty(replicates)
     for start in range(0, replicates, rows):
-        points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
+        points = partition.sample(min(rows, replicates - start), seed, start)
         values[start:start + rows] = l2_discrepancy_sq_batch(points)
     # a memoryview feeds fsum Python floats one at a time, as fast as a
     # list of them and without holding one
@@ -178,13 +172,6 @@ def random_baseline(n: int) -> float:
     if n < 1:
         raise ValueError(f"need at least 1 point, got n={n}")
     return 5.0 / (36.0 * n)
-
-
-def vertical_baseline(n: int) -> float:
-    """E[L2^2] of a stratified sample of the n vertical strips: (3n+2)/(36n^2)."""
-    if n < 1:
-        raise ValueError(f"need at least 1 strip, got n={n}")
-    return (3.0 * n + 2.0) / (36.0 * n * n)
 
 
 def ratio_to_random(n: int, est: DiscrepancyEstimate) -> float:

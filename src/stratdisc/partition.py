@@ -5,19 +5,21 @@ diagonal, at offsets 0 = r_0 < r_1 < ... < r_N = 2 (measured as x+y = r)
 chosen so that every strip has area exactly 1/N; r_0 and r_N are the
 square's corners.  Below the anti-diagonal the region {x+y <= r} is a
 triangle of area r^2/2, which gives r_i = sqrt(2i/N) for i <= N/2; above it
-the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).  The module also
-samples the two reference partitions used for comparison, vertical strips
-and the m x m jittered grid, both as grids of equal boxes.  A sample lists
-its points in cell order, so no routine here needs a cell lookup.
+the complementary triangle gives r_i = 2 - sqrt(2(N-i)/N).  The reference
+partitions, vertical strips and the m x m jittered grid, are each a Grid of
+equal boxes, with its exact expectation.  Every partition is a frozen
+object with a cell count n and sample(count, seed, start), which lists the
+points in cell order.
 
 Sampling is one uniform point per cell.  The diagonal cells are sampled
 exactly by inverting the same area function: an offset s whose area below
 is uniform on the strip's share fixes the chord x+y = s, and given s the
 point is uniform on that chord, so no draw is rejected.  Each cell draws
-from its own RNG stream derived from (seed, cell index), so results do not
-depend on the order in which cells are visited or on how many samples are
-requested.  The streams are numpy's PCG64, computed without numpy.random by
-the streams module, which is loaded on the first draw.
+from its own RNG stream derived from (seed, stream tag, cell index), so
+results do not depend on the order in which cells are visited or on how
+many samples are requested; tags 0, 1 and 2 are the diagonal, vertical and
+jittered kinds.  The streams are numpy's PCG64, computed without
+numpy.random by the streams module, which is loaded on the first draw.
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_STREAM_DIAGONAL = 0
-_STREAM_VERTICAL = 1
-_STREAM_JITTERED = 2
+MAX_CELLS = 2**32 - 1
 # verify's check points: a tag that no partition uses
 _STREAM_CHECKS = 3
 
-# the partition kinds sample_partition accepts
-PARTITIONS = ("diagonal", "vertical", "jittered")
+
+def _check_cell_count(n: int) -> None:
+    """Refuse n > MAX_CELLS, before any O(n) array: a cell index is one 32-bit word of its spawn key."""
+    if n > MAX_CELLS:
+        raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,7 @@ class GeneratingSet:
         n = int(self.n)
         if n < 2:
             raise ValueError(f"need at least 2 cells, got n={n}")
+        _check_cell_count(n)
         cuts = _offset_below(np.arange(n + 1), n)
         cuts.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -69,6 +73,10 @@ class GeneratingSet:
         if not 0 <= i <= self.n:
             raise ValueError(f"cut index must be in 0..{self.n}, got {i}")
         return float(self.cuts[i])
+
+    def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
+        """Rows start..start+count-1 of stratified samples, shape (count, n, 2); see sample_stratified_batch."""
+        return sample_stratified_batch(self, count, seed, start)
 
 
 def generating_set(n: int) -> GeneratingSet:
@@ -86,18 +94,6 @@ def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
     return np.where(2.0 * m <= n, np.sqrt(2.0 * m / n), 2.0 - np.sqrt(2.0 * (n - m) / n))
 
 
-def _cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms on [0,1) for rows start..start+count-1 of n cells, shape (count, n, 2).
-
-    Cell i (1-based) reads stream `stream` of streams.cell_uniforms; the
-    stream tags keep partition kinds apart.
-    """
-    # imported here, so that the commands that never sample do not load it
-    from .streams import cell_uniforms
-
-    return cell_uniforms(seed, stream, n, count, start)
-
-
 def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int = 0) -> np.ndarray:
     """Rows start..start+count-1 of stratified samples of generating_set(n), shape (count, n, 2).
 
@@ -105,44 +101,59 @@ def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int
     [(i-1)/N, i/N), then a uniform point on the chord x+y = s.  s is clamped
     below r_i because (i-1) + u rounds to i when u is within an ulp of 1.
     """
+    # imported here, so that the commands that never sample do not load it
+    from .streams import cell_uniforms
+
     n = gs.n
-    u = _cell_uniforms(seed, _STREAM_DIAGONAL, n, count, start)
+    u = cell_uniforms(seed, 0, n, count, start)
     s = np.minimum(_offset_below(np.arange(n) + u[..., 0], n), np.nextafter(gs.cuts[1:], 0.0))
     lo = np.maximum(s - 1.0, 0.0)
     x = lo + (np.minimum(s, 1.0) - lo) * u[..., 1]
     return np.stack([x, s - x], axis=-1)
 
 
-def _grid_batch(cols: int, rows: int, stream: int, count: int, seed: int, start: int) -> np.ndarray:
-    """Rows start..start+count-1 of samples of the cols x rows grid, shape (count, cols*rows, 2).
+@dataclass(frozen=True)
+class Grid:
+    """The cols x rows grid of equal boxes, drawn from the streams of tag `stream`.
 
     Cell k (1-based) covers [a/cols, (a+1)/cols] x [b/rows, (b+1)/rows] with
     a, b = divmod(k-1, rows): x-major enumeration.
     """
-    a, b = np.divmod(np.arange(cols * rows), rows)
-    u = _cell_uniforms(seed, stream, cols * rows, count, start)
-    return np.stack([(a + u[..., 0]) / cols, (b + u[..., 1]) / rows], axis=-1)
+
+    cols: int
+    rows: int
+    stream: int
+    n: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if min(self.cols, self.rows) < 1:
+            raise ValueError(f"need at least 1 cell, got a {self.cols} x {self.rows} grid")
+        object.__setattr__(self, "n", self.cols * self.rows)
+        _check_cell_count(self.n)
+
+    def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
+        """Rows start..start+count-1 of samples, shape (count, n, 2): one uniform point per box."""
+        from .streams import cell_uniforms
+
+        u = cell_uniforms(seed, self.stream, self.n, count, start)
+        a, b = np.divmod(np.arange(self.n), self.rows)
+        return np.stack([(a + u[..., 0]) / self.cols, (b + u[..., 1]) / self.rows], axis=-1)
+
+    def expected_l2_sq(self) -> float:
+        """E[L2^2] of a sample, (9N - (3 cols - 1)(3 rows - 1)) / (36 N^2), rounded once.
+
+        The shares q_k of the boxes in [0,x] x [0,y] sum to N x y, whose
+        integral is N/4, and the integrals of q_k^2 sum to (3 cols - 1)(3 rows - 1)/36.
+        """
+        return (9 * self.n - (3 * self.cols - 1) * (3 * self.rows - 1)) / (36 * self.n**2)
 
 
-def sample_partition(kind: str, n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows start..start+count-1 of samples of the n-cell partition `kind`, shape (count, n, 2).
-
-    kind is one of PARTITIONS.  "vertical" is the n x 1 grid of strips and
-    "jittered" the m x m grid, which needs n = m*m.  Cells appear in index
-    order along axis 1.  n is checked against the spawn key before any O(n) array.
-    """
-    from .streams import _check_spawn_key
-
-    _check_spawn_key(seed, n)
-    if kind == "diagonal":
-        return sample_stratified_batch(generating_set(n), count, seed, start)
-    if kind not in PARTITIONS:
-        raise ValueError(f"unknown partition kind: {kind!r}")
-    if n < 1:
-        raise ValueError(f"need at least 1 cell, got n={n}")
-    if kind == "vertical":
-        return _grid_batch(n, 1, _STREAM_VERTICAL, count, seed, start)
-    m = math.isqrt(n)
+def _jittered(n: int) -> Grid:
+    m = math.isqrt(max(n, 0))
     if m * m != n:
         raise ValueError(f"jittered partition needs a square point count, got n={n}")
-    return _grid_batch(m, m, _STREAM_JITTERED, count, seed, start)
+    return Grid(m, m, 2)
+
+
+# each --partition kind's constructor from n; the command line resolves the name
+PARTITIONS = {"diagonal": GeneratingSet, "vertical": lambda n: Grid(n, 1, 1), "jittered": _jittered}

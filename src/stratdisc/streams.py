@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .partition import _check_cell_count
+
 # numpy's SeedSequence: pool size and the constants of its uint32 hash
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
@@ -45,8 +47,7 @@ def _check_spawn_key(seed: int, n: int) -> None:
     """Refuse a seed or a cell count that SeedSequence's words cannot hold."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if n > _MASK32:
-        raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
+    _check_cell_count(n)
 
 
 def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:

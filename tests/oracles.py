@@ -20,10 +20,11 @@ max-form Warnock kernels, which the sort-once kernel replaced, must agree
 with each other bit for bit.  The sqrt-sum approximants' offsets c + a ln n
 and remainder orders are derived here in mpmath, from the direct sums
 expanded binomially and summed by Euler-Maclaurin, and the log-log slope of
-acceptance criterion 4 is np.polyfit's.  The cell lookup, cell areas and the
-jittered-grid closed form, which no library routine needs, live here too, and
-so does the CLI's earlier per-value CSV rendering, which its row template
-must reproduce byte for byte.  None of this code is imported by the package.
+acceptance criterion 4 is np.polyfit's.  The jittered grid's closed form,
+written as a difference of squares in float arithmetic, checks Grid's
+integer fraction.  The cell lookup and cell areas, which no library routine
+needs, live here too, and so does the CLI's earlier per-value CSV
+rendering, which its row template must reproduce byte for byte.  None of this code is imported by the package.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from mpmath import mp, mpf, sqrt
 from stratdisc import asymptotics, cli, estimators, exactform, partition, qgeometry
 from stratdisc.asymptotics import ComponentSums
 from stratdisc.lowdisc import l2_discrepancy_sq_batch
-from stratdisc.partition import sample_partition
 from stratdisc.qgeometry import intersection_area_grid
 
 
@@ -211,17 +211,17 @@ def warnock_batch_max_form(points: np.ndarray) -> np.ndarray:
     return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
 
 
-def mc_moments_by_list(n: int, replicates: int, seed: int, partition: str = "diagonal") -> tuple[float, float]:
+def mc_moments_by_list(partition, replicates: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of MC replicates with the values held in a Python list.
 
     expected_l2_sq_mc before it kept the values in one float64 array: the
     same blocks, concatenated and converted to a list for both fsum passes.
     The library's value and std_error must equal these bit for bit.
     """
-    rows = max(1, estimators._BLOCK_POINTS // n)
+    rows = max(1, estimators._BLOCK_POINTS // partition.n)
     values = []
     for start in range(0, replicates, rows):
-        points = sample_partition(partition, n, min(rows, replicates - start), seed, start)
+        points = partition.sample(min(rows, replicates - start), seed, start)
         values.append(l2_discrepancy_sq_batch(points))
     as_list = np.concatenate(values).tolist()
     mean = math.fsum(as_list) / replicates

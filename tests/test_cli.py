@@ -327,9 +327,9 @@ class TestVerifyCommand:
 
 
 def _check_points() -> np.ndarray:
-    from stratdisc import partition
+    from stratdisc import partition, streams
 
-    return partition._cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+    return streams.cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
 
 
 def _edge_points(n: int) -> np.ndarray:

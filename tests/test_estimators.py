@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from stratdisc import estimators
 from stratdisc import (
     DiscrepancyEstimate,
+    Grid,
     HaltonConfig,
     PointSet,
     expected_l2_sq_exact,
@@ -25,9 +26,8 @@ from stratdisc import (
     l2_discrepancy_sq_batch,
     random_baseline,
     ratio_to_random,
-    sample_partition,
-    vertical_baseline,
 )
+from stratdisc.partition import PARTITIONS
 
 from oracles import jittered_baseline, mc_moments_by_list, overlap_fraction
 
@@ -68,7 +68,7 @@ def _boundary_nodes():
 
 class TestDiscrepancyEstimate:
     def test_std_error_only_for_mc(self, halton_nodes):
-        est = expected_l2_sq_mc(4, 100, seed=5)
+        est = expected_l2_sq_mc(generating_set(4), 100, seed=5)
         assert math.isfinite(est.std_error) and est.std_error > 0.0
         assert expected_l2_sq_exact(6).std_error is None
         assert expected_l2_sq_qmc(4, halton_nodes).std_error is None
@@ -298,46 +298,42 @@ class TestSharedQmcPath:
 
 class TestMcEstimator:
     def test_deterministic_per_seed(self):
-        a = expected_l2_sq_mc(4, 500, seed=42)
-        b = expected_l2_sq_mc(4, 500, seed=42)
+        a = expected_l2_sq_mc(generating_set(4), 500, seed=42)
+        b = expected_l2_sq_mc(generating_set(4), 500, seed=42)
         assert a.value == b.value
         assert a.std_error == b.std_error
 
     def test_seed_changes_value(self):
-        a = expected_l2_sq_mc(4, 500, seed=42)
-        b = expected_l2_sq_mc(4, 500, seed=43)
+        a = expected_l2_sq_mc(generating_set(4), 500, seed=42)
+        b = expected_l2_sq_mc(generating_set(4), 500, seed=43)
         assert a.value != b.value
 
-    def test_covers_exact_value_diagonal(self):
-        est = expected_l2_sq_mc(4, 4000, seed=9)
-        exact = expected_l2_sq_exact(4).value
+    @pytest.mark.parametrize(
+        "kind, seed", [("diagonal", 9), ("vertical", 7), ("jittered", 7)], ids=["diagonal", "vertical", "jittered"]
+    )
+    def test_covers_exact_value(self, kind, seed):
+        partition = PARTITIONS[kind](4)
+        exact = expected_l2_sq_exact(4).value if kind == "diagonal" else partition.expected_l2_sq()
+        est = expected_l2_sq_mc(partition, 4000, seed=seed)
         assert abs(est.value - exact) <= 4.0 * est.std_error
-
-    def test_covers_vertical_baseline(self):
-        est = expected_l2_sq_mc(4, 4000, seed=7, partition="vertical")
-        assert abs(est.value - vertical_baseline(4)) <= 4.0 * est.std_error
-
-    def test_covers_jittered_baseline(self):
-        est = expected_l2_sq_mc(4, 4000, seed=7, partition="jittered")
-        assert abs(est.value - jittered_baseline(2)) <= 4.0 * est.std_error
 
     def test_replicate_count_independent_prefix(self):
         # growing the replicate count must not change earlier draws, so the
         # two estimates agree within combined noise
-        small = expected_l2_sq_mc(16, 1000, seed=3)
-        large = expected_l2_sq_mc(16, 5000, seed=3)
+        small = expected_l2_sq_mc(generating_set(16), 1000, seed=3)
+        large = expected_l2_sq_mc(generating_set(16), 5000, seed=3)
         gap = abs(small.value - large.value)
         assert gap <= 4.0 * (small.std_error + large.std_error)
 
     def test_chunking_invisible_in_result(self):
-        est = expected_l2_sq_mc(4, 4100, seed=11)
+        est = expected_l2_sq_mc(generating_set(4), 4100, seed=11)
         assert est.std_error > 0.0
 
     def test_memory_bounded_at_large_n(self):
         # one (replicates, n, n) Warnock temporary here would be 100 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(256, 200, seed=1)
+            expected_l2_sq_mc(generating_set(256), 200, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -347,7 +343,7 @@ class TestMcEstimator:
         # two (n, n) Warnock temporaries per replicate peaked at 256 MiB here
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(4096, 4, seed=1)
+            expected_l2_sq_mc(generating_set(4096), 4, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,9 +351,9 @@ class TestMcEstimator:
 
     def test_warnock_chunk_size_invisible_in_result(self, monkeypatch):
         # kernel calls of 7 replicates against one call on all 300
-        full = expected_l2_sq_mc(16, 300, seed=4)
+        full = expected_l2_sq_mc(generating_set(16), 300, seed=4)
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", 7 * 16)
-        chunked = expected_l2_sq_mc(16, 300, seed=4)
+        chunked = expected_l2_sq_mc(generating_set(16), 300, seed=4)
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
 
@@ -366,7 +362,7 @@ class TestMcEstimator:
         # kernel calls of one replicate, eight and all of them: each call
         # gets one block, and its values are the kernel's on the whole stack
         n, replicates, seed = 64, 300, 6
-        full = expected_l2_sq_mc(n, replicates, seed)
+        full = expected_l2_sq_mc(generating_set(n), replicates, seed)
         seen = []
 
         def spy(points):
@@ -376,9 +372,9 @@ class TestMcEstimator:
 
         monkeypatch.setattr(estimators, "l2_discrepancy_sq_batch", spy)
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", chunk * n)
-        chunked = expected_l2_sq_mc(n, replicates, seed)
+        chunked = expected_l2_sq_mc(generating_set(n), replicates, seed)
         assert [v.size for v in seen] == [min(chunk, replicates - a) for a in range(0, replicates, chunk)]
-        want = l2_discrepancy_sq_batch(sample_partition("diagonal", n, replicates, seed))
+        want = l2_discrepancy_sq_batch(generating_set(n).sample(replicates, seed))
         assert np.concatenate(seen).tobytes() == want.tobytes()
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
@@ -388,8 +384,9 @@ class TestMcEstimator:
     )
     def test_streamed_blocks_equal_one_batch(self, n, replicates, kind):
         # replicate counts that end in a partial block
-        est = expected_l2_sq_mc(n, replicates, 12, kind)
-        values = l2_discrepancy_sq_batch(sample_partition(kind, n, replicates, 12)).tolist()
+        partition = PARTITIONS[kind](n)
+        est = expected_l2_sq_mc(partition, replicates, 12)
+        values = l2_discrepancy_sq_batch(partition.sample(replicates, 12)).tolist()
         mean = math.fsum(values) / replicates
         variance = math.fsum((v - mean) ** 2 for v in values) / (replicates - 1)
         assert est.value == mean
@@ -399,16 +396,19 @@ class TestMcEstimator:
     def test_block_size_invisible_in_result(self, monkeypatch, block_points, rows):
         # at n = 16 a block is block_points // 16 replicates, and at least one
         n, replicates, seed = 16, 1000, 2
-        full = expected_l2_sq_mc(n, replicates, seed, "jittered")
+        grid = PARTITIONS["jittered"](n)
+        full = expected_l2_sq_mc(grid, replicates, seed)
         blocks = []
 
-        def spy(kind, n, count, seed, start=0):
-            blocks.append((start, count))
-            return sample_partition(kind, n, count, seed, start)
+        class Spy:
+            n = grid.n
 
-        monkeypatch.setattr(estimators, "sample_partition", spy)
+            def sample(self, count, seed, start=0):
+                blocks.append((start, count))
+                return grid.sample(count, seed, start)
+
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", block_points)
-        streamed = expected_l2_sq_mc(n, replicates, seed, "jittered")
+        streamed = expected_l2_sq_mc(Spy(), replicates, seed)
         assert blocks == [(a, min(rows, replicates - a)) for a in range(0, replicates, rows)]
         assert streamed.value == full.value
         assert streamed.std_error == full.std_error
@@ -417,7 +417,7 @@ class TestMcEstimator:
         # all 100,000 replicates drawn at once peaked at 390 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(64, 100_000, seed=1)
+            expected_l2_sq_mc(generating_set(64), 100_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -428,15 +428,16 @@ class TestMcEstimator:
         [(4, 100_000, 1, "diagonal"), (64, 3001, 5, "vertical"), (9, 20_000, 2, "jittered"), (2, 2, 0, "diagonal")],
     )
     def test_moments_equal_list_form(self, n, replicates, seed, kind):
-        est = expected_l2_sq_mc(n, replicates, seed, kind)
-        assert (est.value, est.std_error) == mc_moments_by_list(n, replicates, seed, kind)
+        partition = PARTITIONS[kind](n)
+        est = expected_l2_sq_mc(partition, replicates, seed)
+        assert (est.value, est.std_error) == mc_moments_by_list(partition, replicates, seed)
 
     def test_memory_bounded_at_a_million_replicates(self):
         # the values held as a Python list peaked at 46 MiB; one float64
         # array of them is 7.6 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(4, 10**6, seed=1)
+            expected_l2_sq_mc(generating_set(4), 10**6, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -444,11 +445,9 @@ class TestMcEstimator:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            expected_l2_sq_mc(4, 1, seed=0)
-        with pytest.raises(ValueError):
-            expected_l2_sq_mc(5, 100, seed=0, partition="jittered")
-        with pytest.raises(ValueError):
-            expected_l2_sq_mc(4, 100, seed=0, partition="hexagonal")
+            expected_l2_sq_mc(generating_set(4), 1, seed=0)
+        with pytest.raises(ValueError, match="square point count"):
+            PARTITIONS["jittered"](5)
 
 
 class TestBaselines:
@@ -457,15 +456,15 @@ class TestBaselines:
         assert random_baseline(4) == pytest.approx(5 / 144)
 
     def test_vertical_baseline_formula(self):
-        assert vertical_baseline(4) == pytest.approx(14 / 576)
-        assert vertical_baseline(1) == pytest.approx(5 / 36)  # one strip = one iid point
+        assert Grid(4, 1, 1).expected_l2_sq() == pytest.approx(14 / 576)
+        assert Grid(1, 1, 1).expected_l2_sq() == pytest.approx(5 / 36)  # one strip = one iid point
 
     def test_jittered_baseline_formula(self):
         assert jittered_baseline(2) == pytest.approx(11 / 576)
         assert jittered_baseline(1) == pytest.approx(5 / 36)  # 1x1 grid = one iid point
 
     def test_jittered_below_vertical_below_random(self):
-        assert jittered_baseline(2) < vertical_baseline(4) < random_baseline(4)
+        assert Grid(2, 2, 2).expected_l2_sq() < Grid(4, 1, 1).expected_l2_sq() < random_baseline(4)
 
     def test_ratio_to_random(self):
         est = expected_l2_sq_exact(4)
@@ -476,7 +475,11 @@ class TestBaselines:
         with pytest.raises(ValueError):
             ratio_to_random(4, est)
 
-    @pytest.mark.parametrize("fn", [random_baseline, vertical_baseline, jittered_baseline])
+    @pytest.mark.parametrize("fn", [
+        random_baseline,
+        pytest.param(lambda n: Grid(n, 1, 1).expected_l2_sq(), id="vertical_baseline"),
+        jittered_baseline,
+    ])
     def test_baselines_reject_nonpositive(self, fn):
         with pytest.raises(ValueError):
             fn(0)

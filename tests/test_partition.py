@@ -3,23 +3,26 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratdisc import partition, streams
+from stratdisc import cli, partition, streams
 from stratdisc import (
     GeneratingSet,
+    Grid,
     generating_set,
     overlap_vector,
-    sample_partition,
     sample_stratified_batch,
 )
+from stratdisc.partition import PARTITIONS
 
-from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_by_seed_sequence
+from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_by_seed_sequence, jittered_baseline
 
 
 class TestGeneratingSet:
@@ -188,7 +191,7 @@ class TestStratifiedSampler:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 50])
     def test_each_point_lands_in_its_cell(self, n):
         gs = generating_set(n)
-        points = sample_partition("diagonal", n, 1, seed=5)[0]
+        points = gs.sample(1, seed=5)[0]
         assert points.shape == (n, 2)
         for c, (x, y) in enumerate(points.tolist(), start=1):
             assert cell_of(gs, x, y) == c
@@ -253,7 +256,7 @@ class TestStratifiedSampler:
         def edge_uniforms(seed, stream, n, count, start=0):
             return np.broadcast_to(edges[:, None, :], (count, n, 2))
 
-        monkeypatch.setattr(partition, "_cell_uniforms", edge_uniforms)
+        monkeypatch.setattr(streams, "cell_uniforms", edge_uniforms)
         gs = generating_set(n)
         pts = sample_stratified_batch(gs, len(edges), seed=0)
         for row in pts.tolist():
@@ -261,7 +264,7 @@ class TestStratifiedSampler:
 
 class TestReferenceSamplers:
     def test_vertical_points_in_strips(self):
-        pts = sample_partition("vertical", 8, 100, seed=4)
+        pts = PARTITIONS["vertical"](8).sample(100, seed=4)
         for i in range(1, 9):
             col = pts[:, i - 1, 0]
             assert np.all((col >= (i - 1) / 8.0) & (col < i / 8.0))
@@ -269,7 +272,7 @@ class TestReferenceSamplers:
 
     def test_jittered_points_in_subsquares(self):
         m = 3
-        pts = sample_partition("jittered", m * m, 50, seed=6)
+        pts = PARTITIONS["jittered"](m * m).sample(50, seed=6)
         assert pts.shape == (50, 9, 2)
         for k in range(1, 10):
             a, b = divmod(k - 1, m)
@@ -277,64 +280,136 @@ class TestReferenceSamplers:
             assert np.all((pts[:, k - 1, 1] >= b / m) & (pts[:, k - 1, 1] < (b + 1) / m))
 
     def test_jittered_prefix_property(self):
-        one = sample_partition("jittered", 9, 1, seed=14)
-        many = sample_partition("jittered", 9, 20, seed=14)
+        one = PARTITIONS["jittered"](9).sample(1, seed=14)
+        many = PARTITIONS["jittered"](9).sample(20, seed=14)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_vertical_prefix_property(self):
-        one = sample_partition("vertical", 6, 1, seed=14)
-        many = sample_partition("vertical", 6, 20, seed=14)
+        one = PARTITIONS["vertical"](6).sample(1, seed=14)
+        many = PARTITIONS["vertical"](6).sample(20, seed=14)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_stream_separation(self):
         # same seed, different partition kinds: distinct streams
-        diag = sample_partition("diagonal", 4, 1, seed=0)
-        vert = sample_partition("vertical", 4, 1, seed=0)
-        jitt = sample_partition("jittered", 4, 1, seed=0)
+        diag = PARTITIONS["diagonal"](4).sample(1, seed=0)
+        vert = PARTITIONS["vertical"](4).sample(1, seed=0)
+        jitt = PARTITIONS["jittered"](4).sample(1, seed=0)
         assert not np.array_equal(diag, vert)
         assert not np.array_equal(vert, jitt)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_vertical_rejects_bad_n(self, bad):
         with pytest.raises(ValueError, match="at least 1 cell"):
-            sample_partition("vertical", bad, 1, seed=0)
+            PARTITIONS["vertical"](bad)
 
     @pytest.mark.parametrize("bad", [0, -2, 8])
     def test_jittered_rejects_bad_m(self, bad):
         with pytest.raises(ValueError, match="at least 1 cell|square point count"):
-            sample_partition("jittered", bad, 1, seed=0)
+            PARTITIONS["jittered"](bad)
 
 
 class TestSamplePartition:
     def test_dispatches_to_the_batch_samplers(self):
+        assert PARTITIONS["diagonal"](6) == generating_set(6)
         np.testing.assert_array_equal(
-            sample_partition("diagonal", 6, 5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
+            PARTITIONS["diagonal"](6).sample(5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
         )
         # vertical: the 6 x 1 grid on stream 1; jittered: the 3 x 3 grid on stream 2, x-major
-        u = partition._cell_uniforms(3, 1, 6, 5)
+        assert (PARTITIONS["vertical"](6), PARTITIONS["jittered"](9)) == (Grid(6, 1, 1), Grid(3, 3, 2))
+        u = streams.cell_uniforms(3, 1, 6, 5)
         want = np.stack([(np.arange(6) + u[..., 0]) / 6, u[..., 1]], axis=-1)
-        assert sample_partition("vertical", 6, 5, seed=3).tobytes() == want.tobytes()
+        assert PARTITIONS["vertical"](6).sample(5, seed=3).tobytes() == want.tobytes()
         a, b = np.divmod(np.arange(9), 3)
-        u = partition._cell_uniforms(3, 2, 9, 5)
+        u = streams.cell_uniforms(3, 2, 9, 5)
         want = np.stack([(a + u[..., 0]) / 3, (b + u[..., 1]) / 3], axis=-1)
-        assert sample_partition("jittered", 9, 5, seed=3).tobytes() == want.tobytes()
+        assert PARTITIONS["jittered"](9).sample(5, seed=3).tobytes() == want.tobytes()
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown partition kind"):
-            sample_partition("hexagonal", 4, 1, seed=0)
+    def test_unknown_kind_rejected(self, capsys):
+        # a kind is a name only on the command line, whose parser refuses any other
+        assert "hexagonal" not in PARTITIONS
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--n", "4", "--partition", "hexagonal"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hexagonal'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, n", [("diagonal", 7), ("diagonal", 64), ("vertical", 6), ("jittered", 9)]
     )
     @pytest.mark.parametrize("a, b", [(0, 1), (0, 40), (5, 6), (13, 40), (39, 40)])
     def test_row_offset_reads_the_same_rows(self, kind, n, a, b):
-        full = sample_partition(kind, n, 40, seed=17)
-        part = sample_partition(kind, n, b - a, 17, start=a)
+        full = PARTITIONS[kind](n).sample(40, seed=17)
+        part = PARTITIONS[kind](n).sample(b - a, 17, start=a)
         assert part.tobytes() == full[a:b].tobytes()
 
     def test_negative_row_offset_rejected(self):
         with pytest.raises(ValueError, match="row offset"):
-            sample_partition("vertical", 4, 1, seed=0, start=-1)
+            PARTITIONS["vertical"](4).sample(1, seed=0, start=-1)
+
+
+def _grid_expectation_by_boxes(cols, rows):
+    """E[L2^2] of the cols x rows grid in exact arithmetic, from the box shares.
+
+    Box (a, b) holds q = f_a(x) g_b(y) of [0,x] x [0,y], f_a(x) = clamp(cols x - a, 0, 1),
+    whose integral is 1 - (a + 1)/cols + 1/(2 cols) and that of its square
+    1 - (a + 1)/cols + 1/(3 cols); E = (1/N^2) sum of the integrals of q - q^2.
+    """
+
+    def moments(m):
+        return (
+            sum(1 - Fraction(a + 1, m) + Fraction(1, 2 * m) for a in range(m)),
+            sum(1 - Fraction(a + 1, m) + Fraction(1, 3 * m) for a in range(m)),
+        )
+
+    (f1, f2), (g1, g2) = moments(cols), moments(rows)
+    n = cols * rows
+    return (f1 * g1 - f2 * g2) / (n * n)
+
+
+class TestGrid:
+    def test_expected_value_is_the_rounded_box_integral(self):
+        shapes = [(c, r) for c in range(1, 13) for r in range(1, 13)]
+        shapes += [(2**14, 1), (1, 2**14), (1000, 999), (2**12, 2**12), (3, 2**13 + 1)]
+        for cols, rows in shapes:
+            assert Grid(cols, rows, 1).expected_l2_sq() == float(_grid_expectation_by_boxes(cols, rows)), (cols, rows)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 16, 64, 255, 1024])
+    def test_square_grid_is_the_jittered_closed_form(self, m):
+        got = Grid(m, m, 2).expected_l2_sq()
+        assert got == float(Fraction(6 * m - 1, 36 * m**4))
+        assert got == pytest.approx(jittered_baseline(m), rel=1e-12, abs=0.0)
+
+    def test_vertical_strips_are_the_float_formula(self):
+        # (3n + 2) and 36 n^2 are exact in float64 up to n = 2^23, so the
+        # float formula is the rounded fraction there, bit for bit
+        ns = [*range(1, 2**14 + 1), 10**5 + 3, 10**6, 3 * 2**20 + 1, 2**23 - 1, 2**23]
+        got = np.array([Grid(n, 1, 1).expected_l2_sq() for n in ns])
+        n = np.array(ns, dtype=np.float64)
+        assert got.tobytes() == ((3.0 * n + 2.0) / (36.0 * n * n)).tobytes()
+
+    @pytest.mark.parametrize("cols, rows", [(0, 1), (1, 0), (-1, 4), (4, -2)])
+    def test_rejects_an_empty_side(self, cols, rows):
+        with pytest.raises(ValueError, match="at least 1 cell"):
+            Grid(cols, rows, 1)
+
+    def test_cell_count_is_the_product(self):
+        assert Grid(5, 3, 2).n == 15
+        assert Grid(2**32 - 1, 1, 1).n == partition.MAX_CELLS
+
+    @pytest.mark.parametrize("make", [
+        lambda: GeneratingSet(2**32),
+        lambda: Grid(2**32, 1, 1),
+        lambda: Grid(2**16, 2**16, 2),
+        lambda: PARTITIONS["jittered"](2**32),
+    ], ids=["diagonal", "vertical", "grid", "jittered"])
+    def test_cell_count_past_the_spawn_key_refused_before_allocating(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cell index 4294967296 does not fit the 32-bit spawn key word"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSeedWords:
@@ -342,7 +417,7 @@ class TestSeedWords:
     @pytest.mark.parametrize("stream", [0, 1, 2, partition._STREAM_CHECKS])
     @pytest.mark.parametrize("start", [0, 1, 1023])
     def test_streams_equal_the_seed_sequence_draw(self, seed, stream, start):
-        u = partition._cell_uniforms(seed, stream, 4096, 3, start)
+        u = streams.cell_uniforms(seed, stream, 4096, 3, start)
         for i in (1, 2, 2048, 4096):
             want = cell_uniforms_by_seed_sequence(seed, stream, i, 3, start)
             assert u[:, i - 1].tobytes() == want.tobytes(), i
@@ -355,7 +430,7 @@ class TestSeedWords:
         # a tile of the (output, cell) grid holds `tile` sample rows at this n
         tile = max(2, streams._TILE // n & ~1) // 2
         count = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "3tile+5": 3 * tile + 5}[edge]
-        u = partition._cell_uniforms(7, 2, n, count, start)
+        u = streams.cell_uniforms(7, 2, n, count, start)
         assert u.shape == (count, n, 2)
         for i in sorted({1, n // 2 + 1, n}):
             want = cell_uniforms_by_advance(7, 2, i, count, start)
@@ -367,19 +442,19 @@ class TestSeedWords:
     def test_small_tiles_split_rows_and_cells(self, tile, n, count, start, monkeypatch):
         # tiles of a few outputs and cells cross both tile edges many times
         monkeypatch.setattr(streams, "_TILE", tile)
-        u = partition._cell_uniforms(3, 0, n, count, start)
+        u = streams.cell_uniforms(3, 0, n, count, start)
         want = np.stack([cell_uniforms_by_advance(3, 0, i, count, start) for i in range(1, n + 1)], axis=1)
         assert u.tobytes() == want.tobytes()
 
     def test_empty_draws(self):
-        assert partition._cell_uniforms(1, 0, 4, 0).shape == (0, 4, 2)
-        assert partition._cell_uniforms(1, 0, 0, 3).shape == (3, 0, 2)
+        assert streams.cell_uniforms(1, 0, 4, 0).shape == (0, 4, 2)
+        assert streams.cell_uniforms(1, 0, 0, 3).shape == (3, 0, 2)
 
     def test_cell_index_past_32_bits_rejected(self):
         with pytest.raises(ValueError, match="32-bit"):
             streams._seed_words(0, 0, 2**32)
         with pytest.raises(ValueError, match="32-bit"):
-            partition._cell_uniforms(0, 1, 2**32, 1)
+            streams.cell_uniforms(0, 1, 2**32, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
