@@ -80,7 +80,7 @@ def cmd_table(args: argparse.Namespace) -> str:
             "qmc": qmc,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
             "random": estimators.random_baseline(n),
-            "vertical": partition.Grid(n, 1, 1).expected_l2_sq(),
+            "vertical": partition.Grid(n, 1).expected_l2_sq(),
         }
 
     return _render(args, map(row, args.n, exact, qmc))
@@ -100,11 +100,11 @@ def cmd_sample(args: argparse.Namespace) -> str:
     """One stratified sample: rows of (x, y, cell)."""
     from . import partition
 
-    points = partition.PARTITIONS[args.partition](args.n[0]).sample(1, args.seed)[0].tolist()
+    points = partition.PARTITIONS[args.partition](args.n).sample(1, args.seed)[0].tolist()
     return _render(
         args,
         ({"x": x, "y": y, "cell": c} for c, (x, y) in enumerate(points, start=1)),
-        lambda rows: {"n": args.n[0], "seed": args.seed, "partition": args.partition, "points": rows},
+        lambda rows: {"n": args.n, "seed": args.seed, "partition": args.partition, "points": rows},
     )
 
 
@@ -112,9 +112,9 @@ def cmd_mc(args: argparse.Namespace) -> str:
     """Monte Carlo estimate over stratified replicates, with standard error."""
     from . import estimators, partition
 
-    est = estimators.expected_l2_sq_mc(partition.PARTITIONS[args.partition](args.n[0]), args.replicates, args.seed)
+    est = estimators.expected_l2_sq_mc(partition.PARTITIONS[args.partition](args.n), args.replicates, args.seed)
     record = {
-        "n": args.n[0],
+        "n": args.n,
         "partition": args.partition,
         "replicates": args.replicates,
         "seed": args.seed,
@@ -422,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mc", cmd_mc, "Monte Carlo estimate over stratified replicates"),
     ):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--n", type=_checked(n_list, lambda ns: len(ns) == 1, "expected exactly one value"),
-                       metavar="N", required=True)
+        p.add_argument("--n", type=_checked(int, lambda n: n >= 2, "must be >= 2"), metavar="N", required=True)
         if name == "mc":
             p.add_argument("--replicates", type=_checked(int, lambda r: r >= 2, "must be >= 2"), default=10000)
         p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "must be >= 0"), default=0)

@@ -21,12 +21,12 @@ i.  The printed forms are the 50-digit oracle in tests/oracles.py.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .estimators import DiscrepancyEstimate, _exact_sum
+from .partition import _integer
 
 # Strips per form call in _strip_blocks.  Each block's temporaries are
 # 32 KiB arrays, under glibc's 128 KiB mmap threshold, so they are reused
@@ -40,15 +40,13 @@ MAX_CLOSED_FORM_N = 2**30
 
 
 def _require_n(n: int) -> int:
-    """n as an int, refused unless integral and 2 <= n <= MAX_CLOSED_FORM_N;
-    np.int64(4) and 4.0 pass as 4."""
-    if not (isinstance(n, numbers.Real) and (isinstance(n, numbers.Integral) or float(n).is_integer())):
-        raise ValueError(f"n must be an integer, got n={n!r}")
+    """n as an int (partition._integer), refused unless 2 <= n <= MAX_CLOSED_FORM_N."""
+    n = _integer(n)
     if n < 2:
         raise ValueError(f"closed forms require n >= 2, got n={n}")
     if n > MAX_CLOSED_FORM_N:
         raise ValueError(f"closed forms accept n <= {MAX_CLOSED_FORM_N}, got n={n}")
-    return int(n)
+    return n
 
 
 def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:

@@ -16,10 +16,10 @@ exactly by inverting the same area function: an offset s whose area below
 is uniform on the strip's share fixes the chord x+y = s, and given s the
 point is uniform on that chord, so no draw is rejected.  Each cell draws
 from its own RNG stream derived from (seed, stream tag, cell index), so
-results do not depend on the order in which cells are visited or on how
-many samples are requested; tags 0, 1 and 2 are the diagonal, vertical and
-jittered kinds.  The streams are numpy's PCG64, computed without
-numpy.random by the streams module, which is loaded on the first draw.
+results depend neither on the cell order nor on the number of samples.
+The kind fixes the tag: 0 is the diagonal, 1 a Grid of one row, 2 any other
+Grid and 3 verify's check points.  The streams are numpy's PCG64, computed
+without numpy.random by the streams module, loaded on the first draw.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ import numpy as np
 MAX_CELLS = 2**32 - 1
 # verify's check points: a tag that no partition uses
 _STREAM_CHECKS = 3
+
+
+def _integer(value: int, name: str = "n") -> int:
+    """value as an int, refused unless integral (4.0 and np.int64(4) pass); an int is never made a float."""
+    if not (isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    return int(value)
 
 
 def _check_cell_count(n: int) -> None:
@@ -57,9 +64,7 @@ class GeneratingSet:
     cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer()):
-            raise ValueError(f"n must be an integer, got n={self.n!r}")
-        n = int(self.n)
+        n = _integer(self.n)
         if n < 2:
             raise ValueError(f"need at least 2 cells, got n={n}")
         _check_cell_count(n)
@@ -114,7 +119,7 @@ def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int
 
 @dataclass(frozen=True)
 class Grid:
-    """The cols x rows grid of equal boxes, drawn from the streams of tag `stream`.
+    """The cols x rows grid of equal boxes, drawn from stream tag 1 if rows == 1, else 2.
 
     Cell k (1-based) covers [a/cols, (a+1)/cols] x [b/rows, (b+1)/rows] with
     a, b = divmod(k-1, rows): x-major enumeration.
@@ -122,10 +127,11 @@ class Grid:
 
     cols: int
     rows: int
-    stream: int
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cols", _integer(self.cols, "cols"))
+        object.__setattr__(self, "rows", _integer(self.rows, "rows"))
         if min(self.cols, self.rows) < 1:
             raise ValueError(f"need at least 1 cell, got a {self.cols} x {self.rows} grid")
         object.__setattr__(self, "n", self.cols * self.rows)
@@ -135,7 +141,7 @@ class Grid:
         """Rows start..start+count-1 of samples, shape (count, n, 2): one uniform point per box."""
         from .streams import cell_uniforms
 
-        u = cell_uniforms(seed, self.stream, self.n, count, start)
+        u = cell_uniforms(seed, 1 if self.rows == 1 else 2, self.n, count, start)
         a, b = np.divmod(np.arange(self.n), self.rows)
         return np.stack([(a + u[..., 0]) / self.cols, (b + u[..., 1]) / self.rows], axis=-1)
 
@@ -149,11 +155,12 @@ class Grid:
 
 
 def _jittered(n: int) -> Grid:
+    n = _integer(n)
     m = math.isqrt(max(n, 0))
     if m * m != n:
         raise ValueError(f"jittered partition needs a square point count, got n={n}")
-    return Grid(m, m, 2)
+    return Grid(m, m)
 
 
 # each --partition kind's constructor from n; the command line resolves the name
-PARTITIONS = {"diagonal": GeneratingSet, "vertical": lambda n: Grid(n, 1, 1), "jittered": _jittered}
+PARTITIONS = {"diagonal": GeneratingSet, "vertical": lambda n: Grid(n, 1), "jittered": _jittered}

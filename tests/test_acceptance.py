@@ -138,8 +138,8 @@ def test_criterion_6_strong_partition_principle(report, qmc_sweep, exact_sweep):
         for n in qmc_sweep
     )
     below_vertical = all(
-        qmc_sweep[n] < stratdisc.Grid(n, 1, 1).expected_l2_sq()
-        and exact_sweep[n] < stratdisc.Grid(n, 1, 1).expected_l2_sq()
+        qmc_sweep[n] < stratdisc.Grid(n, 1).expected_l2_sq()
+        and exact_sweep[n] < stratdisc.Grid(n, 1).expected_l2_sq()
         for n in qmc_sweep
         if n >= 4
     )

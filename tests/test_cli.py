@@ -223,6 +223,13 @@ class TestSampleCommand:
         assert capsys.readouterr().err == "error: cell index 4294967296 does not fit the 32-bit spawn key word\n"
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command", [["sample"], ["mc", "--replicates", "2"]], ids=["sample", "mc"])
+    def test_n_past_the_float_range_is_refused_by_the_cell_count(self, command, capsys):
+        # 2^1024 has no float64: it reaches the spawn-key check as an int
+        code = cli.main([*command, "--n", str(2**1024)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cell index {2**1024} does not fit the 32-bit spawn key word\n"
+
 
 class TestMcCommand:
     def test_csv_output(self, capsys):
@@ -386,6 +393,8 @@ class TestArgumentHandling:
             ["verify", "--n", "3"],
             ["verify", "--n", "2097152"],
             ["ratio", "--n", "0"],
+            ["sample", "--n", "1"],
+            ["mc", "--n", "1", "--replicates", "2"],
         ],
     )
     def test_bad_arguments_exit_2(self, args, capsys):

@@ -456,15 +456,15 @@ class TestBaselines:
         assert random_baseline(4) == pytest.approx(5 / 144)
 
     def test_vertical_baseline_formula(self):
-        assert Grid(4, 1, 1).expected_l2_sq() == pytest.approx(14 / 576)
-        assert Grid(1, 1, 1).expected_l2_sq() == pytest.approx(5 / 36)  # one strip = one iid point
+        assert Grid(4, 1).expected_l2_sq() == pytest.approx(14 / 576)
+        assert Grid(1, 1).expected_l2_sq() == pytest.approx(5 / 36)  # one strip = one iid point
 
     def test_jittered_baseline_formula(self):
         assert jittered_baseline(2) == pytest.approx(11 / 576)
         assert jittered_baseline(1) == pytest.approx(5 / 36)  # 1x1 grid = one iid point
 
     def test_jittered_below_vertical_below_random(self):
-        assert Grid(2, 2, 2).expected_l2_sq() < Grid(4, 1, 1).expected_l2_sq() < random_baseline(4)
+        assert Grid(2, 2).expected_l2_sq() < Grid(4, 1).expected_l2_sq() < random_baseline(4)
 
     def test_ratio_to_random(self):
         est = expected_l2_sq_exact(4)
@@ -477,7 +477,7 @@ class TestBaselines:
 
     @pytest.mark.parametrize("fn", [
         random_baseline,
-        pytest.param(lambda n: Grid(n, 1, 1).expected_l2_sq(), id="vertical_baseline"),
+        pytest.param(lambda n: Grid(n, 1).expected_l2_sq(), id="vertical_baseline"),
         jittered_baseline,
     ])
     def test_baselines_reject_nonpositive(self, fn):

@@ -307,6 +307,13 @@ class TestReferenceSamplers:
         with pytest.raises(ValueError, match="at least 1 cell|square point count"):
             PARTITIONS["jittered"](bad)
 
+    @pytest.mark.parametrize("kind", ["vertical", "jittered"])
+    def test_grid_kinds_take_n_by_the_integer_rule(self, kind):
+        for bad in (2.5, math.nan, "9"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                PARTITIONS[kind](bad)
+        assert PARTITIONS[kind](9.0) == PARTITIONS[kind](np.int64(9)) == PARTITIONS[kind](9)
+
 
 class TestSamplePartition:
     def test_dispatches_to_the_batch_samplers(self):
@@ -315,7 +322,7 @@ class TestSamplePartition:
             PARTITIONS["diagonal"](6).sample(5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
         )
         # vertical: the 6 x 1 grid on stream 1; jittered: the 3 x 3 grid on stream 2, x-major
-        assert (PARTITIONS["vertical"](6), PARTITIONS["jittered"](9)) == (Grid(6, 1, 1), Grid(3, 3, 2))
+        assert (PARTITIONS["vertical"](6), PARTITIONS["jittered"](9)) == (Grid(6, 1), Grid(3, 3))
         u = streams.cell_uniforms(3, 1, 6, 5)
         want = np.stack([(np.arange(6) + u[..., 0]) / 6, u[..., 1]], axis=-1)
         assert PARTITIONS["vertical"](6).sample(5, seed=3).tobytes() == want.tobytes()
@@ -370,11 +377,11 @@ class TestGrid:
         shapes = [(c, r) for c in range(1, 13) for r in range(1, 13)]
         shapes += [(2**14, 1), (1, 2**14), (1000, 999), (2**12, 2**12), (3, 2**13 + 1)]
         for cols, rows in shapes:
-            assert Grid(cols, rows, 1).expected_l2_sq() == float(_grid_expectation_by_boxes(cols, rows)), (cols, rows)
+            assert Grid(cols, rows).expected_l2_sq() == float(_grid_expectation_by_boxes(cols, rows)), (cols, rows)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 16, 64, 255, 1024])
     def test_square_grid_is_the_jittered_closed_form(self, m):
-        got = Grid(m, m, 2).expected_l2_sq()
+        got = Grid(m, m).expected_l2_sq()
         assert got == float(Fraction(6 * m - 1, 36 * m**4))
         assert got == pytest.approx(jittered_baseline(m), rel=1e-12, abs=0.0)
 
@@ -382,23 +389,58 @@ class TestGrid:
         # (3n + 2) and 36 n^2 are exact in float64 up to n = 2^23, so the
         # float formula is the rounded fraction there, bit for bit
         ns = [*range(1, 2**14 + 1), 10**5 + 3, 10**6, 3 * 2**20 + 1, 2**23 - 1, 2**23]
-        got = np.array([Grid(n, 1, 1).expected_l2_sq() for n in ns])
+        got = np.array([Grid(n, 1).expected_l2_sq() for n in ns])
         n = np.array(ns, dtype=np.float64)
         assert got.tobytes() == ((3.0 * n + 2.0) / (36.0 * n * n)).tobytes()
 
     @pytest.mark.parametrize("cols, rows", [(0, 1), (1, 0), (-1, 4), (4, -2)])
     def test_rejects_an_empty_side(self, cols, rows):
         with pytest.raises(ValueError, match="at least 1 cell"):
-            Grid(cols, rows, 1)
+            Grid(cols, rows)
 
     def test_cell_count_is_the_product(self):
-        assert Grid(5, 3, 2).n == 15
-        assert Grid(2**32 - 1, 1, 1).n == partition.MAX_CELLS
+        assert Grid(5, 3).n == 15
+        assert Grid(2**32 - 1, 1).n == partition.MAX_CELLS
+
+    @pytest.mark.parametrize("side", ["cols", "rows"])
+    @pytest.mark.parametrize("bad", [2.5, np.float64(0.5), math.nan, math.inf, "4", None],
+                             ids=["2.5", "float64-0.5", "nan", "inf", "str", "None"])
+    def test_non_integral_side_rejected(self, side, bad):
+        with pytest.raises(ValueError, match=f"{side} must be an integer, got {side}="):
+            Grid(**{"cols": 4, "rows": 4, side: bad})
+
+    def test_integral_sides_stored_as_int(self):
+        grid = Grid(4.0, np.int64(2))
+        assert (type(grid.cols), type(grid.rows), type(grid.n)) == (int, int, int)
+        assert grid == Grid(4, 2)
+        assert grid.sample(3, 5).tobytes() == Grid(4, 2).sample(3, 5).tobytes()
+
+    @pytest.mark.parametrize("cols, rows", [(5, 1), (1, 5), (3, 3), (2, 8), (8, 2)])
+    def test_one_row_draws_tag_1_and_any_other_grid_tag_2(self, cols, rows):
+        n = cols * rows
+        u = streams.cell_uniforms(7, 1 if rows == 1 else 2, n, 3, 2)
+        a, b = np.divmod(np.arange(n), rows)
+        want = np.stack([(a + u[..., 0]) / cols, (b + u[..., 1]) / rows], axis=-1)
+        assert Grid(cols, rows).sample(3, 7, start=2).tobytes() == want.tobytes()
+
+    def test_one_box_is_the_same_grid_for_both_kinds(self):
+        # jittered at n = 1 is Grid(1, 1), a grid of one row: it draws tag 1, as vertical does
+        assert PARTITIONS["jittered"](1) == PARTITIONS["vertical"](1) == Grid(1, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GeneratingSet(2**1024),
+        lambda: Grid(2**1024, 1),
+        lambda: Grid(1, 2**1024),
+    ], ids=["diagonal", "vertical", "column"])
+    def test_cell_count_past_the_float_range_refused_as_an_int(self, make):
+        # 2^1024 has no float64: the integer rule must not convert it
+        with pytest.raises(ValueError, match=f"cell index {2**1024} does not fit the 32-bit spawn key word"):
+            make()
 
     @pytest.mark.parametrize("make", [
         lambda: GeneratingSet(2**32),
-        lambda: Grid(2**32, 1, 1),
-        lambda: Grid(2**16, 2**16, 2),
+        lambda: Grid(2**32, 1),
+        lambda: Grid(2**16, 2**16),
         lambda: PARTITIONS["jittered"](2**32),
     ], ids=["diagonal", "vertical", "grid", "jittered"])
     def test_cell_count_past_the_spawn_key_refused_before_allocating(self, make):

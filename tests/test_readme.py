@@ -33,7 +33,7 @@ def test_every_value_comment_is_checked():
     assert [m["code"] for m in VALUE_LINES] == [
         "sd.expected_l2_sq_exact(16).value",
         "sd.expected_l2_sq_qmc(16).value",
-        "sd.Grid(4, 4, stream=2).expected_l2_sq()",
+        "sd.Grid(4, 4).expected_l2_sq()",
         "sd.ratio_to_random(4096, sd.expected_l2_sq_exact(4096))",
     ]
 
