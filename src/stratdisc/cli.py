@@ -1,25 +1,22 @@
-"""Command-line interface: tables, ratio curves, samples, MC runs, verification.
+"""Command-line interface: argument parsing, dispatch and rendering of the
+table, ratio, sample, mc and verify commands.
 
 All output is plain CSV or JSON with floats printed to 12 significant
-digits, so identical invocations produce byte-identical bytes.
+digits, so identical invocations produce byte-identical bytes.  verify's
+checks live in `stratdisc.checks`, which no other command loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
-# Each command and check imports the library modules it runs, so a command
-# loads only its own modules; the parser reads partition's kinds and the
-# package's direct-summation cap.
-if TYPE_CHECKING:
-    from .lowdisc import PointSet
+# Each command imports the library modules it runs, so a command loads (and,
+# without bytecode, compiles) only its own modules; the parser reads
+# partition's kinds, which loads numpy, and the package's direct-summation cap.
 
 TABLE1_NS = (4, 6, 8, 10, 12, 14, 16, 32, 48, 64, 80, 96, 112, 128)
 RATIO_DEFAULT_NS = (4, 8, 16, 32, 64, 128)
@@ -27,14 +24,9 @@ RATIO_DEFAULT_NS = (4, 8, 16, 32, 64, 128)
 Record = dict[str, Any]
 
 
-def fmt(value: float) -> str:
-    """Canonical float rendering: 12 significant digits, '.' separator."""
-    return format(value, ".12g")
-
-
 def _jnum(value: float) -> float:
     """Float rounded to the printed precision, for JSON emission."""
-    return float(fmt(value))
+    return float("%.12g" % value)
 
 
 def _render(args: argparse.Namespace, records: Iterable[Record],
@@ -43,8 +35,9 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
     JSON inside envelope.
 
     CSV: the keys are the header, and one row template built from the first
-    record prints each float as fmt does ('%.12g') and any other value as
-    str does ('%s').  JSON: floats are rounded to the printed precision.
+    record prints each float to 12 significant digits ('%.12g') and any
+    other value as str does ('%s').  JSON: floats are rounded to the printed
+    precision.
     Records are consumed one at a time, so a generator of them is never held
     whole.
     """
@@ -124,234 +117,39 @@ def cmd_mc(args: argparse.Namespace) -> str:
     return _render(args, [record], lambda rows: rows[0])
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-#
-# Each check takes its sizes, inputs and tolerances and returns records of
-# name, pass flag and detail.  `run_verify` runs them at the sizes below; the
-# acceptance gate runs the same functions at its own sizes.
-
-
-def _record(name: str, passed: bool, detail: str) -> Record:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def check_sqrt_sum_orders(ks: Sequence[float], tol: float) -> list[Record]:
-    """Each sqrt-sum approximant, less its derived c + a ln n, within tol * n^p
-    of the direct sum over CHECK_NS, with (p, c, a) from SQRT_SUM_REMAINDERS."""
-    from . import asymptotics
-
-    ns = asymptotics.CHECK_NS
-    records = []
-    for k in ks:
-        p, c, a = asymptotics.SQRT_SUM_REMAINDERS[k]
-        worst = max(
-            abs(asymptotics.power_sqrt_sum_approx(n, k) - direct - c - a * math.log(n)) / n**p
-            for n, direct in zip(ns, asymptotics.power_sqrt_sum(ns, k))
-        )
-        records.append(_record(
-            f"sqrt-sum-order k={fmt(k)}",
-            worst <= tol,
-            f"max |printed - c - a ln n - direct|/n^p = {fmt(worst)} "
-            f"(p = {fmt(p)}, c = {fmt(c)}, a = {fmt(a)}; bound {fmt(tol)})",
-        ))
-    return records
-
-
-def check_harmonic(ns: Sequence[int], rel_tol: float) -> list[Record]:
-    """Harmonic approximants over ns: within the claimed O(n^(k-2)) with constant 1
-    for k = 1/2, 3/2, 5/2; exact to rel_tol for k = 1, 2; off by the constant
-    1/120 for k = 3, after a floating-point slack of rel_tol times the sum.
-    """
-    from . import asymptotics
-
-    records = []
-    for k in (0.5, 1.5, 2.5):
-        worst = max(
-            abs(asymptotics.power_sum_approx(n, k) - direct) / n ** (k - 2.0)
-            for n, direct in zip(ns, asymptotics.power_sum(ns, k))
-        )
-        records.append(_record(
-            f"harmonic-bound k={fmt(k)}", worst <= 1.0, f"max |error|/n^(k-2) = {fmt(worst)} (bound 1)"
-        ))
-    for k in (1.0, 2.0):
-        worst = max(
-            abs(asymptotics.power_sum_approx(n, k) - direct) / direct
-            for n, direct in zip(ns, asymptotics.power_sum(ns, k))
-        )
-        records.append(_record(
-            f"harmonic-exact k={fmt(k)}", worst <= rel_tol, f"max relative error {fmt(worst)}"
-        ))
-    worst = max(
-        abs(asymptotics.power_sum_approx(n, 3.0) - direct) - rel_tol * direct
-        for n, direct in zip(ns, asymptotics.power_sum(ns, 3.0))
-    )
-    records.append(_record(
-        "harmonic-constant k=3", worst <= 1.0 / 120.0 + 1e-6, f"max |error| - fp slack = {fmt(worst)}"
-    ))
-    return records
-
-
-def check_pair_identity(ns: Sequence[int], tol: float) -> list[Record]:
-    """g(i) = Q_i + Q_{N+1-i} against the two regime formulas, for each n."""
-    from . import asymptotics, exactform
-
-    records = []
-    for n in ns:
-        i = np.arange(2, n // 2 + 1)
-        pairs = asymptotics.paired_strip_integral(n, i)
-        sums = exactform.strip_integral_lower(n, i) + exactform.strip_integral_upper(n, n + 1 - i)
-        worst = float(np.max(np.abs(pairs - sums)))
-        records.append(_record(
-            f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {fmt(worst)}"
-        ))
-    return records
-
-
-def check_components(ns: Sequence[int], cubic_tol: float, identity_tol: float) -> list[Record]:
-    """The cubic component against its closed form, and the component total
-    against the interior strip sum, worst over ns."""
-    from . import asymptotics
-
-    worst_cubic = 0.0
-    worst_total = 0.0
-    for n in ns:
-        comps = asymptotics.component_sums(n)
-        worst_cubic = max(worst_cubic, abs(comps.cubic - asymptotics.cubic_component_closed_form(n)))
-        worst_total = max(worst_total, abs(comps.total - asymptotics.interior_strip_sum(n)))
-    label = ",".join(map(str, ns))
-    return [
-        _record(f"component-cubic-closed n={{{label}}}", worst_cubic <= cubic_tol,
-                f"max |direct - closed| = {fmt(worst_cubic)}"),
-        _record(f"component-identity n={{{label}}}", worst_total <= identity_tol,
-                f"max |sum(components) - interior sum| = {fmt(worst_total)}"),
-    ]
-
-
-def check_collapse(ns: Sequence[int], growth: float) -> list[Record]:
-    """|interior sum - 13n/72| / sqrt(n) over increasing ns, each at most growth
-    times the last."""
-    from . import asymptotics
-
-    normalized = [abs(asymptotics.interior_strip_sum(n) - 13.0 * n / 72.0) / math.sqrt(n) for n in ns]
-    ok = all(later <= growth * earlier for earlier, later in zip(normalized, normalized[1:]))
-    return [_record(
-        "collapse-order",
-        ok and all(math.isfinite(v) for v in normalized),
-        "normalized |interior - 13n/72|/sqrt(n): " + ", ".join(fmt(v) for v in normalized),
-    )]
-
-
-def check_strip_quadrature(ns: Sequence[int], tol: float) -> list[Record]:
-    """Closed-form strip integrals against the exact piecewise integrals of q_i^2."""
-    from . import exactform, partition, qgeometry
-
-    records = []
-    for n in ns:
-        table = exactform.strip_integral_table(n)
-        quads = qgeometry.overlap_square_integrals(partition.generating_set(n))
-        worst = float(np.max(np.abs(table - quads)))
-        records.append(_record(
-            f"strip-quadrature n={n}", worst <= tol, f"max |closed - quadrature| = {fmt(worst)}"
-        ))
-    return records
-
-
-def check_cross_method(nodes: PointSet, ns: Sequence[int], tol: float) -> list[Record]:
-    """Relative gap of the QMC estimate on nodes to the closed form, worst over ns."""
-    from . import estimators, exactform
-
-    exact = [exactform.expected_l2_sq_exact(n).value for n in ns]
-    qmc = estimators._qmc_values(ns, nodes)
-    del nodes  # the generator then holds the last reference and drops it once sorted
-    worst = max([0.0, *(abs(q - e) / e for e, q in zip(exact, qmc))])
-    label = ",".join(map(str, ns))
-    return [_record("exact-vs-qmc", worst <= tol, f"max relative gap {fmt(worst)} over n in {{{label}}}")]
-
-
-def check_worked_example(tol: float) -> list[Record]:
-    """The four overlap fractions at (0.4, 0.8) with n = 4 against their rounded values."""
-    from . import partition, qgeometry
-
-    got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8)[:, 0].tolist()
-    worst = max(abs(g - w) for g, w in zip(got, (0.8114, 0.3886, 0.08, 0.0)))
-    return [_record("worked-example", worst <= tol, f"q = ({', '.join(fmt(v) for v in got)})")]
-
-
-def _l2_sq(points: np.ndarray) -> float:
-    from . import lowdisc
-
-    return float(lowdisc.l2_discrepancy_sq_batch(points[np.newaxis])[0])
-
-
-def check_pairwise_anchors(tol: float) -> list[Record]:
-    """The pairwise identity at the single points (1, 1) and (0, 0): 1/9 and 11/18."""
-    corner = _l2_sq(np.array([[1.0, 1.0]]))
-    origin = _l2_sq(np.array([[0.0, 0.0]]))
-    return [_record(
-        "pairwise-anchors",
-        abs(corner - 1.0 / 9.0) <= tol and abs(origin - 11.0 / 18.0) <= tol,
-        f"(1,1) -> {fmt(corner)}, (0,0) -> {fmt(origin)}",
-    )]
-
-
-def check_pairwise_vs_brute(sets: Sequence[np.ndarray], tol: float) -> list[Record]:
-    """The pairwise identity against the cell integral of D^2 on each (k, 2) point array of sets."""
-    from . import lowdisc
-
-    worst = 0.0
-    for points in sets:
-        pts = lowdisc.PointSet(points)
-        worst = max(worst, abs(_l2_sq(pts.points) - lowdisc.l2_discrepancy_sq_cells(pts)))
-    return [_record("pairwise-vs-brute", worst <= tol, f"max |pairwise - brute| = {fmt(worst)}")]
-
-
-def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list[Record]:
-    """sum_i q_i(x, y) = n x y at every point, for each n."""
-    from . import partition, qgeometry
-
-    worst = 0.0
-    for n in ns:
-        gs = partition.generating_set(n)
-        # points in blocks, so that neither q nor a list of it is held whole
-        for block in (points[a:a + 256] for a in range(0, len(points), 256)):
-            x, y = block[:, 0], block[:, 1]
-            sums = np.fromiter(map(math.fsum, qgeometry.overlap_vector(gs, x, y).T.tolist()), np.float64, len(x))
-            worst = max(worst, float(np.max(np.abs(sums - n * x * y))))
-    return [_record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {fmt(worst)}")]
-
-
 def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
-    from . import asymptotics, lowdisc, partition
+    """The checks of `stratdisc.checks` at verify's sizes, and whether all passed."""
+    from . import asymptotics, checks, lowdisc, partition
 
     # sorted and deduplicated: the collapse check compares neighbouring n
     ns = tuple(sorted(set(args.n or ())))
-    checks = [
-        *check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
-        *check_harmonic(asymptotics.CHECK_NS, rel_tol=1e-12),
-        *check_pair_identity((8, 16, 64), tol=1e-10),
-        *check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
-        *check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
-        *check_strip_quadrature((4, 8), tol=1e-12),
-        *check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01),
-        *check_worked_example(tol=5e-4),
-        *check_pairwise_anchors(tol=1e-12),
-    ]
-    # drawn after the QMC check, so streams, its caches and the points are not held through its 20,000 nodes
+    # the QMC check's 20,000 nodes are verify's largest allocation: it runs
+    # first, on the smallest heap, and its record keeps its place below; the
+    # check points are drawn after it, so they are not held through it
+    cross_method = checks.check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01)
     from .streams import cell_uniforms
 
     u = cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
-    checks += [
-        *check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], tol=1e-12),
-        *check_telescoping((4, 16), u, tol=1e-10),
+    records = [
+        *checks.check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
+        *checks.check_harmonic(asymptotics.CHECK_NS, rel_tol=1e-12),
+        *checks.check_pair_identity((8, 16, 64), tol=1e-10),
+        *checks.check_components(ns or (4, 16, 64, 256), cubic_tol=1e-9, identity_tol=1e-8),
+        *checks.check_collapse(ns or tuple(2**j for j in range(6, 13)), growth=2.0),
+        *checks.check_strip_quadrature((4, 8), tol=1e-12),
+        *cross_method,
+        *checks.check_worked_example(tol=5e-4),
+        *checks.check_pairwise_anchors(tol=1e-12),
+        *checks.check_pairwise_vs_brute([u[:k] for k in (1, 2, 7, 19, 32)], tol=1e-12),
+        *checks.check_telescoping((4, 16), u, tol=1e-10),
     ]
-    all_passed = all(r["passed"] for r in checks)
+    all_passed = all(r["passed"] for r in records)
 
     if args.format == "json":
-        text = _render(args, checks, lambda rows: {"checks": rows, "passed": all_passed})
+        text = _render(args, records, lambda rows: {"checks": rows, "passed": all_passed})
     else:
-        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in checks]
-        lines.append(f"{sum(r['passed'] for r in checks)}/{len(checks)} checks passed")
+        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in records]
+        lines.append(f"{sum(r['passed'] for r in records)}/{len(records)} checks passed")
         text = "\n".join(lines) + "\n"
     return text, all_passed
 

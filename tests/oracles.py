@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from stratdisc import asymptotics, cli, estimators, exactform, partition, qgeometry
+from stratdisc import asymptotics, checks, estimators, exactform, partition, qgeometry
 from stratdisc.asymptotics import ComponentSums
 from stratdisc.lowdisc import l2_discrepancy_sq_batch
 from stratdisc.qgeometry import intersection_area_grid
@@ -444,7 +444,7 @@ def sqrt_sum_offset(n: int, k: float, a: float = 0.0) -> mpf:
 
 
 def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
-    """cli.check_telescoping with a Python loop over the rows of q: one fsum,
+    """checks.check_telescoping with a Python loop over the rows of q: one fsum,
     product, difference and max per point."""
     worst = 0.0
     for n in ns:
@@ -453,7 +453,7 @@ def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
             q = overlap_vector_by_all_cuts(gs, block[:, 0], block[:, 1])
             for row, (x, y) in zip(q.tolist(), block.tolist()):
                 worst = max(worst, abs(math.fsum(row) - n * x * y))
-    return [cli._record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {cli.fmt(worst)}")]
+    return [checks._record("telescoping", worst <= tol, f"max |sum q_i - n*x*y| = {checks.fmt(worst)}")]
 
 
 def paired_strip_integral_scalar(n: int, i: int) -> float:
@@ -471,7 +471,7 @@ def paired_strip_integral_scalar(n: int, i: int) -> float:
 
 
 def check_pair_identity_by_loop(ns, tol: float) -> list[dict]:
-    """cli.check_pair_identity with the scalar pair form, one pair index i at a time."""
+    """checks.check_pair_identity with the scalar pair form, one pair index i at a time."""
     records = []
     for n in ns:
         worst = max(
@@ -481,8 +481,8 @@ def check_pair_identity_by_loop(ns, tol: float) -> list[dict]:
             )
             for i in range(2, n // 2 + 1)
         )
-        records.append(cli._record(
-            f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {cli.fmt(worst)}"
+        records.append(checks._record(
+            f"pair-identity n={n}", worst <= tol, f"max |pair - (lower+upper)| = {checks.fmt(worst)}"
         ))
     return records
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import stratdisc
-from stratdisc import asymptotics, cli
+from stratdisc import asymptotics, checks, cli
 
 from oracles import PRINTED_TABLE1, fit_order_by_polyfit
 
@@ -50,13 +50,13 @@ def report_checks(report):
 def criterion_8_checks():
     """Criterion 8's records; also run under an injected fault below."""
     return [
-        *cli.check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
+        *checks.check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
         # exact where exactness is claimed, and the remaining errors inside
         # the claimed O(n^{k-2}) envelope (their true decay is faster still,
         # so a two-sided slope fit is not meaningful)
-        *cli.check_harmonic((64, 1024, 16384), rel_tol=1e-12),
-        *cli.check_components(range(4, 257, 2), cubic_tol=1e-9, identity_tol=1e-8),
-        *cli.check_collapse([2**j for j in range(9, 14)], growth=2.0),  # four octaves
+        *checks.check_harmonic((64, 1024, 16384), rel_tol=1e-12),
+        *checks.check_components(range(4, 257, 2), cubic_tol=1e-9, identity_tol=1e-8),
+        *checks.check_collapse([2**j for j in range(9, 14)], growth=2.0),  # four octaves
     ]
 
 
@@ -94,7 +94,7 @@ def test_criterion_2_exact_vs_qmc(report, qmc_sweep, exact_sweep):
 
 def test_criterion_3_worked_example(report_checks):
     """The four overlap fractions at (0.4, 0.8) with n=4 match the rounded values."""
-    report_checks("criterion-3 worked-example", cli.check_worked_example(tol=5e-4))
+    report_checks("criterion-3 worked-example", checks.check_worked_example(tol=5e-4))
 
 
 def test_criterion_4_asymptotic_decay(report):
@@ -157,9 +157,9 @@ def test_criterion_7_oracle_suite(report_checks):
     rng = np.random.default_rng(BRUTE_SEED)
     brute_sets = [rng.random((int(rng.integers(1, 33)), 2)) for _ in range(20)]
     report_checks("criterion-7 oracle-suite", [
-        *cli.check_strip_quadrature((4, 8, 16), tol=1e-4),
-        *cli.check_pairwise_vs_brute(brute_sets, tol=1e-3),
-        *cli.check_telescoping((6,), np.random.default_rng(MC_SEED).random((10000, 2)), tol=1e-10),
+        *checks.check_strip_quadrature((4, 8, 16), tol=1e-4),
+        *checks.check_pairwise_vs_brute(brute_sets, tol=1e-3),
+        *checks.check_telescoping((6,), np.random.default_rng(MC_SEED).random((10000, 2)), tol=1e-10),
     ])
 
 

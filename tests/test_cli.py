@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from stratdisc import asymptotics, cli, estimators, exactform, expected_l2_sq_exact, generating_set
+from stratdisc import asymptotics, checks, cli, estimators, exactform, expected_l2_sq_exact, generating_set
 
 from oracles import (
     check_pair_identity_by_loop,
@@ -72,7 +72,7 @@ class TestTableCommand:
         assert (code, err) == (0, "")
         for line, n in zip(out.strip().split("\n")[1:], (3, 5, 7)):
             row = line.split(",")
-            assert row[1] == cli.fmt(expected_l2_sq_exact(n).value)
+            assert row[1] == checks.fmt(expected_l2_sq_exact(n).value)
             assert float(row[2]) > 0.0  # qmc column still present
 
     def test_json_schema(self, capsys):
@@ -96,7 +96,7 @@ class TestTableCommand:
         # parsing the printed floats loses nothing at 12 significant digits
         _, out, _ = run_main(["table", "--n", "8", "--m-nodes", "1000"], capsys)
         row = out.strip().split("\n")[1].split(",")
-        reparsed = cli.fmt(float(row[1]))
+        reparsed = checks.fmt(float(row[1]))
         assert reparsed == row[1]
 
 
@@ -140,7 +140,7 @@ class TestRatioCommand:
         for n, pinned in ((int(n), v) for n, v in rows if int(n) <= 1025):
             with mp.workdps(50):
                 ratio = mpf(5) / (36 * n) / expected_l2_sq_printed(n)
-            assert pinned == cli.fmt(float(mp.nstr(ratio, 12))), n
+            assert pinned == checks.fmt(float(mp.nstr(ratio, 12))), n
 
     @pytest.mark.parametrize(
         "argv", [["ratio", "--n", "4"], ["table", "--n", "4", "--m-nodes", "500"]], ids=["ratio", "table"]
@@ -315,7 +315,7 @@ class TestVerifyCommand:
         text, passed = cli.run_verify(argparse.Namespace(n=None, format="csv"))
         assert not passed
         failed = [line for line in text.splitlines() if line.startswith("FAIL")]
-        assert [line.split(":")[0] for line in failed] == [f"FAIL sqrt-sum-order k={cli.fmt(k)}"]
+        assert [line.split(":")[0] for line in failed] == [f"FAIL sqrt-sum-order k={checks.fmt(k)}"]
         code, out, _ = run_main(["verify"], capsys)
         assert code == 3
         assert out.endswith("23/24 checks passed\n")
@@ -359,21 +359,21 @@ class TestVectorisedChecks:
     @pytest.fixture(params=["fmt", "repr"])
     def render(self, request, monkeypatch):
         if request.param == "repr":
-            monkeypatch.setattr(cli, "fmt", lambda value: repr(float(value)))
+            monkeypatch.setattr(checks, "fmt", lambda value: repr(float(value)))
 
     @pytest.mark.parametrize("ns", [(4, 16), (4,), (16,), (64,), (1000,)])
     def test_telescoping_on_the_check_points(self, ns, render):
         points = _check_points()
-        assert cli.check_telescoping(ns, points, 1e-10) == check_telescoping_by_rows(ns, points, 1e-10)
+        assert checks.check_telescoping(ns, points, 1e-10) == check_telescoping_by_rows(ns, points, 1e-10)
 
     @pytest.mark.parametrize("n", [4, 16, 64, 1000])
     def test_telescoping_on_cuts_corners_and_edges(self, n, render):
         points = _edge_points(n)
-        assert cli.check_telescoping((n,), points, 1e-10) == check_telescoping_by_rows((n,), points, 1e-10)
+        assert checks.check_telescoping((n,), points, 1e-10) == check_telescoping_by_rows((n,), points, 1e-10)
 
     @pytest.mark.parametrize("ns", [(8, 16, 64), (4,), (16,), (64,), (1000,)])
     def test_pair_identity(self, ns, render):
-        assert cli.check_pair_identity(ns, 1e-10) == check_pair_identity_by_loop(ns, 1e-10)
+        assert checks.check_pair_identity(ns, 1e-10) == check_pair_identity_by_loop(ns, 1e-10)
 
 
 class TestArgumentHandling:
@@ -460,9 +460,9 @@ class TestArgumentHandling:
         assert target.read_text() == cli.cmd_ratio(cli.build_parser().parse_args(["ratio", "--n", "4"]))
 
     def test_fmt_renders_12_significant_digits(self):
-        assert cli.fmt(0.020353234628542593) == "0.0203532346285"
-        assert cli.fmt(1.0 / 3.0) == "0.333333333333"
-        assert cli.fmt(2.0) == "2"
+        assert checks.fmt(0.020353234628542593) == "0.0203532346285"
+        assert checks.fmt(1.0 / 3.0) == "0.333333333333"
+        assert checks.fmt(2.0) == "2"
 
 
 class TestDeterminism:
@@ -516,6 +516,19 @@ class TestProcessEntry:
         assert in_process == done.returncode == code
         assert done.stdout == out
         assert done.stderr.splitlines()[-1] == "frozen True"
+
+    def test_verify_as_main_never_imports_cli(self):
+        # the checks run under `python -m`, where the CLI is __main__; an
+        # import of stratdisc.cli would load and run it a second time
+        wrapper = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print('cli imported', 'stratdisc.cli' in sys.modules, file=sys.stderr))\n"
+            "runpy.run_module('stratdisc.cli', run_name='__main__')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", wrapper, "verify"], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (DATA / "verify_default.txt").read_text()
+        assert done.stderr.splitlines()[-1] == "cli imported False"
 
     def test_main_leaves_the_gc_alone(self, capsys):
         before = gc.isenabled(), gc.get_freeze_count()
@@ -626,19 +639,21 @@ def _stratdisc(*names):
 
 @pytest.mark.parametrize("argv, prints, unloaded", [
     (["--help"], "usage: stratdisc",
-     _stratdisc("asymptotics", "estimators", "exactform", "lowdisc", "qgeometry", "streams")),
-    (["table", "--n", "4"], "n,exact,qmc", (*_stratdisc("asymptotics", "streams"), "json", "concurrent.futures")),
-    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "streams")),
-    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "exactform")),
+     _stratdisc("asymptotics", "checks", "estimators", "exactform", "lowdisc", "qgeometry", "streams")),
+    (["table", "--n", "4"], "n,exact,qmc",
+     (*_stratdisc("asymptotics", "checks", "streams"), "json", "concurrent.futures")),
+    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "checks", "streams")),
+    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "checks", "exactform")),
     (["sample", "--n", "16"], "x,y,cell",
-     _stratdisc("asymptotics", "exactform", "estimators", "lowdisc", "qgeometry")),
+     _stratdisc("asymptotics", "checks", "exactform", "estimators", "lowdisc", "qgeometry")),
     (["verify"], "24/24 checks passed", ()),
 ], ids=["help", "table", "ratio", "mc", "sample", "verify"])
 def test_command_loads_only_its_modules(argv, prints, unloaded):
-    # each command imports the library modules it runs, and no more; none
-    # loads numpy.random (the cell streams, which verify's check points are
-    # drawn from too, are computed in numpy) or numpy.ma (which np.unique on
-    # floats imports), and a CSV table loads neither json nor a thread pool
+    # each command imports the library modules it runs, and no more (only
+    # verify loads the checks); none loads numpy.random (the cell streams,
+    # which verify's check points are drawn from too, are computed in numpy)
+    # or numpy.ma (which np.unique on floats imports), and a CSV table loads
+    # neither json nor a thread pool
     code = (
         "import sys, stratdisc.cli\n"
         "try:\n    code = stratdisc.cli.main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"

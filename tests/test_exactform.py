@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stratdisc import cli, exactform
+from stratdisc import checks, exactform
 from stratdisc.asymptotics import interior_strip_sum
 from stratdisc import (
     expected_l2_sq_asymptotic,
@@ -176,7 +176,7 @@ class TestStripIntegrals:
         assert strip_integral_middle(n) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_strip_quadrature_check_passes_at_odd_n(self):
-        records = cli.check_strip_quadrature((3, 5, 7, 9), tol=1e-12)
+        records = checks.check_strip_quadrature((3, 5, 7, 9), tol=1e-12)
         assert all(r["passed"] for r in records), records
 
     def test_table_validation(self):
@@ -362,7 +362,7 @@ class TestExactExpectation:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_agrees_with_qmc_at_odd_n(self, halton_nodes):
-        records = cli.check_cross_method(halton_nodes, range(3, 66, 2), tol=1e-3)
+        records = checks.check_cross_method(halton_nodes, range(3, 66, 2), tol=1e-3)
         assert all(r["passed"] for r in records), records
 
 
