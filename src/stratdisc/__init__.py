@@ -12,7 +12,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Largest n accepted for direct summation by asymptotics and `verify --n`;
-# `verify --n 1048576` takes 1.4–1.5 s on a 2-vCPU box, 1.1 s of it in
+# `verify --n 1048576` takes 1.6–2.0 s on a 2-vCPU box, 1.3–1.8 s of it in
 # component_sums.  It is stated here, where the command-line parser reads it
 # without loading asymptotics.  The closed forms have their own, larger cap,
 # exactform.MAX_CLOSED_FORM_N.
@@ -24,16 +24,14 @@ _MODULES = {
         "ComponentSums", "component_sums", "cubic_component_closed_form", "interior_strip_sum",
         "paired_strip_integral", "power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx",
     ),
-    "estimators": (
-        "DiscrepancyEstimate", "expected_l2_sq_mc", "expected_l2_sq_qmc", "random_baseline", "ratio_to_random",
-    ),
+    "estimators": ("expected_l2_sq_mc",),
     "exactform": (
-        "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "strip_integral_lower", "strip_integral_table",
-        "strip_integral_upper",
+        "DiscrepancyEstimate", "expected_l2_sq_asymptotic", "expected_l2_sq_exact", "random_baseline",
+        "ratio_to_random", "strip_integral_lower", "strip_integral_table", "strip_integral_upper",
     ),
     "lowdisc": ("HaltonConfig", "PointSet", "halton", "l2_discrepancy_sq_batch"),
-    "partition": ("GeneratingSet", "Grid", "generating_set", "sample_stratified_batch"),
-    "qgeometry": ("intersection_area_grid", "overlap_vector"),
+    "partition": ("GeneratingSet", "Grid", "sample_stratified_batch"),
+    "qgeometry": ("expected_l2_sq_qmc", "intersection_area_grid", "overlap_vector"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -35,8 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import MAX_DIRECT_N
-from .estimators import _exact_sum
-from .exactform import _strip_blocks, _strip_indices, strip_integral_lower, strip_integral_upper
+from .exactform import exact_sum, strip_blocks, strip_indices, strip_integral_lower, strip_integral_upper
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -103,7 +102,7 @@ def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
             raise ValueError(f"need k >= 0, got k={k}")
     m = max(ns, default=0) // 2
     terms = _powers(2, m, k) * np.sqrt(np.arange(1.0, m))
-    return [_exact_sum([terms[:n // 2 - 1]]) for n in ns]
+    return [exact_sum([terms[:n // 2 - 1]]) for n in ns]
 
 
 def power_sqrt_sum_approx(n: int, k: float) -> float:
@@ -147,7 +146,7 @@ def power_sum(ns: Sequence[int], k: float) -> list[float]:
         if n > MAX_DIRECT_N:
             raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
     terms = _powers(1, max(ns, default=0), k)
-    return [_exact_sum([terms[:n]]) for n in ns]
+    return [exact_sum([terms[:n]]) for n in ns]
 
 
 def power_sum_approx(n: int, k: float) -> float:
@@ -171,7 +170,7 @@ def paired_strip_integral(n: int, i: int | np.ndarray) -> float | np.ndarray:
     integrals summed separately to ~1e-12.
     """
     _check_even(n)
-    i = _strip_indices(n, i, 2, n // 2, "pair")
+    i = strip_indices(n, i, 2, n // 2, "pair")
     s_lo = np.sqrt((i - 1.0) / n)
     s_hi = np.sqrt(i / n)
     return (
@@ -255,4 +254,4 @@ def interior_strip_sum(n: int) -> float:
     exactly and rounded once, so bitwise the fsum of the table without its
     first and last entry."""
     ends = (-strip_integral_lower(n, 1), -strip_integral_upper(n, n))
-    return _exact_sum(itertools.chain(_strip_blocks(n), [ends]))
+    return exact_sum(itertools.chain(strip_blocks(n), [ends]))

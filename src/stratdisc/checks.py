@@ -18,7 +18,7 @@ import numpy as np
 
 # modules, not names: each call looks its function up in the layer, so a
 # function patched there (by a test or perfbench's tracer) is the one run
-from . import asymptotics, estimators, exactform, lowdisc, partition, qgeometry
+from . import asymptotics, exactform, lowdisc, partition, qgeometry
 
 Record = dict[str, Any]
 
@@ -133,7 +133,7 @@ def check_strip_quadrature(ns: Sequence[int], tol: float) -> list[Record]:
     records = []
     for n in ns:
         table = exactform.strip_integral_table(n)
-        quads = qgeometry.overlap_square_integrals(partition.generating_set(n))
+        quads = qgeometry.overlap_square_integrals(partition.GeneratingSet(n))
         worst = float(np.max(np.abs(table - quads)))
         records.append(_record(
             f"strip-quadrature n={n}", worst <= tol, f"max |closed - quadrature| = {fmt(worst)}"
@@ -144,7 +144,7 @@ def check_strip_quadrature(ns: Sequence[int], tol: float) -> list[Record]:
 def check_cross_method(nodes: lowdisc.PointSet, ns: Sequence[int], tol: float) -> list[Record]:
     """Relative gap of the QMC estimate on nodes to the closed form, worst over ns."""
     exact = [exactform.expected_l2_sq_exact(n).value for n in ns]
-    qmc = estimators._qmc_values(ns, nodes)
+    qmc = qgeometry.expected_l2_sq_qmc(ns, nodes)
     del nodes  # the generator then holds the last reference and drops it once sorted
     worst = max([0.0, *(abs(q - e) / e for e, q in zip(exact, qmc))])
     label = ",".join(map(str, ns))
@@ -153,7 +153,7 @@ def check_cross_method(nodes: lowdisc.PointSet, ns: Sequence[int], tol: float) -
 
 def check_worked_example(tol: float) -> list[Record]:
     """The four overlap fractions at (0.4, 0.8) with n = 4 against their rounded values."""
-    got = qgeometry.overlap_vector(partition.generating_set(4), 0.4, 0.8)[:, 0].tolist()
+    got = qgeometry.overlap_vector(partition.GeneratingSet(4), 0.4, 0.8)[:, 0].tolist()
     worst = max(abs(g - w) for g, w in zip(got, (0.8114, 0.3886, 0.08, 0.0)))
     return [_record("worked-example", worst <= tol, f"q = ({', '.join(fmt(v) for v in got)})")]
 
@@ -186,7 +186,7 @@ def check_telescoping(ns: Sequence[int], points: np.ndarray, tol: float) -> list
     """sum_i q_i(x, y) = n x y at every point, for each n."""
     worst = 0.0
     for n in ns:
-        gs = partition.generating_set(n)
+        gs = partition.GeneratingSet(n)
         # points in blocks, so that neither q nor a list of it is held whole
         for block in (points[a:a + 256] for a in range(0, len(points), 256)):
             x, y = block[:, 0], block[:, 1]

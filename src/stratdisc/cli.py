@@ -60,11 +60,11 @@ def _render(args: argparse.Namespace, records: Iterable[Record],
 
 def cmd_table(args: argparse.Namespace) -> str:
     """Per-n expected discrepancy by every method, plus the baselines."""
-    from . import estimators, exactform, lowdisc, partition
+    from . import exactform, lowdisc, partition, qgeometry
 
     # the exact column first, so an n it refuses fails before any QMC work
     exact = [exactform.expected_l2_sq_exact(n).value for n in args.n]
-    qmc = estimators._qmc_values(args.n, lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes)))
+    qmc = qgeometry.expected_l2_sq_qmc(args.n, lowdisc.halton(lowdisc.HaltonConfig(count=args.m_nodes)))
 
     def row(n: int, exact: float, qmc: float) -> Record:
         return {
@@ -72,7 +72,7 @@ def cmd_table(args: argparse.Namespace) -> str:
             "exact": exact,
             "qmc": qmc,
             "asymptotic": exactform.expected_l2_sq_asymptotic(n),
-            "random": estimators.random_baseline(n),
+            "random": exactform.random_baseline(n),
             "vertical": partition.Grid(n, 1).expected_l2_sq(),
         }
 
@@ -81,10 +81,10 @@ def cmd_table(args: argparse.Namespace) -> str:
 
 def cmd_ratio(args: argparse.Namespace) -> str:
     """Ratio of the i.i.d. baseline to the exact diagonal expectation."""
-    from . import estimators, exactform
+    from . import exactform
 
     def row(n: int) -> Record:
-        return {"n": n, "ratio": estimators.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
+        return {"n": n, "ratio": exactform.ratio_to_random(n, exactform.expected_l2_sq_exact(n))}
 
     return _render(args, map(row, args.n))
 
@@ -129,7 +129,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, bool]:
     cross_method = checks.check_cross_method(lowdisc.halton(lowdisc.HaltonConfig(count=20000)), (4, 16, 64), tol=0.01)
     from .streams import cell_uniforms
 
-    u = cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+    u = cell_uniforms(20240817, partition.STREAM_CHECKS, 2000, 1)[0]
     records = [
         *checks.check_sqrt_sum_orders((0.5, 1.0, 1.5, 2.0, 2.5), tol=0.25),
         *checks.check_harmonic(asymptotics.CHECK_NS, rel_tol=1e-12),

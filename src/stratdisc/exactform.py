@@ -1,4 +1,6 @@
-"""Closed-form expected squared L2 discrepancy of the diagonal partition.
+"""Closed-form expected squared L2 discrepancy of the diagonal partition, the
+i.i.d. baseline 5/(36N) it is compared with, and the exact sum that the
+closed form and the QMC estimate both add their terms with.
 
 For every N >= 2 the expectation decomposes as
 
@@ -20,15 +22,16 @@ i.  The printed forms are the 50-digit oracle in tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import DiscrepancyEstimate, _exact_sum
-from .partition import _integer
+from .partition import integer
 
-# Strips per form call in _strip_blocks.  Each block's temporaries are
+# Strips per form call in strip_blocks.  Each block's temporaries are
 # 32 KiB arrays, under glibc's 128 KiB mmap threshold, so they are reused
 # from the heap instead of being mapped and page-faulted afresh.
 _BLOCK = 2**12
@@ -38,10 +41,59 @@ _BLOCK = 2**12
 # float64 strip index would no longer be exact.
 MAX_CLOSED_FORM_N = 2**30
 
+# exact_sum hands shorter blocks to fsum as they are: 16 ns a value against 15 us a block
+_FSUM_BELOW = 1024
+
+
+@dataclass(frozen=True)
+class DiscrepancyEstimate:
+    """A value of E[L2^2] and, for MC, its standard error."""
+
+    value: float
+    std_error: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.value < 0.0:
+            raise ValueError(f"expected squared discrepancy cannot be negative: {self.value}")
+
+
+def exact_sum(blocks: Iterable[Sequence[float]]) -> float:
+    """math.fsum of every value in blocks, bit for bit, its errors included.
+
+    Blocks of _FSUM_BELOW or more values are split by error-free extraction
+    (Rump, Ogita and Oishi 2008): with sigma = 2^k >= 2^b max|v|, b the bit
+    length of the size, q = (sigma + v) - sigma and v - q are exact and the
+    q sum exactly; each level takes 53 - b bits off v.  One fsum of the
+    level sums and the shorter blocks rounds once; a long list of them is
+    replaced by the floats fsum peels off its exact total.  A block with a
+    value that is non-finite or >= 2^960 goes to fsum with all the rest.
+    """
+    parts: list[float] = []
+    blocks = iter(blocks)
+    for block in blocks:
+        v = np.array(block, dtype=np.float64)
+        top = np.abs(v).max(initial=0.0)
+        if not top < 2.0**960:
+            return math.fsum(itertools.chain(parts, v, itertools.chain.from_iterable(blocks)))
+        if v.size < _FSUM_BELOW:
+            parts.extend(v.tolist())
+        while v.size >= _FSUM_BELOW and top > 0.0:
+            sigma = 2.0 ** (math.frexp(top)[1] + v.size.bit_length())
+            q = (v + sigma) - sigma
+            v -= q
+            parts.append(float(q.sum()))
+            top = np.abs(v).max()
+        if len(parts) > _FSUM_BELOW:
+            peeled: list[float] = []
+            while rest := math.fsum(itertools.chain(parts, (-x for x in peeled))):
+                peeled.append(rest)
+            parts = peeled
+    return math.fsum(parts)
+
 
 def _require_n(n: int) -> int:
-    """n as an int (partition._integer), refused unless 2 <= n <= MAX_CLOSED_FORM_N."""
-    n = _integer(n)
+    """n as an int (partition.integer), refused unless 2 <= n <= MAX_CLOSED_FORM_N."""
+    n = integer(n)
     if n < 2:
         raise ValueError(f"closed forms require n >= 2, got n={n}")
     if n > MAX_CLOSED_FORM_N:
@@ -49,7 +101,7 @@ def _require_n(n: int) -> int:
     return n
 
 
-def _strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
+def strip_indices(n: int, i: int | np.ndarray, lo: int, hi: int, regime: str) -> np.ndarray:
     """i as float64 (scalar or array), checked once to be integers with lo <= i <= hi.
 
     An integer dtype is integral already, so only other input is compared
@@ -79,7 +131,7 @@ def strip_integral_lower(n: int, i: int | np.ndarray) -> float | np.ndarray:
     15N + 6 - 14 sqrt(2N), the printed first strip.
     """
     n = _require_n(n)
-    i = _strip_indices(n, i, 1, n // 2, "lower")
+    i = strip_indices(n, i, 1, n // 2, "lower")
     m = i - 1.0
     p, q = np.sqrt(m), np.sqrt(i)
     pq, sigma = p * q, p + q
@@ -112,11 +164,11 @@ def strip_integral_upper(n: int, i: int | np.ndarray) -> float | np.ndarray:
     the printed last strip.
     """
     n = _require_n(n)
-    u = n - _strip_indices(n, i, (n + 3) // 2, n, "upper")
+    u = n - strip_indices(n, i, (n + 3) // 2, n, "upper")
     return (3.0 * u + 1.0 - 2.0 * u * u / (2.0 * u + 1.0 + 2.0 * np.sqrt(u * (u + 1.0)))) / (15.0 * n)
 
 
-def _strip_blocks(n: int) -> Iterator[Sequence[float]]:
+def strip_blocks(n: int) -> Iterator[Sequence[float]]:
     """Q_1..Q_N for n >= 2 in strip order, in blocks of at most _BLOCK strips.
 
     The blocks are the lower form's arrays, (Q_middle,) for odd n and the
@@ -135,13 +187,13 @@ def _strip_blocks(n: int) -> Iterator[Sequence[float]]:
 def strip_integral_table(n: int) -> np.ndarray:
     """All strip integrals Q_1..Q_N for n >= 2, in strip order, as a read-only float64 array.
 
-    The table is filled from _strip_blocks, so besides its own 8n bytes it
+    The table is filled from strip_blocks, so besides its own 8n bytes it
     holds one block of a form's temporaries.  The exact expectation and the
     interior sum stream those blocks instead and never build the table.
     """
     values = np.empty(_require_n(n))
     a = 0
-    for block in _strip_blocks(n):
+    for block in strip_blocks(n):
         values[a:a + len(block)] = block
         a += len(block)
     values.setflags(write=False)
@@ -156,13 +208,29 @@ def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
     bitwise the fsum of the whole table.
     """
     n = _require_n(n)
-    total = _exact_sum(_strip_blocks(n))
+    total = exact_sum(strip_blocks(n))
     value = 1.0 / (4.0 * n) - total / (n * n)
     return DiscrepancyEstimate(value)
 
 
 def expected_l2_sq_asymptotic(n: int) -> float:
-    """Leading-order expectation 5/(72n); valid for any n >= 1."""
+    """Leading-order expectation 5/(72n); valid for any integer n >= 1."""
+    n = integer(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     return 5.0 / (72.0 * n)
+
+
+def random_baseline(n: int) -> float:
+    """E[L2^2] of n i.i.d. uniform points: 5/(36n), for any integer n >= 1."""
+    n = integer(n)
+    if n < 1:
+        raise ValueError(f"need at least 1 point, got n={n}")
+    return 5.0 / (36.0 * n)
+
+
+def ratio_to_random(n: int, est: DiscrepancyEstimate) -> float:
+    """random_baseline(n) divided by the estimate; the headline comparison."""
+    if est.value <= 0.0:
+        raise ValueError("ratio undefined for a nonpositive estimate")
+    return random_baseline(n) / est.value

@@ -32,17 +32,17 @@ import numpy as np
 
 MAX_CELLS = 2**32 - 1
 # verify's check points: a tag that no partition uses
-_STREAM_CHECKS = 3
+STREAM_CHECKS = 3
 
 
-def _integer(value: int, name: str = "n") -> int:
+def integer(value: int, name: str = "n") -> int:
     """value as an int, refused unless integral (4.0 and np.int64(4) pass); an int is never made a float."""
     if not (isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
     return int(value)
 
 
-def _check_cell_count(n: int) -> None:
+def check_cell_count(n: int) -> None:
     """Refuse n > MAX_CELLS, before any O(n) array: a cell index is one 32-bit word of its spawn key."""
     if n > MAX_CELLS:
         raise ValueError(f"cell index {n} does not fit the 32-bit spawn key word")
@@ -64,10 +64,10 @@ class GeneratingSet:
     cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = _integer(self.n)
+        n = integer(self.n)
         if n < 2:
             raise ValueError(f"need at least 2 cells, got n={n}")
-        _check_cell_count(n)
+        check_cell_count(n)
         cuts = _offset_below(np.arange(n + 1), n)
         cuts.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -84,11 +84,6 @@ class GeneratingSet:
         return sample_stratified_batch(self, count, seed, start)
 
 
-def generating_set(n: int) -> GeneratingSet:
-    """The N-cell equi-volume diagonal partition."""
-    return GeneratingSet(n)
-
-
 def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
     """Offset s at which {x+y <= s} has area m/n in the unit square, for 0 <= m <= n.
 
@@ -100,7 +95,7 @@ def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Rows start..start+count-1 of stratified samples of generating_set(n), shape (count, n, 2).
+    """Rows start..start+count-1 of stratified samples of gs, shape (count, n, 2).
 
     Cell i draws the offset s = x+y so that the area below it is uniform on
     [(i-1)/N, i/N), then a uniform point on the chord x+y = s.  s is clamped
@@ -130,12 +125,12 @@ class Grid:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cols", _integer(self.cols, "cols"))
-        object.__setattr__(self, "rows", _integer(self.rows, "rows"))
+        object.__setattr__(self, "cols", integer(self.cols, "cols"))
+        object.__setattr__(self, "rows", integer(self.rows, "rows"))
         if min(self.cols, self.rows) < 1:
             raise ValueError(f"need at least 1 cell, got a {self.cols} x {self.rows} grid")
         object.__setattr__(self, "n", self.cols * self.rows)
-        _check_cell_count(self.n)
+        check_cell_count(self.n)
 
     def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
         """Rows start..start+count-1 of samples, shape (count, n, 2): one uniform point per box."""
@@ -155,7 +150,7 @@ class Grid:
 
 
 def _jittered(n: int) -> Grid:
-    n = _integer(n)
+    n = integer(n)
     m = math.isqrt(max(n, 0))
     if m * m != n:
         raise ValueError(f"jittered partition needs a square point count, got n={n}")

@@ -26,15 +26,20 @@ already an exact +0.0 on the closed unit square.  overlap_vector gives q_i
 along axis 0, each from its strip's own two cuts.  overlap_square_integrals
 reads q_i from it at every strip's own nodes and integrates every q_i^2 over
 the unit square exactly, the numbers `stratdisc verify` holds the
-closed-form strip integrals against.
+closed-form strip integrals against.  expected_l2_sq_qmc averages
+(1/N^2) sum_i q_i (1 - q_i) over a node set, the quasi-Monte Carlo estimate
+of the expected squared L2 discrepancy.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .exactform import exact_sum
+from .lowdisc import HaltonConfig, PointSet, halton
 from .partition import GeneratingSet
 
 # Gauss-Legendre nodes and weights on [0, 1], exact up to degree 5.
@@ -132,3 +137,64 @@ def overlap_square_integrals(gs: GeneratingSet) -> np.ndarray:
     x, y, weight = (a.reshape(n, -1) for a in np.broadcast_arrays(x[..., np.newaxis, np.newaxis], y, weight))
     q = overlap_vector(gs, x, y)
     return np.sum(weight * q * q, axis=1)
+
+
+def expected_l2_sq_qmc(ns: Iterable[int], nodes: PointSet | None = None) -> Iterator[float]:
+    """Node-set averages of (1/N^2) sum_i q_i(1 - q_i) over the strips, one per N in ns, in order.
+
+    The nodes are sorted once, and the buffers allocated once, for all N.
+    With V(r) the clipped area of a node's box at cut r, q_i = N (V(r_{i-1})
+    - V(r_i)), formed bit for bit as N/2 times a difference of _clip_area's
+    doubled areas.  The strip loop carries V from the previous cut, so each
+    cut is evaluated once, and only on the nodes that reach past it: sorted
+    by s = x + y, as the kernel computes it, a node with s <= r_i has
+    V(r_i) = 0.0 exactly, no relu argument of the kernel being positive, at
+    this and every later cut, whose exact zeros are skipped.  Each node so
+    gets the same nonzero additions in the same order as in the per-strip
+    loop, and the per-node sums are added exactly and rounded once, as fsum
+    does, so the value is bitwise that of the per-strip loop.  A total below
+    zero can only be rounding residue and is returned as 0.0.  Only the
+    sorted x and y are kept: s is added again where it is read, with the
+    same bits, so the loop holds six node-indexed arrays, not seven.
+    Defaults to Halton bases (2, 3) with 40000 nodes.
+    """
+    if nodes is None:
+        nodes = halton(HaltonConfig())
+    if nodes.n < 1:
+        raise ValueError("node set must be nonempty")
+    order = np.argsort(nodes.points[:, 0] + nodes.points[:, 1])
+    x, y = nodes.points[order, 0], nodes.points[order, 1]
+    del order, nodes
+    # V(r_{i-1}) and V(r_i), doubled, alternate between two node-indexed
+    # buffers; scratch holds s, then the edge terms and then 1 - q
+    v_prev, v_i, scratch, acc = (np.empty_like(x) for _ in range(4))
+    for n in ns:
+        cuts = GeneratingSet(n).cuts[1:]
+        # starts[i - 1]: the first sorted node with s > r_i; the last cut,
+        # r_N = 2, is past every node, so V(r_N) = 0 on all of them
+        starts = np.searchsorted(np.add(x, y, out=scratch), cuts, side="right").tolist()
+        np.multiply(x, y, out=v_prev)
+        v_prev *= 2.0
+        acc.fill(0.0)
+        lo = 0
+        for r, hi in zip(cuts.tolist(), starts):
+            # past hi, s > r, so relu(x + y - r) is s - r as the kernel rounds it;
+            # for r >= 1 the edge terms relu(x - r)^2 and relu(y - r)^2 are exact
+            # zeros, as a PointSet has x, y <= 1, and are left out
+            g, t = v_i[hi:], scratch[hi:]
+            np.add(x[hi:], y[hi:], out=g)
+            g -= r
+            _clip_area(g, r, ((x[hi:], t), (y[hi:], t)) if r < 1.0 else ())
+            # nodes in [lo, hi) have V(r_i) = 0: their q is N V(r_{i-1})
+            q, t = v_prev[lo:], scratch[lo:]
+            q[hi - lo:] -= g
+            # q = (N/2) 2(V(r_{i-1}) - V(r_i)) and q(1 - q), in V(r_{i-1})'s buffer
+            q *= n / 2
+            np.subtract(1.0, q, out=t)
+            q *= t
+            acc[lo:] += q
+            v_prev, v_i, lo = v_i, v_prev, hi
+        # a node at or near (1, 1) has q = 1 in exact arithmetic, and rounding
+        # can leave q(1 - q) a few ulps below zero; only the total is floored,
+        # so every nonnegative value keeps its bits
+        yield max(exact_sum(acc[a:a + 4096] for a in range(0, acc.size, 4096)) / (acc.size * n * n), 0.0)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partition import _check_cell_count
+from .partition import check_cell_count
 
 # numpy's SeedSequence: pool size and the constants of its uint32 hash
 _POOL_SIZE = 4
@@ -47,7 +47,7 @@ def _check_spawn_key(seed: int, n: int) -> None:
     """Refuse a seed or a cell count that SeedSequence's words cannot hold."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    _check_cell_count(n)
+    check_cell_count(n)
 
 
 def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:

@@ -16,7 +16,8 @@ def halton_nodes():
 @pytest.fixture(scope="session")
 def qmc_sweep(halton_nodes):
     """Quasi-Monte Carlo estimates for every even n from 2 to 128."""
-    return {n: expected_l2_sq_qmc(n, halton_nodes).value for n in range(2, 129, 2)}
+    ns = range(2, 129, 2)
+    return dict(zip(ns, expected_l2_sq_qmc(ns, halton_nodes)))
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,8 @@ def _area_below(r: float) -> float:
 
 def jittered_baseline(m: int) -> float:
     """E[L2^2] of a jittered sample on the m x m grid: ((m/2)^2 - (m/2 - 1/6)^2)/m^4."""
+    if m != int(m):
+        raise ValueError(f"m must be an integer, got m={m}")
     if m < 1:
         raise ValueError(f"need at least a 1x1 grid, got m={m}")
     half = m / 2.0
@@ -448,7 +450,7 @@ def check_telescoping_by_rows(ns, points: np.ndarray, tol: float) -> list[dict]:
     product, difference and max per point."""
     worst = 0.0
     for n in ns:
-        gs = partition.generating_set(n)
+        gs = partition.GeneratingSet(n)
         for block in (points[a:a + 256] for a in range(0, len(points), 256)):
             q = overlap_vector_by_all_cuts(gs, block[:, 0], block[:, 1])
             for row, (x, y) in zip(q.tolist(), block.tolist()):

@@ -186,13 +186,13 @@ def test_criterion_9_mc_consistency(report):
     ok = True
     estimates = {}
     for n in (4, 16):
-        est = stratdisc.expected_l2_sq_mc(stratdisc.generating_set(n), 100000, seed=MC_SEED)
+        est = stratdisc.expected_l2_sq_mc(stratdisc.GeneratingSet(n), 100000, seed=MC_SEED)
         estimates[n] = est
         exact = stratdisc.expected_l2_sq_exact(n).value
         z = (est.value - exact) / est.std_error
         ok = ok and abs(z) <= 3.0
         details.append(f"n={n}: z={z:+.2f}")
-    again = stratdisc.expected_l2_sq_mc(stratdisc.generating_set(4), 100000, seed=MC_SEED)
+    again = stratdisc.expected_l2_sq_mc(stratdisc.GeneratingSet(4), 100000, seed=MC_SEED)
     deterministic = (
         again.value == estimates[4].value and again.std_error == estimates[4].std_error
     )

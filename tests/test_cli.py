@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from stratdisc import asymptotics, checks, cli, estimators, exactform, expected_l2_sq_exact, generating_set
+from stratdisc import GeneratingSet, asymptotics, checks, cli, estimators, exactform, expected_l2_sq_exact
 
 from oracles import (
     check_pair_identity_by_loop,
@@ -149,7 +149,7 @@ class TestRatioCommand:
         def broken(n):
             raise ValueError("strip table broke")
 
-        monkeypatch.setattr(exactform, "_strip_blocks", broken)
+        monkeypatch.setattr(exactform, "strip_blocks", broken)
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert "error: strip table broke" in err
@@ -172,7 +172,7 @@ class TestSampleCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "x,y,cell"
         assert len(lines) == 7
-        gs = generating_set(6)
+        gs = GeneratingSet(6)
         for line in lines[1:]:
             xs, ys, cs = line.split(",")
             s = float(xs) + float(ys)
@@ -336,7 +336,7 @@ class TestVerifyCommand:
 def _check_points() -> np.ndarray:
     from stratdisc import partition, streams
 
-    return streams.cell_uniforms(20240817, partition._STREAM_CHECKS, 2000, 1)[0]
+    return streams.cell_uniforms(20240817, partition.STREAM_CHECKS, 2000, 1)[0]
 
 
 def _edge_points(n: int) -> np.ndarray:
@@ -345,7 +345,7 @@ def _edge_points(n: int) -> np.ndarray:
     ends on the square's edges."""
     t = np.linspace(0.0, 1.0, 17)
     zero, one = np.zeros_like(t), np.ones_like(t)
-    r = generating_set(n).cuts
+    r = GeneratingSet(n).cuts
     lo, hi = np.maximum(r - 1.0, 0.0), np.minimum(r, 1.0)
     pairs = [(t, zero), (zero, t), (t, one), (one, t), (r / 2, r / 2), (hi, lo), (lo, hi)]
     return np.concatenate([[[0.0, 0.0], [1.0, 1.0]], *(np.stack(p, axis=1) for p in pairs)])
@@ -641,12 +641,13 @@ def _stratdisc(*names):
     (["--help"], "usage: stratdisc",
      _stratdisc("asymptotics", "checks", "estimators", "exactform", "lowdisc", "qgeometry", "streams")),
     (["table", "--n", "4"], "n,exact,qmc",
-     (*_stratdisc("asymptotics", "checks", "streams"), "json", "concurrent.futures")),
-    (["ratio", "--n", "4"], "n,ratio", _stratdisc("asymptotics", "checks", "streams")),
-    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "checks", "exactform")),
+     (*_stratdisc("asymptotics", "checks", "estimators", "streams"), "json", "concurrent.futures")),
+    (["ratio", "--n", "4"], "n,ratio",
+     _stratdisc("asymptotics", "checks", "estimators", "lowdisc", "qgeometry", "streams")),
+    (["mc", "--n", "16", "--replicates", "20"], "n,partition", _stratdisc("asymptotics", "checks", "qgeometry")),
     (["sample", "--n", "16"], "x,y,cell",
      _stratdisc("asymptotics", "checks", "exactform", "estimators", "lowdisc", "qgeometry")),
-    (["verify"], "24/24 checks passed", ()),
+    (["verify"], "24/24 checks passed", _stratdisc("estimators")),
 ], ids=["help", "table", "ratio", "mc", "sample", "verify"])
 def test_command_loads_only_its_modules(argv, prints, unloaded):
     # each command imports the library modules it runs, and no more (only

@@ -1,4 +1,5 @@
-"""Tests for the QMC and MC estimators and the closed-form baselines."""
+"""Tests for the QMC and MC estimators, the exact sum they share with the closed
+form, and the closed-form baselines."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stratdisc import estimators
+from stratdisc import estimators, exactform, qgeometry
 from stratdisc import (
     DiscrepancyEstimate,
     Grid,
@@ -21,7 +22,7 @@ from stratdisc import (
     expected_l2_sq_exact,
     expected_l2_sq_mc,
     expected_l2_sq_qmc,
-    generating_set,
+    GeneratingSet,
     halton,
     l2_discrepancy_sq_batch,
     random_baseline,
@@ -32,11 +33,16 @@ from stratdisc.partition import PARTITIONS
 from oracles import jittered_baseline, mc_moments_by_list, overlap_fraction
 
 
+def _qmc(n, nodes=None):
+    """The QMC estimate at one n."""
+    return next(expected_l2_sq_qmc([n], nodes))
+
+
 def _per_strip_value(n, nodes):
     """The QMC estimate with every strip's overlap fraction recomputed on every node."""
     x = nodes.points[:, 0]
     y = nodes.points[:, 1]
-    gs = generating_set(n)
+    gs = GeneratingSet(n)
     acc = np.zeros_like(x)
     for i in range(1, n + 1):
         q = overlap_fraction(gs, i, x, y)
@@ -47,7 +53,7 @@ def _per_strip_value(n, nodes):
 def _cut_nodes(n):
     """Nodes with x + y == r_i exactly in float64, several on every cut, and their neighbours."""
     points = []
-    for r in generating_set(n).cuts[1:-1].tolist():
+    for r in GeneratingSet(n).cuts[1:-1].tolist():
         on_cut = [
             (x, r - x)
             for x in (0.0, r / 2.0, 1.0, 0.1, 0.3, 0.7)
@@ -68,10 +74,10 @@ def _boundary_nodes():
 
 class TestDiscrepancyEstimate:
     def test_std_error_only_for_mc(self, halton_nodes):
-        est = expected_l2_sq_mc(generating_set(4), 100, seed=5)
+        est = expected_l2_sq_mc(GeneratingSet(4), 100, seed=5)
         assert math.isfinite(est.std_error) and est.std_error > 0.0
         assert expected_l2_sq_exact(6).std_error is None
-        assert expected_l2_sq_qmc(4, halton_nodes).std_error is None
+        assert type(_qmc(4, halton_nodes)) is float
 
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError):
@@ -80,17 +86,16 @@ class TestDiscrepancyEstimate:
 
 class TestQmcEstimator:
     def test_default_nodes_reproduce_reference_value(self):
-        est = expected_l2_sq_qmc(4)
-        assert est.value == pytest.approx(0.0203506, abs=1e-6)
+        assert _qmc(4) == pytest.approx(0.0203506, abs=1e-6)
         # the node set of `stratdisc table`, bit for bit against recomputing every strip
         nodes = halton(HaltonConfig())
         for n in (4, 64, 128):
-            assert expected_l2_sq_qmc(n).value == _per_strip_value(n, nodes)
+            assert _qmc(n) == _per_strip_value(n, nodes)
 
     def test_close_to_exact(self, halton_nodes):
         for n in (2, 4, 10, 32):
             exact = expected_l2_sq_exact(n).value
-            qmc = expected_l2_sq_qmc(n, halton_nodes).value
+            qmc = _qmc(n, halton_nodes)
             assert qmc == pytest.approx(exact, rel=1e-3)
 
     def test_strip_carry_equals_per_strip_loop(self, halton_nodes):
@@ -100,13 +105,13 @@ class TestQmcEstimator:
         x = nodes.points[:, 0]
         y = nodes.points[:, 1]
         for n in (4, 7):
-            gs = generating_set(n)
+            gs = GeneratingSet(n)
             acc = np.zeros_like(x)
             for i in range(1, n + 1):
                 q = overlap_fraction(gs, i, x, y)
                 acc += q * (1.0 - q)
             value = math.fsum(acc.tolist()) / (nodes.n * n * n)
-            assert expected_l2_sq_qmc(n, nodes).value == value
+            assert _qmc(n, nodes) == value
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64, 128, 129])
     def test_edge_nodes_equal_per_strip_loop(self, n):
@@ -115,51 +120,51 @@ class TestQmcEstimator:
         # cuts r >= 1 (r = 1 itself for even n), must change no bit
         nodes = PointSet(np.vstack([halton(HaltonConfig(count=300)).points, _cut_nodes(n), _boundary_nodes()]))
         nodes = PointSet(np.vstack([nodes.points, nodes.points[::7]]))
-        assert expected_l2_sq_qmc(n, nodes).value == _per_strip_value(n, nodes)
+        assert _qmc(n, nodes) == _per_strip_value(n, nodes)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("which", ["cuts", "origin"])
     def test_degenerate_node_sets_equal_per_strip_loop(self, n, which):
         nodes = PointSet({"cuts": _cut_nodes(n), "origin": [[0.0, 0.0]]}[which])
-        assert expected_l2_sq_qmc(n, nodes).value == _per_strip_value(n, nodes)
+        assert _qmc(n, nodes) == _per_strip_value(n, nodes)
 
     def test_node_order_does_not_matter(self, halton_nodes):
         shuffled = PointSet(np.random.default_rng(0).permutation(halton_nodes.points))
         for n in (4, 7, 64):
-            assert expected_l2_sq_qmc(n, shuffled).value == expected_l2_sq_qmc(n, halton_nodes).value
+            assert _qmc(n, shuffled) == _qmc(n, halton_nodes)
 
     def test_kernel_sees_only_nodes_past_each_cut(self, halton_nodes, monkeypatch):
         elements = 0
-        clip = estimators._clip_area
+        clip = qgeometry._clip_area
 
         def counting(g, r, edges):
             nonlocal elements
             elements += g.size
             return clip(g, r, edges)
 
-        monkeypatch.setattr(estimators, "_clip_area", counting)
+        monkeypatch.setattr(qgeometry, "_clip_area", counting)
         n, m = 64, halton_nodes.n
-        expected_l2_sq_qmc(n, halton_nodes)
+        _qmc(n, halton_nodes)
         s = halton_nodes.points[:, 0] + halton_nodes.points[:, 1]
-        assert elements == sum(int(np.count_nonzero(s > r)) for r in generating_set(n).cuts[1:-1])
+        assert elements == sum(int(np.count_nonzero(s > r)) for r in GeneratingSet(n).cuts[1:-1])
         assert elements <= 0.55 * (n - 1) * m
 
     @pytest.mark.parametrize("n", range(2, 129))
     def test_corner_node_gives_zero(self, n):
         # at (1, 1) every q_i is 1 in exact arithmetic, so the value is 0;
         # a total rounded below zero is floored, one rounded above stays
-        value = expected_l2_sq_qmc(n, PointSet([[1.0, 1.0]])).value
+        value = _qmc(n, PointSet([[1.0, 1.0]]))
         assert 0.0 <= value <= 1e-16
 
     def test_works_for_odd_n(self):
         nodes = halton(HaltonConfig(count=2000))
-        est = expected_l2_sq_qmc(5, nodes)
+        est = _qmc(5, nodes)
         # between the even neighbors, by interlacing of the expectations
-        assert expected_l2_sq_qmc(6, nodes).value < est.value < expected_l2_sq_qmc(4, nodes).value
+        assert _qmc(6, nodes) < est < _qmc(4, nodes)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            expected_l2_sq_qmc(1)
+            _qmc(1)
 
 
 def _sum_outcome(total, blocks):
@@ -198,7 +203,7 @@ HUGE = np.nextafter(2.0**960, 0.0)
 
 
 class TestExactSum:
-    """estimators._exact_sum is math.fsum over the chained blocks, bit for bit."""
+    """exactform.exact_sum is math.fsum over the chained blocks, bit for bit."""
 
     @given(_BLOCKS)
     @settings(max_examples=300, deadline=None)
@@ -206,7 +211,7 @@ class TestExactSum:
     @example([np.array([-0.0])])
     @example([])
     def test_equals_fsum(self, blocks):
-        assert _sum_outcome(estimators._exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
+        assert _sum_outcome(exactform.exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
 
     @pytest.mark.parametrize("blocks", [
         [],
@@ -230,7 +235,7 @@ class TestExactSum:
         [*WIDE, *(-block for block in WIDE), [1e-300]],
     ], ids=lambda blocks: f"{len(blocks)}-blocks")
     def test_adversarial_blocks(self, blocks):
-        assert _sum_outcome(estimators._exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
+        assert _sum_outcome(exactform.exact_sum, blocks) == _sum_outcome(_fsum_of_blocks, blocks)
 
     @pytest.mark.parametrize("size", [1, 1024])
     @pytest.mark.parametrize("values, outcome", [
@@ -247,16 +252,16 @@ class TestExactSum:
         # already summed
         blocks = [np.full(2000, 0.1), np.resize(np.array(values), max(size, len(values)))]
         assert _sum_outcome(_fsum_of_blocks, blocks) == outcome
-        assert _sum_outcome(estimators._exact_sum, blocks) == outcome
+        assert _sum_outcome(exactform.exact_sum, blocks) == outcome
 
     def test_reads_a_generator_once(self):
         values = np.random.default_rng(8).random(10000) ** 7
         blocks = (values[a:a + 4096] for a in range(0, values.size, 4096))
-        assert estimators._exact_sum(blocks) == math.fsum(values.tolist())
+        assert exactform.exact_sum(blocks) == math.fsum(values.tolist())
 
 
 class TestSharedQmcPath:
-    """_qmc_values: one sort and one buffer set for a node set, every n in order."""
+    """expected_l2_sq_qmc: one sort and one buffer set for a node set, every n in order."""
 
     NS = (128, 4, 4, 7, 2)
 
@@ -268,14 +273,14 @@ class TestSharedQmcPath:
             nodes = PointSet(np.vstack([*map(_cut_nodes, sorted(set(self.NS))), _boundary_nodes()]))
         else:
             nodes = PointSet([[0.3, 0.8]])
-        values = list(estimators._qmc_values(self.NS, nodes))
-        assert values == [expected_l2_sq_qmc(n, nodes).value for n in self.NS]
+        values = list(expected_l2_sq_qmc(self.NS, nodes))
+        assert values == [_qmc(n, nodes) for n in self.NS]
         assert values == [_per_strip_value(n, nodes) for n in self.NS]
 
     def test_drops_the_node_set_once_sorted(self):
         nodes = halton(HaltonConfig(count=500))
         ref = weakref.ref(nodes)
-        values = estimators._qmc_values((4, 16), nodes)
+        values = expected_l2_sq_qmc((4, 16), nodes)
         del nodes
         next(values)
         assert ref() is None
@@ -291,21 +296,34 @@ class TestSharedQmcPath:
             finally:
                 tracemalloc.stop()
 
-        one = peak(lambda: expected_l2_sq_qmc(128, halton_nodes))
-        table = peak(lambda: list(estimators._qmc_values(TABLE1_NS, halton_nodes)))
+        one = peak(lambda: _qmc(128, halton_nodes))
+        table = peak(lambda: list(expected_l2_sq_qmc(TABLE1_NS, halton_nodes)))
         assert table <= 1.1 * one
+
+    def test_holds_six_node_arrays(self, halton_nodes):
+        # the sorted x and y and the four buffers: x + y is added again where
+        # it is read, so the sorted sum is never held beside them
+        from stratdisc.cli import TABLE1_NS
+
+        tracemalloc.start()
+        try:
+            list(expected_l2_sq_qmc(TABLE1_NS, halton_nodes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * halton_nodes.n
 
 
 class TestMcEstimator:
     def test_deterministic_per_seed(self):
-        a = expected_l2_sq_mc(generating_set(4), 500, seed=42)
-        b = expected_l2_sq_mc(generating_set(4), 500, seed=42)
+        a = expected_l2_sq_mc(GeneratingSet(4), 500, seed=42)
+        b = expected_l2_sq_mc(GeneratingSet(4), 500, seed=42)
         assert a.value == b.value
         assert a.std_error == b.std_error
 
     def test_seed_changes_value(self):
-        a = expected_l2_sq_mc(generating_set(4), 500, seed=42)
-        b = expected_l2_sq_mc(generating_set(4), 500, seed=43)
+        a = expected_l2_sq_mc(GeneratingSet(4), 500, seed=42)
+        b = expected_l2_sq_mc(GeneratingSet(4), 500, seed=43)
         assert a.value != b.value
 
     @pytest.mark.parametrize(
@@ -320,20 +338,20 @@ class TestMcEstimator:
     def test_replicate_count_independent_prefix(self):
         # growing the replicate count must not change earlier draws, so the
         # two estimates agree within combined noise
-        small = expected_l2_sq_mc(generating_set(16), 1000, seed=3)
-        large = expected_l2_sq_mc(generating_set(16), 5000, seed=3)
+        small = expected_l2_sq_mc(GeneratingSet(16), 1000, seed=3)
+        large = expected_l2_sq_mc(GeneratingSet(16), 5000, seed=3)
         gap = abs(small.value - large.value)
         assert gap <= 4.0 * (small.std_error + large.std_error)
 
     def test_chunking_invisible_in_result(self):
-        est = expected_l2_sq_mc(generating_set(4), 4100, seed=11)
+        est = expected_l2_sq_mc(GeneratingSet(4), 4100, seed=11)
         assert est.std_error > 0.0
 
     def test_memory_bounded_at_large_n(self):
         # one (replicates, n, n) Warnock temporary here would be 100 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(generating_set(256), 200, seed=1)
+            expected_l2_sq_mc(GeneratingSet(256), 200, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -343,7 +361,7 @@ class TestMcEstimator:
         # two (n, n) Warnock temporaries per replicate peaked at 256 MiB here
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(generating_set(4096), 4, seed=1)
+            expected_l2_sq_mc(GeneratingSet(4096), 4, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -351,9 +369,9 @@ class TestMcEstimator:
 
     def test_warnock_chunk_size_invisible_in_result(self, monkeypatch):
         # kernel calls of 7 replicates against one call on all 300
-        full = expected_l2_sq_mc(generating_set(16), 300, seed=4)
+        full = expected_l2_sq_mc(GeneratingSet(16), 300, seed=4)
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", 7 * 16)
-        chunked = expected_l2_sq_mc(generating_set(16), 300, seed=4)
+        chunked = expected_l2_sq_mc(GeneratingSet(16), 300, seed=4)
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
 
@@ -362,7 +380,7 @@ class TestMcEstimator:
         # kernel calls of one replicate, eight and all of them: each call
         # gets one block, and its values are the kernel's on the whole stack
         n, replicates, seed = 64, 300, 6
-        full = expected_l2_sq_mc(generating_set(n), replicates, seed)
+        full = expected_l2_sq_mc(GeneratingSet(n), replicates, seed)
         seen = []
 
         def spy(points):
@@ -372,9 +390,9 @@ class TestMcEstimator:
 
         monkeypatch.setattr(estimators, "l2_discrepancy_sq_batch", spy)
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", chunk * n)
-        chunked = expected_l2_sq_mc(generating_set(n), replicates, seed)
+        chunked = expected_l2_sq_mc(GeneratingSet(n), replicates, seed)
         assert [v.size for v in seen] == [min(chunk, replicates - a) for a in range(0, replicates, chunk)]
-        want = l2_discrepancy_sq_batch(generating_set(n).sample(replicates, seed))
+        want = l2_discrepancy_sq_batch(GeneratingSet(n).sample(replicates, seed))
         assert np.concatenate(seen).tobytes() == want.tobytes()
         assert chunked.value == full.value
         assert chunked.std_error == full.std_error
@@ -417,7 +435,7 @@ class TestMcEstimator:
         # all 100,000 replicates drawn at once peaked at 390 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(generating_set(64), 100_000, seed=1)
+            expected_l2_sq_mc(GeneratingSet(64), 100_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -437,7 +455,7 @@ class TestMcEstimator:
         # array of them is 7.6 MiB
         tracemalloc.start()
         try:
-            expected_l2_sq_mc(generating_set(4), 10**6, seed=1)
+            expected_l2_sq_mc(GeneratingSet(4), 10**6, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -445,7 +463,7 @@ class TestMcEstimator:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            expected_l2_sq_mc(generating_set(4), 1, seed=0)
+            expected_l2_sq_mc(GeneratingSet(4), 1, seed=0)
         with pytest.raises(ValueError, match="square point count"):
             PARTITIONS["jittered"](5)
 
@@ -483,3 +501,6 @@ class TestBaselines:
     def test_baselines_reject_nonpositive(self, fn):
         with pytest.raises(ValueError):
             fn(0)
+        # a fractional n too, as every n-taking function refuses it
+        with pytest.raises(ValueError, match="must be an integer"):
+            fn(2.5)

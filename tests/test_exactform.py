@@ -16,7 +16,7 @@ from stratdisc.asymptotics import interior_strip_sum
 from stratdisc import (
     expected_l2_sq_asymptotic,
     expected_l2_sq_exact,
-    generating_set,
+    GeneratingSet,
     strip_integral_lower,
     strip_integral_table,
     strip_integral_upper,
@@ -42,7 +42,7 @@ class TestStripIntegrals:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_closed_forms_match_quadrature(self, n):
         # the exact piecewise integrals of q_i^2, not a grid quadrature
-        quads = overlap_square_integrals(generating_set(n))
+        quads = overlap_square_integrals(GeneratingSet(n))
         np.testing.assert_allclose(strip_integral_table(n), quads, rtol=1e-13, atol=0)
 
     def test_table_layout(self):
@@ -373,6 +373,8 @@ class TestAsymptotic:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             expected_l2_sq_asymptotic(0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            expected_l2_sq_asymptotic(2.5)
 
     def test_approaches_exact_value(self):
         # relative gap shrinks with n

@@ -1,10 +1,13 @@
-"""Tests for the package namespace: every public name, resolved on first use."""
+"""Tests for the package namespace: every public name, resolved on first use,
+and each module's private names kept to that module."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +27,22 @@ def test_import_loads_no_numeric_module():
 
 def test_first_use_of_a_name_loads_its_own_module():
     code = (
-        "import sys, stratdisc; stratdisc.generating_set(4); "
+        "import sys, stratdisc; stratdisc.GeneratingSet(4); "
         "print(sorted(m for m in sys.modules if m.startswith('stratdisc.')))"
     )
     assert run_python(code) == "['stratdisc.partition']"
 
 
-def test_all_lists_the_29_public_names():
-    assert len(stratdisc.__all__) == len(set(stratdisc.__all__)) == 29
+def test_closed_form_loads_only_its_own_modules():
+    code = (
+        "import sys, stratdisc; stratdisc.expected_l2_sq_exact(4); "
+        "print(sorted(m for m in sys.modules if m.startswith('stratdisc.')))"
+    )
+    assert run_python(code) == "['stratdisc.exactform', 'stratdisc.partition']"
+
+
+def test_all_lists_the_28_public_names():
+    assert len(stratdisc.__all__) == len(set(stratdisc.__all__)) == 28
     assert stratdisc.__all__ == sorted(stratdisc.__all__)
 
 
@@ -64,3 +75,39 @@ def test_submodules_import_from_the_package():
     assert isinstance(partition, types.ModuleType) and partition.__name__ == "stratdisc.partition"
     assert isinstance(streams, types.ModuleType) and streams.__name__ == "stratdisc.streams"
     assert tuple(partition.PARTITIONS) == ("diagonal", "vertical", "jittered")
+
+
+def private_reads(src: Path) -> list[str]:
+    """Every import or attribute read, in a module of the package at src, of a
+    private name of another of its modules, as 'reader <- home._name'.
+
+    A module is reached as `from .home import name` or `from . import home`
+    and then `home.name`, or by the same imports from `stratdisc`.
+    """
+    modules = {path.stem for path in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        aliases: dict[str, str] = {}  # a local name bound to a package module
+        reads: list[tuple[str, str]] = []
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("stratdisc")):
+                home = (node.module or "").removeprefix("stratdisc").lstrip(".")
+                for alias in node.names:
+                    if home:
+                        reads.append((home, alias.name))
+                    elif alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                reads.append((aliases[node.value.id], node.attr))
+        found += [
+            f"{path.stem} <- {home}.{name}"
+            for home, name in reads
+            if home != path.stem and name.startswith("_") and not name.endswith("__")
+        ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads(Path(stratdisc.__file__).parent) == []

@@ -16,7 +16,6 @@ from stratdisc import cli, partition, streams
 from stratdisc import (
     GeneratingSet,
     Grid,
-    generating_set,
     overlap_vector,
     sample_stratified_batch,
 )
@@ -27,12 +26,12 @@ from oracles import cell_area, cell_of, cell_uniforms_by_advance, cell_uniforms_
 
 class TestGeneratingSet:
     def test_n4_breakpoints(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         want = [0.0, math.sqrt(0.5), 1.0, 2.0 - math.sqrt(0.5), 2.0]
         assert gs.cuts.tolist() == want
 
     def test_n6_breakpoints(self):
-        gs = generating_set(6)
+        gs = GeneratingSet(6)
         want = [
             0.0,
             math.sqrt(1.0 / 3.0),
@@ -46,41 +45,41 @@ class TestGeneratingSet:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 16, 33, 128])
     def test_mirror_symmetry_is_exact(self, n):
-        cuts = generating_set(n).cuts
+        cuts = GeneratingSet(n).cuts
         for i in range(n + 1):
             assert cuts[i] + cuts[n - i] == 2.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 2**20])
     def test_cut_endpoints_are_exact(self, n):
-        cuts = generating_set(n).cuts
+        cuts = GeneratingSet(n).cuts
         assert cuts.shape == (n + 1,) and cuts.dtype == np.float64
         assert cuts[0] == 0.0 and cuts[-1] == 2.0
 
     @pytest.mark.parametrize("n", [*range(2, 301), 4097])
     def test_cuts_are_the_offset_formula(self, n):
         want = partition._offset_below(np.arange(n + 1), n)
-        assert generating_set(n).cuts.tobytes() == want.tobytes()
+        assert GeneratingSet(n).cuts.tobytes() == want.tobytes()
 
     def test_cuts_are_read_only(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         with pytest.raises(ValueError, match="read-only"):
             gs.cuts[1] = 0.5
 
     def test_sets_with_equal_n_are_equal(self):
         # n alone fixes the partition
-        assert generating_set(4) == GeneratingSet(4)
-        assert hash(generating_set(4)) == hash(GeneratingSet(4))
-        assert len({generating_set(4), GeneratingSet(4), generating_set(5)}) == 2
-        assert generating_set(4) != generating_set(5)
-        assert repr(generating_set(4)) == "GeneratingSet(n=4)"
+        assert GeneratingSet(4) == GeneratingSet(4)
+        assert hash(GeneratingSet(4)) == hash(GeneratingSet(4))
+        assert len({GeneratingSet(4), GeneratingSet(4), GeneratingSet(5)}) == 2
+        assert GeneratingSet(4) != GeneratingSet(5)
+        assert repr(GeneratingSet(4)) == "GeneratingSet(n=4)"
 
     @pytest.mark.parametrize("n", [np.int64(4), np.uint8(4), 4.0, np.float64(4.0)],
                              ids=["int64", "uint8", "float", "float64"])
     def test_integral_n_is_stored_as_int(self, n):
-        for gs in (generating_set(n), GeneratingSet(n)):
-            assert type(gs.n) is int and gs.n == 4
-            assert gs == generating_set(4)
-            assert gs.cuts.tobytes() == generating_set(4).cuts.tobytes()
+        gs = GeneratingSet(n)
+        assert type(gs.n) is int and gs.n == 4
+        assert gs == GeneratingSet(4)
+        assert gs.cuts.tobytes() == GeneratingSet(4).cuts.tobytes()
 
     @pytest.mark.parametrize(
         "n",
@@ -91,52 +90,51 @@ class TestGeneratingSet:
     )
     def test_non_integral_n_rejected(self, n):
         # a partition is built from n only: hand-built cut arrays are refused too
-        for build in (generating_set, GeneratingSet):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="n must be an integer"):
-                    build(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n must be an integer"):
+                GeneratingSet(n)
 
     @pytest.mark.parametrize("n", [2, 5, 33])
     def test_boundary_reads_the_cuts(self, n):
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         assert gs.n == n
         assert [gs.boundary(i) for i in range(n + 1)] == gs.cuts.tolist()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 100])
     def test_even_n_has_midpoint_one(self, n):
-        assert generating_set(n).boundary(n // 2) == 1.0
+        assert GeneratingSet(n).boundary(n // 2) == 1.0
 
     @pytest.mark.parametrize("n", [3, 5, 7, 99])
     def test_odd_n_skips_one(self, n):
-        assert 1.0 not in generating_set(n).cuts.tolist()
+        assert 1.0 not in GeneratingSet(n).cuts.tolist()
 
     def test_strictly_increasing(self):
-        assert np.all(np.diff(generating_set(50).cuts) > 0.0)
+        assert np.all(np.diff(GeneratingSet(50).cuts) > 0.0)
 
     def test_boundary_extremes(self):
-        gs = generating_set(5)
+        gs = GeneratingSet(5)
         assert gs.boundary(0) == 0.0
         assert gs.boundary(5) == 2.0
 
     @pytest.mark.parametrize("i", [-1, -6, 6, 100])
     def test_boundary_rejects_out_of_range_index(self, i):
         with pytest.raises(ValueError, match="cut index must be in 0..5"):
-            generating_set(5).boundary(i)
+            GeneratingSet(5).boundary(i)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_cells_rejected(self, n):
         with pytest.raises(ValueError, match="at least 2 cells"):
-            generating_set(n)
+            GeneratingSet(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 64])
     def test_cells_have_equal_area(self, n):
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         for i in range(1, n + 1):
             assert cell_area(gs, i) == pytest.approx(1.0 / n, abs=1e-15)
 
     def test_cell_area_index_range(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         with pytest.raises(ValueError):
             cell_area(gs, 0)
         with pytest.raises(ValueError):
@@ -145,17 +143,17 @@ class TestGeneratingSet:
 
 class TestCellOf:
     def test_center_point_n6(self):
-        assert cell_of(generating_set(6), 0.5, 0.5) == 4
+        assert cell_of(GeneratingSet(6), 0.5, 0.5) == 4
 
     def test_origin_in_first_cell(self):
-        assert cell_of(generating_set(8), 0.0, 0.0) == 1
+        assert cell_of(GeneratingSet(8), 0.0, 0.0) == 1
 
     def test_far_corner_in_last_cell(self):
-        assert cell_of(generating_set(8), 1.0, 1.0) == 8
+        assert cell_of(GeneratingSet(8), 1.0, 1.0) == 8
 
     def test_boundary_points_round_up(self):
         # strips are closed below: a point exactly on r_i starts cell i+1
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         r1 = gs.cuts[1]
         x = y = r1 / 2.0
         if x + y == r1:
@@ -169,7 +167,7 @@ class TestCellOf:
     )
     @settings(max_examples=200, deadline=None)
     def test_cell_brackets_its_point(self, n, x, y):
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         i = cell_of(gs, x, y)
         assert 1 <= i <= n
         assert gs.boundary(i - 1) <= x + y
@@ -179,10 +177,10 @@ class TestCellOf:
     @pytest.mark.parametrize("x,y", [(-0.1, 0.5), (0.5, 1.5), (2.0, 2.0)])
     def test_rejects_outside_unit_square(self, x, y):
         with pytest.raises(ValueError, match="outside the unit square"):
-            cell_of(generating_set(4), x, y)
+            cell_of(GeneratingSet(4), x, y)
 
     def test_corners_allowed(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         assert cell_of(gs, 0.0, 0.0) == 1
         assert cell_of(gs, 1.0, 1.0) == 4
 
@@ -190,39 +188,39 @@ class TestCellOf:
 class TestStratifiedSampler:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 50])
     def test_each_point_lands_in_its_cell(self, n):
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         points = gs.sample(1, seed=5)[0]
         assert points.shape == (n, 2)
         for c, (x, y) in enumerate(points.tolist(), start=1):
             assert cell_of(gs, x, y) == c
 
     def test_same_seed_same_points(self):
-        gs = generating_set(6)
+        gs = GeneratingSet(6)
         a = sample_stratified_batch(gs, 1, seed=11)
         b = sample_stratified_batch(gs, 1, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seed_different_points(self):
-        gs = generating_set(6)
+        gs = GeneratingSet(6)
         a = sample_stratified_batch(gs, 1, seed=11)
         b = sample_stratified_batch(gs, 1, seed=12)
         assert not np.array_equal(a, b)
 
     def test_batch_shape(self):
-        gs = generating_set(5)
+        gs = GeneratingSet(5)
         pts = sample_stratified_batch(gs, 7, seed=0)
         assert pts.shape == (7, 5, 2)
 
     def test_batch_prefix_property(self):
         # the first replicate must not depend on how many were requested
-        gs = generating_set(8)
+        gs = GeneratingSet(8)
         one = sample_stratified_batch(gs, 1, seed=3)
         many = sample_stratified_batch(gs, 50, seed=3)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_batch_points_in_cells(self):
         for n in (3, 10, 101, 4096):
-            gs = generating_set(n)
+            gs = GeneratingSet(n)
             pts = sample_stratified_batch(gs, 200, seed=9)
             assert np.all((pts >= 0.0) & (pts <= 1.0)), n
             s = pts[..., 0] + pts[..., 1]
@@ -234,7 +232,7 @@ class TestStratifiedSampler:
     def test_box_shares_follow_the_uniform_law(self, n):
         # the share of cell-i points in [0,x] x [0,y] estimates q_i(x, y);
         # n = 5 has a middle strip straddling the anti-diagonal
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         reps = 200_000
         pts = sample_stratified_batch(gs, reps, seed=21)
         for x, y in [(0.3, 0.8), (0.5, 0.5), (0.7, 0.4), (0.9, 0.9), (1.0, 0.6), (0.6, 1.0)]:
@@ -257,7 +255,7 @@ class TestStratifiedSampler:
             return np.broadcast_to(edges[:, None, :], (count, n, 2))
 
         monkeypatch.setattr(streams, "cell_uniforms", edge_uniforms)
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         pts = sample_stratified_batch(gs, len(edges), seed=0)
         for row in pts.tolist():
             assert [cell_of(gs, x, y) for x, y in row] == list(range(1, n + 1))
@@ -317,9 +315,9 @@ class TestReferenceSamplers:
 
 class TestSamplePartition:
     def test_dispatches_to_the_batch_samplers(self):
-        assert PARTITIONS["diagonal"](6) == generating_set(6)
+        assert PARTITIONS["diagonal"](6) == GeneratingSet(6)
         np.testing.assert_array_equal(
-            PARTITIONS["diagonal"](6).sample(5, seed=3), sample_stratified_batch(generating_set(6), 5, seed=3)
+            PARTITIONS["diagonal"](6).sample(5, seed=3), sample_stratified_batch(GeneratingSet(6), 5, seed=3)
         )
         # vertical: the 6 x 1 grid on stream 1; jittered: the 3 x 3 grid on stream 2, x-major
         assert (PARTITIONS["vertical"](6), PARTITIONS["jittered"](9)) == (Grid(6, 1), Grid(3, 3))
@@ -456,7 +454,7 @@ class TestGrid:
 
 class TestSeedWords:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200 + 99])
-    @pytest.mark.parametrize("stream", [0, 1, 2, partition._STREAM_CHECKS])
+    @pytest.mark.parametrize("stream", [0, 1, 2, partition.STREAM_CHECKS])
     @pytest.mark.parametrize("start", [0, 1, 1023])
     def test_streams_equal_the_seed_sequence_draw(self, seed, stream, start):
         u = streams.cell_uniforms(seed, stream, 4096, 3, start)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stratdisc import (
     HaltonConfig,
-    generating_set,
+    GeneratingSet,
     halton,
     intersection_area_grid,
     overlap_vector,
@@ -87,7 +87,7 @@ def assert_same_bits(got, want):
 
 def edge_coordinates(n):
     """0, 1, 1 - ulp, ties, cut midpoints and their neighbours one ulp apart."""
-    cuts = generating_set(n).cuts[1:-1]
+    cuts = GeneratingSet(n).cuts[1:-1]
     half = cuts / 2.0
     base = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 0.5, 0.5], half[half <= 1.0]])
     return np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, 1.0)]).clip(0.0, 1.0)
@@ -105,7 +105,7 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
     def test_adversarial_coordinates_every_shape(self, n):
-        cuts = generating_set(n).cuts[1:-1]
+        cuts = GeneratingSet(n).cuts[1:-1]
         c = edge_coordinates(n)
         x, y = np.meshgrid(c, c, indexing="ij")
         x, y = x.ravel(), y.ravel()
@@ -127,7 +127,7 @@ class TestKernelBits:
 
     def test_random_broadcast_stacks(self):
         rng = np.random.default_rng(8)
-        cuts = generating_set(33).cuts[1:-1]
+        cuts = GeneratingSet(33).cuts[1:-1]
         x, y = rng.random((2, 4, 50, 1))
         assert_same_bits(intersection_area_grid(cuts, x, y), intersection_area_by_temporaries(cuts, x, y))
         assert_same_bits(intersection_area_grid(cuts, x, 0.5), intersection_area_by_temporaries(cuts, x, 0.5))
@@ -149,13 +149,13 @@ class TestKernelBits:
 class TestOverlapFraction:
     def test_worked_example_n4(self):
         # documented check at (0.4, 0.8) with four cells
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         got = overlap_vector(gs, 0.4, 0.8)[:, 0]
         want = [0.8114, 0.3886, 0.08, 0.0]
         np.testing.assert_allclose(got, want, atol=5e-4)
 
     def test_support_is_exact_zero(self):
-        gs = generating_set(8)
+        gs = GeneratingSet(8)
         # box corner below the cell's lower cut: exact 0.0, not merely tiny
         x, y = 0.3, 0.2
         q = overlap_vector(gs, x, y).ravel()
@@ -170,7 +170,7 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_fractions_lie_in_unit_interval(self, n, x, y):
-        for q in overlap_vector(generating_set(n), x, y).ravel():
+        for q in overlap_vector(GeneratingSet(n), x, y).ravel():
             assert -1e-12 <= q <= 1.0 + 1e-12
 
     @given(
@@ -180,13 +180,13 @@ class TestOverlapFraction:
     )
     @settings(max_examples=200, deadline=None)
     def test_telescoping_sum(self, n, x, y):
-        total = math.fsum(overlap_vector(generating_set(n), x, y).ravel().tolist())
+        total = math.fsum(overlap_vector(GeneratingSet(n), x, y).ravel().tolist())
         assert total == pytest.approx(n * x * y, abs=1e-10)
 
     @given(x=UNIT, y=UNIT)
     @settings(max_examples=200, deadline=None)
     def test_matches_slice_oracle(self, x, y):
-        gs = generating_set(6)
+        gs = GeneratingSet(6)
         q = overlap_vector(gs, x, y).ravel()
         for i in range(1, 7):
             got = q[i - 1]
@@ -194,7 +194,7 @@ class TestOverlapFraction:
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_index_out_of_range(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         with pytest.raises(ValueError):
             overlap_fraction(gs, 0, 0.5, 0.5)
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestOverlapFraction:
 
 class TestOverlapVector:
     def test_matches_scalar_entries(self):
-        gs = generating_set(9)
+        gs = GeneratingSet(9)
         vec = overlap_vector(gs, 0.37, 0.61).ravel()
         scalar = [overlap_fraction(gs, i, 0.37, 0.61) for i in range(1, 10)]
         np.testing.assert_array_equal(vec, np.array(scalar))
@@ -212,7 +212,7 @@ class TestOverlapVector:
     def test_matches_per_cell_calls_on_halton_nodes(self, n):
         # one kernel call over all cuts, including the exact zeros past the
         # box's reach, equals evaluating each cell on its own
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         for x, y in halton(HaltonConfig(count=100)).points:
             per_cell = [overlap_fraction(gs, i, x, y) for i in range(1, n + 1)]
             np.testing.assert_array_equal(overlap_vector(gs, x, y).ravel(), np.array(per_cell))
@@ -220,7 +220,7 @@ class TestOverlapVector:
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_batch_equals_per_point_loop(self, n):
         # Halton points, the corners, points on every cut and one ulp off
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         cuts = gs.cuts[1:-1] / 2.0
         x = np.concatenate([halton(HaltonConfig(count=200)).points[:, 0], [0.0, 1.0, 0.0, 1.0], cuts,
                             np.nextafter(cuts, 1.0)])
@@ -238,7 +238,7 @@ class TestOverlapVector:
     def test_equals_all_cut_oracle_transposed(self, n):
         # bit for bit on the cut-edge grid: at scalars, at (M,) points that
         # every strip shares, and at each strip's own (N, K) points
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         c = edge_coordinates(n)
         x, y = (a.ravel() for a in np.meshgrid(c, c, indexing="ij"))
         assert_same_bits(overlap_vector(gs, x, y), overlap_vector_by_all_cuts(gs, x, y).T)
@@ -251,7 +251,7 @@ class TestOverlapVector:
 
     def test_grid_matches_scalar(self):
         # an array call of the per-strip oracle equals per-point calls
-        gs = generating_set(5)
+        gs = GeneratingSet(5)
         rng = np.random.default_rng(77)
         x = rng.random(64)
         y = rng.random(64)
@@ -261,7 +261,7 @@ class TestOverlapVector:
             np.testing.assert_array_equal(grid, scalar)
 
     def test_grid_index_out_of_range(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         with pytest.raises(ValueError):
             overlap_fraction(gs, 5, np.array([0.5]), np.array([0.5]))
 
@@ -270,7 +270,7 @@ class TestMeanSquareOverlap:
     """The exact integrals of q_i^2 that verify holds the closed-form strip integrals against."""
 
     def test_converges_to_closed_form(self):
-        gs = generating_set(4)
+        gs = GeneratingSet(4)
         table = strip_integral_table(4)
         exact = overlap_square_integrals(gs)
         for i in range(1, 5):
@@ -288,7 +288,7 @@ class TestMeanSquareOverlap:
         # <= sqrt(2N) and |d2q_i/dx2| <= N, so |d2(q_i^2)/dx2| <= 6N, and
         # likewise in y; the midpoint rule's error is then at most
         # h^2/24 (6N + 6N) = N h^2 / 2
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         exact = overlap_square_integrals(gs)
         quads = [mean_square_overlap_per_strip(gs, i, grid) for i in range(1, n + 1)]
         for want, quad in zip(exact, quads):
@@ -296,14 +296,14 @@ class TestMeanSquareOverlap:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_closed_form_table(self, n):
-        got = overlap_square_integrals(generating_set(n))
+        got = overlap_square_integrals(GeneratingSet(n))
         assert got.shape == (n,)
         np.testing.assert_allclose(got, strip_integral_table(n), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", [33, 64, 65, 256, 1024, 4096])
     def test_matches_closed_form_table_at_larger_n(self, n):
         # q_i = N (V(r_{i-1}) - V(r_i)) loses about N ulps to cancellation
-        got = overlap_square_integrals(generating_set(n))
+        got = overlap_square_integrals(GeneratingSet(n))
         np.testing.assert_allclose(got, strip_integral_table(n), rtol=n * 1e-15, atol=0)
         assert got[-1] == pytest.approx(1.0 / (15.0 * n), rel=n * 1e-15)
 
@@ -311,7 +311,7 @@ class TestMeanSquareOverlap:
     def test_equals_dense_gather_oracle(self, n):
         # each strip's own two cuts give the entry i - 1 of the all-cut
         # oracle's output, bit for bit, with no O(N^2) work
-        gs = generating_set(n)
+        gs = GeneratingSet(n)
         assert_same_bits(overlap_square_integrals(gs), overlap_square_integrals_by_overlap_vector(gs))
 
     def test_two_kernel_calls_at_the_strips_own_cuts(self, monkeypatch):
@@ -324,5 +324,5 @@ class TestMeanSquareOverlap:
             return kernel(r, x, y)
 
         monkeypatch.setattr(qgeometry, "intersection_area_grid", spy)
-        assert overlap_square_integrals(generating_set(64)).shape == (64,)
+        assert overlap_square_integrals(GeneratingSet(64)).shape == (64,)
         assert shapes == [(64, 1), (64, 1)]

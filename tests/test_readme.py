@@ -32,7 +32,7 @@ VALUE_LINES = [m for m in map(VALUE_COMMENT.fullmatch, quick_start()) if m]
 def test_every_value_comment_is_checked():
     assert [m["code"] for m in VALUE_LINES] == [
         "sd.expected_l2_sq_exact(16).value",
-        "sd.expected_l2_sq_qmc(16).value",
+        "next(sd.expected_l2_sq_qmc([16]))",
         "sd.Grid(4, 4).expected_l2_sq()",
         "sd.ratio_to_random(4096, sd.expected_l2_sq_exact(4096))",
     ]
