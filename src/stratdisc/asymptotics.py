@@ -36,6 +36,7 @@ import numpy as np
 
 from . import MAX_DIRECT_N
 from .exactform import exact_sum, strip_blocks, strip_indices, strip_integral_lower, strip_integral_upper
+from .partition import integer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -69,9 +70,11 @@ SQRT_SUM_REMAINDERS = {
 CHECK_NS = tuple(2**j for j in range(6, 15))
 
 
-def _check_even(n: int) -> None:
+def _check_even(n: int) -> int:
+    n = integer(n)
     if n < 4 or n % 2:
         raise ValueError(f"need even n >= 4, got n={n}")
+    return n
 
 
 def _powers(first: int, last: int, k: float) -> np.ndarray:
@@ -94,14 +97,13 @@ def power_sqrt_sum(ns: Sequence[int], k: float) -> list[float]:
     The terms are computed once, up to the largest n, and each n gets the
     exact sum (the fsum) of its prefix; every value is that of a sum over its own terms.
     """
-    for n in ns:
-        _check_even(n)
-        if n > MAX_DIRECT_N:
-            raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
-        if k < 0:
-            raise ValueError(f"need k >= 0, got k={k}")
-    m = max(ns, default=0) // 2
-    terms = _powers(2, m, k) * np.sqrt(np.arange(1.0, m))
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    ns = [_check_even(n) for n in ns]
+    top = max(ns, default=0)
+    if top > MAX_DIRECT_N:
+        raise ValueError(f"n={top} exceeds the direct-summation cap {MAX_DIRECT_N}")
+    terms = _powers(2, top // 2, k) * np.sqrt(np.arange(1.0, top // 2))
     return [exact_sum([terms[:n // 2 - 1]]) for n in ns]
 
 
@@ -111,7 +113,7 @@ def power_sqrt_sum_approx(n: int, k: float) -> float:
     k = 1/2 has its own expression (the expansion picks up a logarithm);
     any other k > 0 uses the general four-term form.
     """
-    _check_even(n)
+    n = _check_even(n)
     if k == 0.5:
         return (
             n**2 / 8.0
@@ -140,12 +142,11 @@ def power_sum(ns: Sequence[int], k: float) -> list[float]:
     The terms are computed once, up to the largest n, and each n gets the
     exact sum (the fsum) of its prefix; every value is that of a sum over its own terms.
     """
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got n={n}")
-        if n > MAX_DIRECT_N:
-            raise ValueError(f"n={n} exceeds the direct-summation cap {MAX_DIRECT_N}")
-    terms = _powers(1, max(ns, default=0), k)
+    ns = [integer(n, least=1) for n in ns]
+    top = max(ns, default=0)
+    if top > MAX_DIRECT_N:
+        raise ValueError(f"n={top} exceeds the direct-summation cap {MAX_DIRECT_N}")
+    terms = _powers(1, top, k)
     return [exact_sum([terms[:n]]) for n in ns]
 
 
@@ -155,8 +156,7 @@ def power_sum_approx(n: int, k: float) -> float:
     Exact for k = 1 and k = 2; error O(n^{k-2}) otherwise.  Supported k are
     the six exponents appearing in the component sums.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    n = integer(n, least=1)
     zeta = ZETA_NEG.get(float(k))
     if zeta is None:
         raise ValueError(f"unsupported exponent k={k}; supported: {sorted(ZETA_NEG)}")
@@ -169,7 +169,7 @@ def paired_strip_integral(n: int, i: int | np.ndarray) -> float | np.ndarray:
     Defined for 2 <= i <= n/2, i scalar or array; agrees with the two strip
     integrals summed separately to ~1e-12.
     """
-    _check_even(n)
+    n = _check_even(n)
     i = strip_indices(n, i, 2, n // 2, "pair")
     s_lo = np.sqrt((i - 1.0) / n)
     s_hi = np.sqrt(i / n)
@@ -214,7 +214,7 @@ def component_sums(n: int) -> ComponentSums:
     2^-64 for p = 2 bit_length(N) + 64.  Each field is then one integer
     division, which Python rounds once and correctly.
     """
-    _check_even(n)
+    n = _check_even(n)
     p = 2 * n.bit_length() + 64
     shift = 2 * p
     cubic = quadratic = linear = constant = 0
@@ -245,7 +245,7 @@ def cubic_component_closed_form(n: int) -> float:
     Evaluated as the one integer fraction (64 - (N(N+2))^2) / (120N), which
     Python divides with a single correct rounding at every n.
     """
-    _check_even(n)
+    n = _check_even(n)
     return (64 - (n * (n + 2)) ** 2) / (120 * n)
 
 

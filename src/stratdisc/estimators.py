@@ -13,7 +13,7 @@ import numpy as np
 
 from .exactform import DiscrepancyEstimate
 from .lowdisc import l2_discrepancy_sq_batch
-from .partition import GeneratingSet, Grid
+from .partition import GeneratingSet, Grid, integer
 
 # Points per block of the streamed MC loop: one block of replicates is
 # sampled, scored by one Warnock kernel call and dropped before the next, so
@@ -31,8 +31,7 @@ def expected_l2_sq_mc(partition: GeneratingSet | Grid, replicates: int, seed: in
     block, so the result is that of one batch of all replicates, and it is
     deterministic in (partition, replicates, seed).
     """
-    if replicates < 2:
-        raise ValueError(f"need at least 2 replicates for a standard error, got {replicates}")
+    replicates = integer(replicates, "replicates", 2)
     rows = max(1, _BLOCK_POINTS // partition.n)
     values = np.empty(replicates)
     for start in range(0, replicates, rows):

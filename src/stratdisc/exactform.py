@@ -92,10 +92,8 @@ def exact_sum(blocks: Iterable[Sequence[float]]) -> float:
 
 
 def _require_n(n: int) -> int:
-    """n as an int (partition.integer), refused unless 2 <= n <= MAX_CLOSED_FORM_N."""
-    n = integer(n)
-    if n < 2:
-        raise ValueError(f"closed forms require n >= 2, got n={n}")
+    """n as an int (partition.integer, n >= 2), refused past MAX_CLOSED_FORM_N."""
+    n = integer(n, least=2)
     if n > MAX_CLOSED_FORM_N:
         raise ValueError(f"closed forms accept n <= {MAX_CLOSED_FORM_N}, got n={n}")
     return n
@@ -215,18 +213,12 @@ def expected_l2_sq_exact(n: int) -> DiscrepancyEstimate:
 
 def expected_l2_sq_asymptotic(n: int) -> float:
     """Leading-order expectation 5/(72n); valid for any integer n >= 1."""
-    n = integer(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    return 5.0 / (72.0 * n)
+    return 5.0 / (72.0 * integer(n, least=1))
 
 
 def random_baseline(n: int) -> float:
     """E[L2^2] of n i.i.d. uniform points: 5/(36n), for any integer n >= 1."""
-    n = integer(n)
-    if n < 1:
-        raise ValueError(f"need at least 1 point, got n={n}")
-    return 5.0 / (36.0 * n)
+    return 5.0 / (36.0 * integer(n, least=1))
 
 
 def ratio_to_random(n: int, est: DiscrepancyEstimate) -> float:

@@ -21,16 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .partition import integer
+
 
 @dataclass(frozen=True)
 class HaltonConfig:
-    """Node-set recipe: the count of Halton (2, 3) nodes."""
+    """Node-set recipe: the count of Halton (2, 3) nodes, an int >= 1 (partition.integer)."""
 
     count: int = 40000
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        object.__setattr__(self, "count", integer(self.count, "count", 1))
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,12 @@ MAX_CELLS = 2**32 - 1
 STREAM_CHECKS = 3
 
 
-def integer(value: int, name: str = "n") -> int:
-    """value as an int, refused unless integral (4.0 and np.int64(4) pass); an int is never made a float."""
+def integer(value: int, name: str = "n", least: int | None = None) -> int:
+    """value as an int, refused unless integral (4.0, np.int64(4) pass) and >= least; an int is never made a float."""
     if not (isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value!r}")
     return int(value)
 
 
@@ -64,9 +66,7 @@ class GeneratingSet:
     cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = integer(self.n)
-        if n < 2:
-            raise ValueError(f"need at least 2 cells, got n={n}")
+        n = integer(self.n, least=2)
         check_cell_count(n)
         cuts = _offset_below(np.arange(n + 1), n)
         cuts.flags.writeable = False
@@ -75,6 +75,7 @@ class GeneratingSet:
 
     def boundary(self, i: int) -> float:
         """Cut offset r_i, for 0 <= i <= N."""
+        i = integer(i, "i")
         if not 0 <= i <= self.n:
             raise ValueError(f"cut index must be in 0..{self.n}, got {i}")
         return float(self.cuts[i])
@@ -125,10 +126,8 @@ class Grid:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cols", integer(self.cols, "cols"))
-        object.__setattr__(self, "rows", integer(self.rows, "rows"))
-        if min(self.cols, self.rows) < 1:
-            raise ValueError(f"need at least 1 cell, got a {self.cols} x {self.rows} grid")
+        object.__setattr__(self, "cols", integer(self.cols, "cols", 1))
+        object.__setattr__(self, "rows", integer(self.rows, "rows", 1))
         object.__setattr__(self, "n", self.cols * self.rows)
         check_cell_count(self.n)
 
@@ -150,8 +149,8 @@ class Grid:
 
 
 def _jittered(n: int) -> Grid:
-    n = integer(n)
-    m = math.isqrt(max(n, 0))
+    n = integer(n, least=1)
+    m = math.isqrt(n)
     if m * m != n:
         raise ValueError(f"jittered partition needs a square point count, got n={n}")
     return Grid(m, m)

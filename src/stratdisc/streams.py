@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partition import check_cell_count
+from .partition import check_cell_count, integer
 
 # numpy's SeedSequence: pool size and the constants of its uint32 hash
 _POOL_SIZE = 4
@@ -32,22 +32,18 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64: the multiplier M of its 128-bit LCG, and uint64 constants for the
-# word arithmetic (numpy 1.x turns a uint64 scalar mixed with a Python int
-# into float64)
+# PCG64: the multiplier M of its 128-bit LCG
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
-_LO32 = np.uint64(_MASK32)
-_1, _11, _32, _58, _63, _64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 # outputs per tile of the sampler's (output, cell) grid
 _TILE = 2**15
 
 
-def _check_spawn_key(seed: int, n: int) -> None:
-    """Refuse a seed or a cell count that SeedSequence's words cannot hold."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+def _check_spawn_key(seed: int, n: int) -> int:
+    """seed as an int >= 0 (partition.integer); then a cell count n past the spawn key word is refused."""
+    seed = integer(seed, "seed", 0)
     check_cell_count(n)
+    return seed
 
 
 def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
@@ -58,7 +54,7 @@ def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
     SeedSequence hash runs here on uint32 arrays with one lane per cell; only
     the last entropy word, the cell index, differs between lanes.
     """
-    _check_spawn_key(seed, n)
+    seed = _check_spawn_key(seed, n)
     # 32-bit words of the seed, least significant first, zero-padded to the
     # pool size as SeedSequence pads them when a spawn key follows
     words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
@@ -69,16 +65,16 @@ def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
     def hasher(hash_const: int, mult: int):
         def hashmix(value: np.ndarray) -> np.ndarray:
             nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
+            value = value ^ hash_const
             hash_const = hash_const * mult & _MASK32
-            value *= np.uint32(hash_const)
-            return value ^ (value >> np.uint32(16))
+            value *= hash_const
+            return value ^ (value >> 16)
 
         return hashmix
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
 
     hashmix = hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
@@ -122,15 +118,15 @@ def _mul_add128(a, b, c, hi, lo, mid, tmp) -> None:
     shape of the four output and scratch arrays.  The high word of the
     low words' product is assembled from 32-bit limbs.
     """
-    a0, a1 = a[1] & _LO32, a[1] >> _32
-    b0, b1 = b[1] & _LO32, b[1] >> _32
+    a0, a1 = a[1] & _MASK32, a[1] >> 32
+    b0, b1 = b[1] & _MASK32, b[1] >> 32
     np.multiply(a0, b0, out=mid)
-    mid >>= _32
+    mid >>= 32
     mid += np.multiply(a1, b0, out=tmp)
-    np.bitwise_and(mid, _LO32, out=hi)
+    np.bitwise_and(mid, _MASK32, out=hi)
     hi += np.multiply(a0, b1, out=tmp)
-    hi >>= _32
-    hi += np.right_shift(mid, _32, out=mid)
+    hi >>= 32
+    hi += np.right_shift(mid, 32, out=mid)
     hi += np.multiply(a1, b1, out=tmp)
     hi += np.multiply(a[0], b[1], out=tmp)
     hi += np.multiply(a[1], b[0], out=tmp)
@@ -155,9 +151,9 @@ def _xsl_rr(hi, lo, tmp, rot) -> None:
     are scratch arrays of lo's shape; rot may be hi itself.
     """
     np.bitwise_xor(hi, lo, out=lo)
-    np.right_shift(hi, _58, out=rot)
-    np.subtract(_64, rot, out=tmp)
-    tmp &= _63  # a shift by 64 when rot = 0 is past the word
+    np.right_shift(hi, 58, out=rot)
+    np.subtract(64, rot, out=tmp)
+    tmp &= 63  # a shift by 64 when rot = 0 is past the word
     np.left_shift(lo, tmp, out=tmp)
     lo >>= rot
     lo |= tmp
@@ -185,7 +181,7 @@ def _cell_words(seed: int, stream: int, first: int, last: int) -> tuple[np.ndarr
     Cached, so that a run drawn in blocks hashes its seeds once.
     """
     words = _seed_words(seed, stream, last, first=first)
-    inc = words[:, 2] << _1 | words[:, 3] >> _63, words[:, 3] << _1 | _1
+    inc = words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1
     p = _mul_add(_halves(1), (words[:, 0], words[:, 1]), inc)
     d = _mul_add(_halves(_PCG_MULT - 1), p, inc)
     for w in (*p, *d):
@@ -205,9 +201,8 @@ def cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) ->
     PCG64's output function _xsl_rr turns it into 64 bits whose top 53 scale
     to [0, 1).
     """
-    _check_spawn_key(seed, n)
-    if start < 0:
-        raise ValueError(f"row offset must be non-negative, got {start}")
+    seed = _check_spawn_key(seed, n)
+    count, start = integer(count, "count", 0), integer(start, "start", 0)
     u = np.empty((count, n, 2))
     cols = max(1, min(n, _TILE))
     rows = max(2, min(_TILE // cols & ~1, 2 * count))  # even: a tile holds whole sample rows
@@ -224,7 +219,7 @@ def cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) ->
             t = _mul_add(_halves(mult), (steps_hi[:len(hi)], steps_lo[:len(hi)]), _halves(plus))
             _mul_add128(t, (d_hi, d_lo), (p_hi, p_lo), hi, lo, tmp, rot)
             _xsl_rr(hi, lo, tmp, rot)
-            lo >>= _11
+            lo >>= 11
             np.multiply(lo.reshape(out.shape), 2.0**-53, out=out)
     return u
 

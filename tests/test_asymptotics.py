@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -143,6 +144,8 @@ class TestDirectSums:
             power_sqrt_sum([8, 7], 1.0)
         with pytest.raises(ValueError, match="need k >= 0"):
             power_sqrt_sum([8, 16], -0.5)
+        with pytest.raises(ValueError, match="need k >= 0, got k=-1.0"):
+            power_sqrt_sum([], -1.0)
 
 
 class TestSqrtSumApproximant:
@@ -342,6 +345,25 @@ class TestComponentSums:
         with pytest.raises(ValueError) as exc:
             call(n)
         assert str(exc.value) == f"need even n >= 4, got n={n}"
+
+    @pytest.mark.parametrize("call", [
+        lambda n: power_sqrt_sum([8, n], 1.0),
+        lambda n: power_sqrt_sum_approx(n, 1.0),
+        lambda n: power_sum([5, n], 1.0),
+        lambda n: power_sum_approx(n, 1.0),
+        lambda n: paired_strip_integral(n, 2),
+        lambda n: dataclasses.astuple(component_sums(n)),
+        cubic_component_closed_form,
+    ], ids=["power_sqrt_sum", "power_sqrt_sum_approx", "power_sum", "power_sum_approx", "paired_strip_integral",
+            "component_sums", "cubic"])
+    def test_integral_n_read_as_int_and_fractional_n_refused(self, call):
+        want = call(8)
+        for same in (np.int64(8), 8.0):
+            got = call(same)
+            assert type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes()
+        for bad in (5.5, 6.5):
+            with pytest.raises(ValueError, match=f"n must be an integer, got n={bad}"):
+                call(bad)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -321,6 +321,13 @@ class TestMcEstimator:
         assert a.value == b.value
         assert a.std_error == b.std_error
 
+    @pytest.mark.parametrize("cast", [np.int64, float], ids=["int64", "float"])
+    def test_integral_replicates_and_seed_read_as_ints(self, cast):
+        got = expected_l2_sq_mc(GeneratingSet(4), cast(40), seed=cast(2))
+        want = expected_l2_sq_mc(GeneratingSet(4), 40, seed=2)
+        assert (type(got.value), type(got.std_error)) == (float, float)
+        assert np.array([got.value, got.std_error]).tobytes() == np.array([want.value, want.std_error]).tobytes()
+
     def test_seed_changes_value(self):
         a = expected_l2_sq_mc(GeneratingSet(4), 500, seed=42)
         b = expected_l2_sq_mc(GeneratingSet(4), 500, seed=43)
@@ -462,8 +469,10 @@ class TestMcEstimator:
         assert peak < 16 * 2**20
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need replicates >= 2, got replicates=1"):
             expected_l2_sq_mc(GeneratingSet(4), 1, seed=0)
+        with pytest.raises(ValueError, match="replicates must be an integer, got replicates=2.5"):
+            expected_l2_sq_mc(GeneratingSet(4), 2.5, seed=0)
         with pytest.raises(ValueError, match="square point count"):
             PARTITIONS["jittered"](5)
 

@@ -185,7 +185,7 @@ class TestStripIntegrals:
             table = strip_integral_table(n)
             assert table.min() >= 0.0
             assert table[-1] == 1.0 / (15.0 * n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 2, got n=1"):
             strip_integral_table(1)
 
 
@@ -371,7 +371,7 @@ class TestAsymptotic:
         assert expected_l2_sq_asymptotic(72) == pytest.approx(5.0 / 72.0 / 72.0, abs=1e-18)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 1, got n=0"):
             expected_l2_sq_asymptotic(0)
         with pytest.raises(ValueError, match="n must be an integer"):
             expected_l2_sq_asymptotic(2.5)

@@ -74,8 +74,16 @@ class TestHalton:
         assert np.all(ps.points < 1.0)
 
     def test_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need count >= 1, got count=0"):
             HaltonConfig(count=0)
+        with pytest.raises(ValueError, match="count must be an integer, got count=2.5"):
+            HaltonConfig(count=2.5)
+
+    @pytest.mark.parametrize("count", [np.int64(3), 3.0], ids=["int64", "float"])
+    def test_integral_count_stored_as_int(self, count):
+        config = HaltonConfig(count)
+        assert type(config.count) is int and config == HaltonConfig(3)
+        assert halton(config).points.tobytes() == halton(HaltonConfig(3)).points.tobytes()
 
 
 class TestPointSet:

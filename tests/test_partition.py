@@ -80,6 +80,8 @@ class TestGeneratingSet:
         assert type(gs.n) is int and gs.n == 4
         assert gs == GeneratingSet(4)
         assert gs.cuts.tobytes() == GeneratingSet(4).cuts.tobytes()
+        # count, seed and start of the same type are read as the same ints
+        assert gs.sample(n - 1, n, start=n - 2).tobytes() == GeneratingSet(4).sample(3, 4, start=2).tobytes()
 
     @pytest.mark.parametrize(
         "n",
@@ -116,6 +118,9 @@ class TestGeneratingSet:
         gs = GeneratingSet(5)
         assert gs.boundary(0) == 0.0
         assert gs.boundary(5) == 2.0
+        assert gs.boundary(2.0) == gs.boundary(np.int64(2)) == gs.boundary(2)
+        with pytest.raises(ValueError, match="i must be an integer, got i=2.5"):
+            gs.boundary(2.5)
 
     @pytest.mark.parametrize("i", [-1, -6, 6, 100])
     def test_boundary_rejects_out_of_range_index(self, i):
@@ -124,7 +129,7 @@ class TestGeneratingSet:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_cells_rejected(self, n):
-        with pytest.raises(ValueError, match="at least 2 cells"):
+        with pytest.raises(ValueError, match=f"need n >= 2, got n={n}"):
             GeneratingSet(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 64])
@@ -297,12 +302,12 @@ class TestReferenceSamplers:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_vertical_rejects_bad_n(self, bad):
-        with pytest.raises(ValueError, match="at least 1 cell"):
+        with pytest.raises(ValueError, match=f"need cols >= 1, got cols={bad}"):
             PARTITIONS["vertical"](bad)
 
     @pytest.mark.parametrize("bad", [0, -2, 8])
     def test_jittered_rejects_bad_m(self, bad):
-        with pytest.raises(ValueError, match="at least 1 cell|square point count"):
+        with pytest.raises(ValueError, match=f"need n >= 1, got n={bad}|square point count"):
             PARTITIONS["jittered"](bad)
 
     @pytest.mark.parametrize("kind", ["vertical", "jittered"])
@@ -347,7 +352,7 @@ class TestSamplePartition:
         assert part.tobytes() == full[a:b].tobytes()
 
     def test_negative_row_offset_rejected(self):
-        with pytest.raises(ValueError, match="row offset"):
+        with pytest.raises(ValueError, match="need start >= 0, got start=-1"):
             PARTITIONS["vertical"](4).sample(1, seed=0, start=-1)
 
 
@@ -393,7 +398,8 @@ class TestGrid:
 
     @pytest.mark.parametrize("cols, rows", [(0, 1), (1, 0), (-1, 4), (4, -2)])
     def test_rejects_an_empty_side(self, cols, rows):
-        with pytest.raises(ValueError, match="at least 1 cell"):
+        with pytest.raises(ValueError, match=f"need cols >= 1, got cols={cols}" if cols < 1
+                           else f"need rows >= 1, got rows={rows}"):
             Grid(cols, rows)
 
     def test_cell_count_is_the_product(self):
@@ -412,6 +418,8 @@ class TestGrid:
         assert (type(grid.cols), type(grid.rows), type(grid.n)) == (int, int, int)
         assert grid == Grid(4, 2)
         assert grid.sample(3, 5).tobytes() == Grid(4, 2).sample(3, 5).tobytes()
+        for count, seed, start in [(np.int64(3), np.int64(5), np.int64(1)), (3.0, 5.0, 1.0)]:
+            assert grid.sample(count, seed, start).tobytes() == Grid(4, 2).sample(3, 5, 1).tobytes()
 
     @pytest.mark.parametrize("cols, rows", [(5, 1), (1, 5), (3, 3), (2, 8), (8, 2)])
     def test_one_row_draws_tag_1_and_any_other_grid_tag_2(self, cols, rows):
@@ -486,6 +494,22 @@ class TestSeedWords:
         want = np.stack([cell_uniforms_by_advance(3, 0, i, count, start) for i in range(1, n + 1)], axis=1)
         assert u.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cast", [np.int64, float], ids=["int64", "float"])
+    def test_integral_seed_count_and_start_read_as_ints(self, cast):
+        # drawn first: a draw at the int seed would fill the cache of the seed's words
+        got = streams.cell_uniforms(cast(2**40 + 3), 1, 5, cast(3), cast(7))
+        assert got.tobytes() == streams.cell_uniforms(2**40 + 3, 1, 5, 3, 7).tobytes()
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 0, 4, 1, 0), "seed must be an integer, got seed=2.5"),
+        ((1, 0, 4, 2.5, 0), "count must be an integer, got count=2.5"),
+        ((1, 0, 4, 1, 2.5), "start must be an integer, got start=2.5"),
+        ((1, 0, 4, -1, 0), "need count >= 0, got count=-1"),
+    ], ids=["fractional-seed", "fractional-count", "fractional-start", "negative-count"])
+    def test_bad_seed_count_or_start_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            streams.cell_uniforms(*args)
+
     def test_empty_draws(self):
         assert streams.cell_uniforms(1, 0, 4, 0).shape == (0, 4, 2)
         assert streams.cell_uniforms(1, 0, 0, 3).shape == (3, 0, 2)
@@ -497,6 +521,6 @@ class TestSeedWords:
             streams.cell_uniforms(0, 1, 2**32, 1)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="need seed >= 0, got seed=-1"):
             streams._seed_words(-1, 0, 4)
 
