@@ -35,8 +35,9 @@ def expected_l2_sq_mc(partition: GeneratingSet | Grid, replicates: int, seed: in
     rows = max(1, _BLOCK_POINTS // partition.n)
     values = np.empty(replicates)
     for start in range(0, replicates, rows):
-        points = partition.sample(min(rows, replicates - start), seed, start)
-        values[start:start + rows] = l2_discrepancy_sq_batch(points)
+        count = min(rows, replicates - start)
+        # passed straight on, so that the kernel can drop the block once it is gathered
+        values[start:start + count] = l2_discrepancy_sq_batch(partition.sample(count, seed, start))
     # a memoryview feeds fsum Python floats one at a time, as fast as a
     # list of them and without holding one
     mean = math.fsum(memoryview(values)) / replicates

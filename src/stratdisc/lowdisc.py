@@ -86,26 +86,42 @@ def l2_discrepancy_sq_batch(points: np.ndarray) -> np.ndarray:
     along it and min(u_i, u_j) = u_j for i < j, ties included: the double sum
     is sum_j u_j (v_j + 2 s_j) with s_j = sum_{i<j} min(v_i, v_j), built one
     offset at a time on (n, R) arrays with the replicates contiguous.  O(R n^2)
-    time, O(R n) memory; a replicate's value has the same bits at any R, and
-    the input is never written to.
+    time, O(R n) memory: the sort order becomes one flat index that gathers
+    u and v straight into that layout, the other passes work in place, and
+    the reference to the input is dropped once u and v are gathered.  A
+    replicate's value has the same bits at any R, and the input is never
+    written to.
     """
-    n = points.shape[1]
+    points = np.asarray(points, dtype=np.float64)
+    r, n = points.shape[:2]
     if n < 1:
         raise ValueError("point sets must be nonempty")
     x = points[..., 0]
     y = points[..., 1]
-    linear = np.sum((1.0 - x * x) * (1.0 - y * y), axis=1) / 4.0
-    order = np.argsort(x, axis=1)
-    u = np.subtract(1.0, np.take_along_axis(x, order, axis=1).T, order="C")
-    v = np.subtract(1.0, np.take_along_axis(y, order, axis=1).T, order="C")
+    sq = np.multiply(points, points)
+    np.subtract(1.0, sq, out=sq)
+    linear = np.sum(sq[..., 0] * sq[..., 1], axis=1) / 4.0
+    del sq
+    # the sort order as flat indices into x's and y's R·n elements, laid out
+    # (n, R), so that each gather writes u or v in that layout directly
+    order = np.add(np.argsort(x, axis=1).T, np.arange(0, r * n, n), order="C")
+    u = x.reshape(-1)[order]
+    v = y.reshape(-1)[order]
+    del points, x, y, order
+    np.subtract(1.0, u, out=u)
+    np.subtract(1.0, v, out=v)
     s = np.zeros_like(v)
     t = np.empty_like(v)
     for d in range(1, n):
         np.minimum(v[d:], v[:-d], out=t[:n - d])
         s[d:] += t[:n - d]
+    s *= 2.0
+    s += v
+    s *= u
+    del t, u, v  # so that the transposed copy below takes t's place
     # summed per contiguous replicate row: a column sum over (n, R) adds a
     # lone replicate pairwise but a stack of them row by row
-    pairwise = np.sum(((2.0 * s + v) * u).T.copy(), axis=1)
+    pairwise = np.sum(s.T.copy(), axis=1)
     return 1.0 / 9.0 - 2.0 * linear / n + pairwise / (n * n)
 
 

@@ -90,9 +90,17 @@ def _offset_below(m: np.ndarray, n: int) -> np.ndarray:
 
     The inverse of the triangle areas: sqrt(2m/n) when 2m <= n, else
     2 - sqrt(2(n-m)/n).  Integer m gives the cuts; fractional m samples.
+    s is written over m when m is a float64 array.  Doubling is exact, so
+    2n - 2m has the bits of 2(n-m), and 2m > n is m > n/2.
     """
     m = np.asarray(m, dtype=np.float64)
-    return np.where(2.0 * m <= n, np.sqrt(2.0 * m / n), 2.0 - np.sqrt(2.0 * (n - m) / n))
+    upper = m > n / 2
+    m *= 2.0
+    np.subtract(2 * n, m, out=m, where=upper)
+    m /= n
+    np.sqrt(m, out=m)
+    np.subtract(2.0, m, out=m, where=upper)
+    return m
 
 
 def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -101,16 +109,24 @@ def sample_stratified_batch(gs: GeneratingSet, count: int, seed: int, start: int
     Cell i draws the offset s = x+y so that the area below it is uniform on
     [(i-1)/N, i/N), then a uniform point on the chord x+y = s.  s is clamped
     below r_i because (i-1) + u rounds to i when u is within an ulp of 1.
+    The point x = lo + (min(s, 1) - lo)·u, lo = max(s - 1, 0), and y = s - x
+    are written over the planes of the uniforms, which are returned.
     """
     # imported here, so that the commands that never sample do not load it
     from .streams import cell_uniforms
 
     n = gs.n
     u = cell_uniforms(seed, 0, n, count, start)
-    s = np.minimum(_offset_below(np.arange(n) + u[..., 0], n), np.nextafter(gs.cuts[1:], 0.0))
-    lo = np.maximum(s - 1.0, 0.0)
-    x = lo + (np.minimum(s, 1.0) - lo) * u[..., 1]
-    return np.stack([x, s - x], axis=-1)
+    x, y = u[..., 0], u[..., 1]  # the two uniforms until the point is written over them
+    s = _offset_below(x + np.arange(n), n)
+    np.minimum(s, np.nextafter(gs.cuts[1:], 0.0), out=s)
+    lo = np.maximum(np.subtract(s, 1.0, out=x), 0.0, out=x)
+    width = np.minimum(s, 1.0)
+    width -= lo
+    y *= width
+    x += y
+    np.subtract(s, x, out=y)
+    return u
 
 
 @dataclass(frozen=True)
@@ -132,12 +148,17 @@ class Grid:
         check_cell_count(self.n)
 
     def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
-        """Rows start..start+count-1 of samples, shape (count, n, 2): one uniform point per box."""
+        """Rows start..start+count-1 of samples, shape (count, n, 2): one uniform point per box.
+
+        The points are written over the uniforms they are drawn from.
+        """
         from .streams import cell_uniforms
 
         u = cell_uniforms(seed, 1 if self.rows == 1 else 2, self.n, count, start)
-        a, b = np.divmod(np.arange(self.n), self.rows)
-        return np.stack([(a + u[..., 0]) / self.cols, (b + u[..., 1]) / self.rows], axis=-1)
+        # (a, b) of every cell, then the scale of a box
+        u += np.transpose(np.divmod(np.arange(self.n), self.rows))
+        u /= (self.cols, self.rows)
+        return u
 
     def expected_l2_sq(self) -> float:
         """E[L2^2] of a sample, (9N - (3 cols - 1)(3 rows - 1)) / (36 N^2), rounded once.

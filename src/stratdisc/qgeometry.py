@@ -169,7 +169,8 @@ def expected_l2_sq_qmc(ns: Iterable[int], nodes: PointSet | None = None) -> Iter
     # buffers; scratch holds s, then the edge terms and then 1 - q
     v_prev, v_i, scratch, acc = (np.empty_like(x) for _ in range(4))
     for n in ns:
-        cuts = GeneratingSet(n).cuts[1:]
+        gs = GeneratingSet(n)
+        n, cuts = gs.n, gs.cuts[1:]
         # starts[i - 1]: the first sorted node with s > r_i; the last cut,
         # r_N = 2, is past every node, so V(r_N) = 0 on all of them
         starts = np.searchsorted(np.add(x, y, out=scratch), cuts, side="right").tolist()

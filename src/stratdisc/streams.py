@@ -39,11 +39,11 @@ _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 _TILE = 2**15
 
 
-def _check_spawn_key(seed: int, n: int) -> int:
-    """seed as an int >= 0 (partition.integer); then a cell count n past the spawn key word is refused."""
-    seed = integer(seed, "seed", 0)
+def _check_spawn_key(seed: int, n: int) -> tuple[int, int]:
+    """seed and the cell count n as ints >= 0 (partition.integer); then an n past the spawn key word is refused."""
+    seed, n = integer(seed, "seed", 0), integer(n, "n", 0)
     check_cell_count(n)
-    return seed
+    return seed, n
 
 
 def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
@@ -54,7 +54,7 @@ def _seed_words(seed: int, stream: int, n: int, first: int = 1) -> np.ndarray:
     SeedSequence hash runs here on uint32 arrays with one lane per cell; only
     the last entropy word, the cell index, differs between lanes.
     """
-    seed = _check_spawn_key(seed, n)
+    seed, n = _check_spawn_key(seed, n)
     # 32-bit words of the seed, least significant first, zero-padded to the
     # pool size as SeedSequence pads them when a spawn key follows
     words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
@@ -111,49 +111,50 @@ def _halves(c: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(c >> 64), np.uint64(c & _MASK64)
 
 
-def _mul_add128(a, b, c, hi, lo, mid, tmp) -> None:
+def _mul_add128(a, b, c, hi, lo, mid) -> None:
     """Write the (hi, lo) words of a·b + c mod 2^128 into hi and lo, in place.
 
     a, b and c are (hi, lo) pairs of uint64 words that broadcast to the
-    shape of the four output and scratch arrays.  The high word of the
-    low words' product is assembled from 32-bit limbs.
+    shape of the two output arrays and the scratch array mid.  The high
+    word of the low words' product is assembled from 32-bit limbs in mid;
+    lo serves as scratch until it is written, and mid after its last read.
     """
     a0, a1 = a[1] & _MASK32, a[1] >> 32
     b0, b1 = b[1] & _MASK32, b[1] >> 32
     np.multiply(a0, b0, out=mid)
     mid >>= 32
-    mid += np.multiply(a1, b0, out=tmp)
+    mid += np.multiply(a1, b0, out=lo)
     np.bitwise_and(mid, _MASK32, out=hi)
-    hi += np.multiply(a0, b1, out=tmp)
+    hi += np.multiply(a0, b1, out=lo)
     hi >>= 32
     hi += np.right_shift(mid, 32, out=mid)
-    hi += np.multiply(a1, b1, out=tmp)
-    hi += np.multiply(a[0], b[1], out=tmp)
-    hi += np.multiply(a[1], b[0], out=tmp)
+    hi += np.multiply(a1, b1, out=mid)
+    hi += np.multiply(a[0], b[1], out=mid)
+    hi += np.multiply(a[1], b[0], out=mid)
     np.multiply(a[1], b[1], out=lo)
     lo += c[1]
-    hi += np.less(lo, c[1], out=tmp)
+    hi += np.less(lo, c[1], out=mid)
     hi += c[0]
 
 
 def _mul_add(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) word arrays of a·b + c mod 2^128; see _mul_add128."""
     shape = np.broadcast_shapes(*(np.shape(w) for w in (*a, *b, *c)))
-    words = [np.empty(shape, np.uint64) for _ in range(4)]
+    words = [np.empty(shape, np.uint64) for _ in range(3)]
     _mul_add128(a, b, c, *words)
     return words[0], words[1]
 
 
-def _xsl_rr(hi, lo, tmp, rot) -> None:
+def _xsl_rr(hi, lo, tmp) -> None:
     """PCG64's output function XSL-RR, in place: the 64-bit outputs of states (hi, lo) into lo.
 
-    The xor of the state's words, rotated right by hi >> 58.  tmp and rot
-    are scratch arrays of lo's shape; rot may be hi itself.
+    The xor of the state's words, rotated right by hi >> 58, which is
+    written over hi; tmp is a scratch array of lo's shape.  When the
+    rotation is 0 the left shift is by 64, which numpy defines as 0.
     """
     np.bitwise_xor(hi, lo, out=lo)
-    np.right_shift(hi, 58, out=rot)
+    rot = np.right_shift(hi, 58, out=hi)
     np.subtract(64, rot, out=tmp)
-    tmp &= 63  # a shift by 64 when rot = 0 is past the word
     np.left_shift(lo, tmp, out=tmp)
     lo >>= rot
     lo |= tmp
@@ -201,24 +202,25 @@ def cell_uniforms(seed: int, stream: int, n: int, count: int, start: int = 0) ->
     PCG64's output function _xsl_rr turns it into 64 bits whose top 53 scale
     to [0, 1).
     """
-    seed = _check_spawn_key(seed, n)
+    seed, n = _check_spawn_key(seed, n)
     count, start = integer(count, "count", 0), integer(start, "start", 0)
     u = np.empty((count, n, 2))
     cols = max(1, min(n, _TILE))
     rows = max(2, min(_TILE // cols & ~1, 2 * count))  # even: a tile holds whole sample rows
     steps_hi, steps_lo = _step_sums(rows)
-    buf = np.empty((4, rows, cols), np.uint64)
     for c in range(0, n, cols):
         # words of at most _TILE cells are held, so at most 1 MiB outlives the draw
         p_hi, p_lo, d_hi, d_lo = _cell_words(seed, stream, c + 1, min(n, c + cols))
+        # allocated after the words, so that at n <= _TILE the seed hash's temporaries are gone
+        buf = np.empty((3, rows, cols), np.uint64)
         for k in range(0, 2 * count, rows):
             out = u[k // 2:(k + rows) // 2, c:c + cols].transpose(0, 2, 1)
-            hi, lo, tmp, rot = buf[:, :2 * out.shape[0], :out.shape[2]]
+            hi, lo, mid = buf[:, :2 * out.shape[0], :out.shape[2]]
             # output t = 2·start + k + j reads C_(t+2) = C_(o+j) = M^o·C_j + C_o, o = 2·start + k + 2
             mult, plus = _lcg_jump(2 * start + k + 2)
             t = _mul_add(_halves(mult), (steps_hi[:len(hi)], steps_lo[:len(hi)]), _halves(plus))
-            _mul_add128(t, (d_hi, d_lo), (p_hi, p_lo), hi, lo, tmp, rot)
-            _xsl_rr(hi, lo, tmp, rot)
+            _mul_add128(t, (d_hi, d_lo), (p_hi, p_lo), hi, lo, mid)
+            _xsl_rr(hi, lo, mid)
             lo >>= 11
             np.multiply(lo.reshape(out.shape), 2.0**-53, out=out)
     return u

@@ -122,6 +122,13 @@ class TestQmcEstimator:
         nodes = PointSet(np.vstack([nodes.points, nodes.points[::7]]))
         assert _qmc(n, nodes) == _per_strip_value(n, nodes)
 
+    @pytest.mark.parametrize("n", [np.int64(7), 7.0], ids=["int64", "float"])
+    def test_integral_n_computes_as_int(self, n):
+        nodes = halton(HaltonConfig(count=2000))
+        (got,), (want,) = qgeometry.expected_l2_sq_qmc([n], nodes), qgeometry.expected_l2_sq_qmc([7], nodes)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("which", ["cuts", "origin"])
     def test_degenerate_node_sets_equal_per_strip_loop(self, n, which):
@@ -437,6 +444,25 @@ class TestMcEstimator:
         assert blocks == [(a, min(rows, replicates - a)) for a in range(0, replicates, rows)]
         assert streamed.value == full.value
         assert streamed.std_error == full.std_error
+
+    @pytest.mark.parametrize(
+        "kind, n, replicates",
+        [("diagonal", 64, 10_000), ("vertical", 64, 10_000), ("jittered", 64, 10_000), ("diagonal", 4096, 24)],
+    )
+    def test_block_working_set(self, kind, n, replicates):
+        # a block of 2^15 points is 512 KiB of samples, which the sampler
+        # writes in place, and four (n, R) kernel arrays of 256 KiB; with new
+        # arrays for every pass, these peaked at 2.34-2.59 MiB.  The bound
+        # holds while the caller keeps the block alive through the kernel call
+        partition = PARTITIONS[kind](n)
+        expected_l2_sq_mc(partition, 2, seed=2)  # loads the sampler outside the trace
+        tracemalloc.start()
+        try:
+            expected_l2_sq_mc(partition, replicates, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
 
     def test_memory_bounded_in_replicates(self):
         # all 100,000 replicates drawn at once peaked at 390 MiB

@@ -188,6 +188,13 @@ class TestMinFormBits:
         alone = np.concatenate([l2_discrepancy_sq_batch(stack[i:i + 1]) for i in range(r)])
         assert alone.tobytes() == l2_discrepancy_sq_batch(stack).tobytes()
 
+    def test_strided_and_integer_stacks(self):
+        # x and y are read through flat indices, and the passes work in place
+        stack = np.random.default_rng(8).random((10, 24, 4))[::2, ::2, 1:3]
+        assert l2_discrepancy_sq_batch(stack).tobytes() == l2_discrepancy_sq_batch(stack.copy()).tobytes()
+        corners = np.array([[[0, 0], [1, 1], [0, 1]]])
+        assert l2_discrepancy_sq_batch(corners).tobytes() == l2_discrepancy_sq_batch(corners * 1.0).tobytes()
+
     def test_input_left_unmodified(self):
         stack = np.random.default_rng(5).random((6, 12, 2))
         before = stack.copy()

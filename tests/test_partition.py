@@ -257,7 +257,8 @@ class TestStratifiedSampler:
         edges = np.array([[u0, u1] for u0 in (0.0, top) for u1 in (0.0, 0.5, top)])
 
         def edge_uniforms(seed, stream, n, count, start=0):
-            return np.broadcast_to(edges[:, None, :], (count, n, 2))
+            # a writable array, as the sampler writes the points over it
+            return np.broadcast_to(edges[:, None, :], (count, n, 2)).copy()
 
         monkeypatch.setattr(streams, "cell_uniforms", edge_uniforms)
         gs = GeneratingSet(n)
@@ -500,12 +501,16 @@ class TestSeedWords:
         got = streams.cell_uniforms(cast(2**40 + 3), 1, 5, cast(3), cast(7))
         assert got.tobytes() == streams.cell_uniforms(2**40 + 3, 1, 5, 3, 7).tobytes()
 
+    def test_integral_cell_count_read_as_int(self):
+        assert streams.cell_uniforms(5, 1, 3.0, 4, 2).tobytes() == streams.cell_uniforms(5, 1, 3, 4, 2).tobytes()
+
     @pytest.mark.parametrize("args, message", [
+        ((1, 0, 2.5, 1, 0), "n must be an integer, got n=2.5"),
         ((2.5, 0, 4, 1, 0), "seed must be an integer, got seed=2.5"),
         ((1, 0, 4, 2.5, 0), "count must be an integer, got count=2.5"),
         ((1, 0, 4, 1, 2.5), "start must be an integer, got start=2.5"),
         ((1, 0, 4, -1, 0), "need count >= 0, got count=-1"),
-    ], ids=["fractional-seed", "fractional-count", "fractional-start", "negative-count"])
+    ], ids=["fractional-n", "fractional-seed", "fractional-count", "fractional-start", "negative-count"])
     def test_bad_seed_count_or_start_refused(self, args, message):
         with pytest.raises(ValueError, match=message):
             streams.cell_uniforms(*args)
